@@ -425,15 +425,6 @@ def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
     return float(np.abs(E.eval_array(composed, fol.grid(n))).max())
 
 
-def integrate_1d(f, interval, tol: float = 1e-10):
-    """Adaptive integral of a scalar callable; returns (value, err)."""
-    a, b = interval
-    res = integrate_batch(f, a, b, atol=tol * 1e-2, rtol=tol)
-    v = complex(res.value[0])
-    return (v.real if abs(v.imag) <= 1e-14 * (1 + abs(v.real)) else v,
-            float(res.error[0]))
-
-
 def _mass_machine(q: QuadDiff, fol: Foliation, tol: float, counter):
     """(p1, p2) -> (G, err) with G the leaf-direction |q|^2 |J| mass."""
     cols = _mass_cols_fn(q, fol)

@@ -157,7 +157,7 @@ def q_from_foliation(fol, f: E.Expr, grid_n: int = 6) -> PullbackField:
     if extra:
         raise VariableMismatch(f"leaf data uses variables {sorted(extra)}")
     vel = E.diff(fol.phi1, "s")
-    grid = _param_grid(fol, grid_n)
+    grid = fol.grid(grid_n)
     fv = E.eval_array(f, grid)
     if np.abs(fv.imag).max() > 1e-10 * (1.0 + np.abs(fv.real).max()):
         raise NegativeQ("leaf data f is not real on the parameter box")
@@ -167,16 +167,6 @@ def q_from_foliation(fol, f: E.Expr, grid_n: int = 6) -> PullbackField:
     if np.abs(vv).min() < Q_FLOOR:
         raise ZeroVelocity("leaf velocity d_s Phi1 vanishes on the box")
     return PullbackField(E.div(f, E.mul(vel, vel)), fol)
-
-
-def _param_grid(fol, n: int) -> dict:
-    (s0, s1) = fol.s_range
-    (a0, a1), (b0, b1) = fol.p_box
-    # stay off the boundary: leaf endpoints may be singular
-    fr = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    s, p1, p2 = np.meshgrid(s0 + (s1 - s0) * fr, a0 + (a1 - a0) * fr,
-                            b0 + (b1 - b0) * fr, indexing="ij")
-    return {"s": s.ravel(), "p1": p1.ravel(), "p2": p2.ravel()}
 
 
 def invert_foliation(fol, target: HPoint, *, seeds: int = 8,
@@ -192,7 +182,7 @@ def invert_foliation(fol, target: HPoint, *, seeds: int = 8,
     tgt = np.array([target.z.real, target.z.imag, target.t])
     scale = 1.0 + float(np.abs(tgt).max())
 
-    grid = _param_grid(fol, seeds)
+    grid = fol.grid(seeds)
     vals = np.stack([E.eval_array(c, grid).real for c in comps], axis=1)
     best = int(np.argmin(((vals - tgt) ** 2).sum(axis=1)))
     u = np.array([grid["s"][best], grid["p1"][best], grid["p2"][best]])

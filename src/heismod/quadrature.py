@@ -9,7 +9,10 @@ geometrically, and the mass hiding between the innermost cell and the
 endpoint is recovered by iterated Aitken extrapolation of the running
 cell sums.  Plain bisection cannot do this in float64: panel boundaries
 within rounding distance of a non-zero endpoint stop moving long before
-the unresolved mass drops below useful tolerances.
+the unresolved mass drops below useful tolerances.  The extrapolation
+runs column-batched: one numpy pass per ladder side covers every
+integrand column, with per-column lengths and masks for the columns
+whose Aitken sequence stops early.
 
 Singularities stronger than about u**-0.95 are rejected rather than
 mis-integrated (the cell-mass ratio guard), as is anything whose cell
@@ -117,56 +120,93 @@ def _panel_rule(fx, hw):
     return i15, err
 
 
-def _aitken(seq, scale):
-    """Iterated Aitken acceleration.  Returns (limit, final-pass spread)."""
-    cur = seq
-    for _ in range(_AITKEN_PASSES):
-        if cur.size < 3:
-            break
-        d1 = np.diff(cur)
-        d2 = np.diff(d1)
-        good = np.abs(d2) > 64.0 * _EPS * scale
-        if not good.any():
-            break
-        stop = len(d2) if good.all() else int(np.argmin(good))
-        if stop == 0:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cur = cur[2:stop + 2] - d1[1:stop + 1] ** 2 / d2[:stop]
-    spread = abs(cur[-1] - cur[-2]) if cur.size >= 2 else 0.0
-    return cur[-1], spread
+def _aitken_rows(seq, scale):
+    """Iterated Aitken acceleration of every row of `seq` (k, n) at once.
+
+    Returns (limit, final-pass spread) per row.  A pass keeps the prefix
+    of a row whose second differences are all resolved above rounding;
+    a row whose leading one is not, or that has fewer than three terms,
+    stops, and as its terms no longer change it stays stopped.  Entries
+    past a row's current length are padding: they are computed
+    silently, but never read.
+    """
+    k, n = seq.shape
+    cur = seq.copy()
+    length = np.full(k, n)
+    thr = 64.0 * _EPS * scale[:, None]
+    cols = np.arange(n - 2)
+    with np.errstate(all="ignore"):
+        for _ in range(_AITKEN_PASSES if n >= 3 else 0):
+            d1 = cur[:, 1:] - cur[:, :-1]
+            d2 = d1[:, 1:] - d1[:, :-1]
+            bad = ~(np.abs(d2) > thr) & (cols < (length - 2)[:, None])
+            stop = np.where(bad.any(axis=1), bad.argmax(axis=1), length - 2)
+            go = stop > 0
+            if not go.any():
+                break
+            cur[:, :-2] = np.where(go[:, None],
+                                   cur[:, 2:] - d1[:, 1:] ** 2 / d2,
+                                   cur[:, :-2])
+            length = np.where(go, stop, length)
+        i = np.arange(k)
+        limit = cur[i, length - 1]
+        d = limit - cur[i, np.maximum(length - 2, 0)]
+        spread = np.where(length >= 2, np.hypot(d.real, d.imag), 0.0)
+    return limit, spread
 
 
-def _tail_limit(cells, noise, strict=True):
-    """Estimate the full ladder mass (including the unsampled cap) from
-    per-cell sums ordered outermost first.  Returns (limit, uncertainty).
+def _tail_limits(cells, noise, aux, strict=True):
+    """Estimate the full ladder mass (including the unsampled cap) of
+    every column from per-cell sums.  Returns (partial sum, limit,
+    uncertainty) per column.
+
+    cells: (m, levels) complex, C-contiguous, one row per integrand
+    column, ordered outermost cell first; noise: (m,) floors below which
+    the innermost cell is taken as resolved; aux: (m,) bool marks
+    columns that never raise and fall back to (partial sum, 0) when
+    their tail cannot be resolved.
 
     Pure power behavior makes the running sums a geometric sequence, which
     one Aitken pass resolves exactly; corrections to the leading power add
     further transients that extra passes absorb.  The uncertainty combines
     the final pass spread with the limit's sensitivity to dropping the two
-    oldest input terms.
+    oldest input terms.  Magnitudes of single values use hypot, matching
+    the scalar complex abs bit for bit.
     """
-    total = cells.sum()
-    last = abs(cells[-1])
-    if last <= noise:
-        return total, last
-    mags = np.abs(cells[-6:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = mags[1:] / np.where(mags[:-1] > 0, mags[:-1], np.inf)
-    med = float(np.median(ratios))
-    if med >= _RATIO_CEILING:
-        if not strict:
-            return total, np.inf
-        raise NonConvergent(
-            "endpoint cell masses decay too slowly "
-            f"(ratio {med:.3f}); singularity is not integrable enough")
-    partial = np.cumsum(cells)
-    scale = max(np.abs(partial).max(), noise)
-    limit, spread = _aitken(partial[-_AITKEN_TERMS:], scale)
-    alt, _ = _aitken(partial[-(_AITKEN_TERMS - 2):], scale)
-    unc = spread + abs(limit - alt) + 16.0 * _EPS * scale
-    return limit, unc
+    total = cells.sum(axis=1)
+    limit = total.copy()
+    unc = np.hypot(cells[:, -1].real, cells[:, -1].imag)
+    work = np.flatnonzero(~(unc <= noise))
+    if work.size:
+        mags = np.abs(cells[work, -6:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = mags[:, 1:] / np.where(mags[:, :-1] > 0, mags[:, :-1],
+                                            np.inf)
+        med = np.median(ratios, axis=1)
+        slow = med >= _RATIO_CEILING
+        hit = slow & ~aux[work]
+        if strict and hit.any():
+            raise NonConvergent(
+                "endpoint cell masses decay too slowly "
+                f"(ratio {med[hit.argmax()]:.3f}); "
+                "singularity is not integrable enough")
+        unc[work[slow]] = np.inf
+        work = work[~slow]
+    if work.size:
+        partial = np.cumsum(cells[work], axis=1)
+        pmax = np.abs(partial).max(axis=1)
+        scale = np.where(noise[work] > pmax, noise[work], pmax)
+        lim, spread = _aitken_rows(partial[:, -_AITKEN_TERMS:], scale)
+        alt, _ = _aitken_rows(partial[:, -(_AITKEN_TERMS - 2):], scale)
+        d = lim - alt
+        limit[work] = lim
+        unc[work] = spread + np.hypot(d.real, d.imag) + 16.0 * _EPS * scale
+    # aux channels (error bookkeeping) may legitimately have
+    # non-integrable-looking tails; keep their partial sums
+    fallback = aux & ~np.isfinite(unc)
+    limit[fallback] = total[fallback]
+    unc[fallback] = 0.0
+    return total, limit, unc
 
 
 def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
@@ -351,22 +391,20 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
         value = value.astype(np.complex128, copy=True)
         error = ps.errs.sum(axis=0).astype(float)
         m = ps.vals.shape[1]
-        for sd in (-1, 1):
-            if (sd == -1 and not sing_l) or (sd == 1 and not sing_r):
+        aux = np.arange(m) >= m - aux_cols
+        for sd, flag in ((-1, sing_l), (1, sing_r)):
+            if not flag:
                 continue
             mask = ps.side == sd
             cells = np.zeros((ladder_levels, m), np.complex128)
             np.add.at(cells, ps.cell[mask], ps.vals[mask])
-            for c in range(m):
-                # aux channels (error bookkeeping) may legitimately have
-                # non-integrable-looking tails; keep their partial sums
-                lim, unc = _tail_limit(cells[:, c], 1e-3 * tgt[c],
-                                       strict=(not best_effort
-                                               and c < m - aux_cols))
-                if not np.isfinite(unc) and c >= m - aux_cols:
-                    lim, unc = cells[:, c].sum(), 0.0
-                value[c] += lim - cells[:, c].sum()
-                error[c] += unc
+            # one contiguous row per column, so a row sum is the same
+            # pairwise sum as a sum over that column alone
+            total, lim, unc = _tail_limits(np.ascontiguousarray(cells.T),
+                                           1e-3 * tgt, aux,
+                                           strict=not best_effort)
+            value += lim - total
+            error += unc
         return value, error
 
     for budget in (0.5, 0.1):

@@ -14,6 +14,7 @@ from heismod.errors import (
     VariableMismatch,
     ZeroVelocity,
 )
+from heismod.foliation import Foliation
 from heismod.heis import HPoint, HTangent
 from heismod.qdiff import (
     PullbackField,
@@ -40,10 +41,14 @@ RAD_PHI2 = "exp(s)*cos(p1)"
 
 @dataclass(frozen=True)
 class Box:
+    """The parts of a Foliation that the qdiff helpers read."""
+
     phi1: object
     phi2: object
     s_range: tuple
     p_box: tuple
+
+    grid = Foliation.grid
 
 
 def arc_foliation(r=2.0):
