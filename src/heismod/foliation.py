@@ -6,6 +6,11 @@ group; s runs along leaves, (p1, p2) indexes them.  Everything downstream
 module carries the two independent Jacobian routes, the leaf line
 element, the per-leaf constancy field lambda, and an ODE tracer that
 follows horizontal trajectories of a differential directly from q.
+
+The leaf functions (horizontality check, line element, leaf lengths,
+lambda) read a chart only through its family interface -- `s_range`,
+`p_box`, `p_vars`, `exponent`, `d_s1`, `jac_a_expr` and `compose` -- so
+they serve the planar charts of :mod:`heismod.planar` unchanged.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +56,8 @@ class Foliation:
     phi2: E.Expr
     s_range: tuple
     p_box: tuple
-    exclusions: tuple = ()
+    p_vars: ClassVar[tuple] = ("p1", "p2")
+    exponent: ClassVar[int] = 4
 
     def __post_init__(self):
         for name, ex in (("phi1", self.phi1), ("phi2", self.phi2)):
@@ -64,11 +71,9 @@ class Foliation:
             raise ValueError("empty parameter ranges")
 
     @classmethod
-    def from_strings(cls, phi1, phi2, s_range, p_box, exclusions=()):
+    def from_strings(cls, phi1, phi2, s_range, p_box):
         return cls(E.parse(phi1), E.parse(phi2), tuple(s_range),
-                   tuple(tuple(r) for r in p_box),
-                   tuple(E.parse(x) if isinstance(x, str) else x
-                         for x in exclusions))
+                   tuple(tuple(r) for r in p_box))
 
     # symbolic partials, built once per foliation
     @cached_property
@@ -161,36 +166,37 @@ class Foliation:
         return worst
 
 
-def legendrian_residual_grid(fol: Foliation, u) -> float:
-    """Legendrian defect at one parameter point (s, p1, p2)."""
-    b = dict(zip(("s", "p1", "p2"), u))
-    return E.evaluate(fol.legendrian_expr, b).real
-
-
-def jac_via_A(fol: Foliation, u) -> float:
-    b = dict(zip(("s", "p1", "p2"), u))
-    return E.evaluate(fol.jac_a_expr, b).real
-
-
-def jac_det(fol: Foliation, u) -> float:
-    b = dict(zip(("s", "p1", "p2"), u))
-    return E.evaluate(fol.jac_det_expr, b).real
-
-
-def mu_squared_expr(q: QuadDiff, fol: Foliation) -> E.Expr:
+def mu_squared_expr(q, fol) -> E.Expr:
     """(q o Phi) * (d_s Phi1)^2 -- real-positive exactly on horizontal
     foliations; its positive root is the leaf q-speed."""
     return E.mul(fol.compose(q.coeff), E.mul(fol.d_s1, fol.d_s1))
 
 
-def check_horizontal(q: QuadDiff, fol: Foliation, p1s, p2s,
-                     n_s: int = 5, tol: float = HORIZONTAL_TOL):
-    """Spot-check that the leaves through (p1s, p2s) are horizontal."""
+def column_binding(fol, x, ps) -> dict:
+    """Binding of s-nodes x (rows) against parameter columns ps."""
+    b = {"s": x[:, None]}
+    b.update((v, np.asarray(p)[None, :]) for v, p in zip(fol.p_vars, ps))
+    return b
+
+
+def _full_shape(v, shape):
+    # evaluated expressions drop the axes of the variables they lack
+    # (constants collapse to 0-d); restore the full grid shape
+    return v if np.shape(v) == shape else np.broadcast_to(v, shape)
+
+
+def _binding_shape(binding):
+    return np.broadcast(*binding.values()).shape
+
+
+def check_horizontal(q, fol, *ps, n_s: int = 5,
+                     tol: float = HORIZONTAL_TOL):
+    """Spot-check that the leaves through the parameter columns ps (one
+    array per p-axis) are horizontal."""
     (s0, s1) = fol.s_range
     svals = s0 + (s1 - s0) * np.linspace(0.0, 1.0, n_s + 2)[1:-1]
-    mu2 = E.eval_array(mu_squared_expr(q, fol), {
-        "s": svals[:, None], "p1": np.asarray(p1s)[None, :],
-        "p2": np.asarray(p2s)[None, :]})
+    mu2 = E.eval_array(mu_squared_expr(q, fol),
+                       column_binding(fol, svals, ps))
     scale = np.abs(mu2)
     bad_imag = np.abs(mu2.imag) > tol * (scale + 1.0)
     bad_sign = mu2.real <= 0.0
@@ -201,7 +207,7 @@ def check_horizontal(q: QuadDiff, fol: Foliation, p1s, p2s,
             "real-positive; leaves are not horizontal for this q")
 
 
-def leaf_speed_fn(q: QuadDiff, fol: Foliation):
+def leaf_speed_fn(q, fol):
     """Vectorized sqrt|q o Phi| * |d_s Phi1|, the q-length element."""
     qc = fol.compose(q.coeff)
     ds1 = fol.d_s1
@@ -209,17 +215,13 @@ def leaf_speed_fn(q: QuadDiff, fol: Foliation):
     def speed(binding):
         qa = np.abs(E.eval_array(qc, binding))
         va = np.abs(E.eval_array(ds1, binding))
-        out = np.sqrt(qa) * va
-        # constant expressions collapse to 0-d; restore the grid shape
-        shape = np.broadcast_shapes(*(np.shape(v) for v in binding.values()))
-        return np.broadcast_to(out, np.broadcast_shapes(np.shape(out), shape))
+        return _full_shape(np.sqrt(qa) * va, _binding_shape(binding))
     return speed
 
 
-def leaf_length_batch(q: QuadDiff, fol: Foliation, p1s, p2s,
-                      tol: float = 1e-10, check: bool = True,
+def leaf_length_batch(q, fol, *ps, tol: float = 1e-10, check: bool = True,
                       singular=(True, True), best_effort: bool = False):
-    """q-lengths of the leaves through the given parameters.
+    """q-lengths of the leaves through the parameter columns ps.
 
     Returns (values, errors) as float arrays.  The s-integrand may blow
     up at either leaf end (integrably); the quadrature ladders handle it
@@ -227,46 +229,47 @@ def leaf_length_batch(q: QuadDiff, fol: Foliation, p1s, p2s,
     `best_effort` returns honest oversized error bounds instead of
     raising when a leaf sits where evaluation noise exceeds `tol`.
     """
-    p1s = np.asarray(p1s, dtype=float)
-    p2s = np.asarray(p2s, dtype=float)
+    ps = tuple(np.asarray(p, dtype=float) for p in ps)
     if check:
-        check_horizontal(q, fol, p1s, p2s)
+        check_horizontal(q, fol, *ps)
     speed = leaf_speed_fn(q, fol)
     (s0, s1) = fol.s_range
 
     def integrand(x):
-        return speed({"s": x[:, None], "p1": p1s[None, :],
-                      "p2": p2s[None, :]})
+        return speed(column_binding(fol, x, ps))
 
     res = integrate_batch(integrand, s0, s1, atol=tol * 1e-2, rtol=tol,
                           singular=singular, best_effort=best_effort)
     return res.value.real, res.error
 
 
-def leaf_length(q: QuadDiff, fol: Foliation, p, tol: float = 1e-10):
-    """q-length of the single leaf through p = (p1, p2)."""
-    vals, errs = leaf_length_batch(q, fol, [p[0]], [p[1]], tol)
+def leaf_length(q, fol, p, tol: float = 1e-10):
+    """q-length of the single leaf through the parameter point p."""
+    vals, errs = leaf_length_batch(q, fol, *([v] for v in p), tol=tol)
     return float(vals[0]), float(errs[0])
 
 
-def lambda_field(q: QuadDiff, fol: Foliation, u,
-                 tol: float = HORIZONTAL_TOL) -> float:
-    """mu^3 * J / |d_s Phi1|^4 with mu the positive leaf q-speed.
+def lambda_field(q, fol, u, tol: float = HORIZONTAL_TOL) -> float:
+    """mu^(n-1) * J / |d_s Phi1|^n with mu the positive leaf q-speed and n
+    the chart's exponent (mu^3 J / |d_s Phi1|^4 in the group, mu J /
+    |d_s Phi|^2 in the plane), at u = (s, *p).
 
-    Constant in s (per leaf) whenever q has vanishing B2 residual and the
-    foliation is horizontal; that constancy is the tested conclusion.
+    Constant in s (per leaf) whenever q has vanishing B2 residual (is
+    holomorphic, in the plane) and the foliation is horizontal; that
+    constancy is the tested conclusion.
     """
-    b = dict(zip(("s", "p1", "p2"), u))
+    b = dict(zip(("s", *fol.p_vars), u))
     mu2 = E.evaluate(mu_squared_expr(q, fol), b)
     if mu2.real <= 0.0 or abs(mu2.imag) > tol * (abs(mu2) + 1.0):
         raise NegativeQ(f"mu^2 = {mu2:.6g} is not real-positive")
     mu = math.sqrt(mu2.real)
     jac = E.evaluate(fol.jac_a_expr, b).real
     speed2 = abs(E.evaluate(fol.d_s1, b)) ** 2
-    return mu ** 3 * jac / speed2 ** 2
+    n = fol.exponent
+    return mu ** (n - 1) * jac / speed2 ** (n // 2)
 
 
-def lambda_field_array(q: QuadDiff, fol: Foliation, binding: dict,
+def lambda_field_array(q, fol, binding: dict,
                        tol: float = HORIZONTAL_TOL) -> np.ndarray:
     """Vectorized lambda over a parameter binding (broadcasting dict)."""
     mu2 = E.eval_array(mu_squared_expr(q, fol), binding)
@@ -276,7 +279,9 @@ def lambda_field_array(q: QuadDiff, fol: Foliation, binding: dict,
     mu = np.sqrt(mu2.real)
     jac = E.eval_array(fol.jac_a_expr, binding).real
     speed2 = np.abs(E.eval_array(fol.d_s1, binding)) ** 2
-    return mu ** 3 * jac / speed2 ** 2
+    n = fol.exponent
+    return _full_shape(mu ** (n - 1) * jac / speed2 ** (n // 2),
+                       _binding_shape(binding))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,26 @@
-"""Fourth-power modulus of a horizontal family, q-volume, and density probes.
+"""Moduli of horizontal families, their q-mass, and density probes.
 
 Everything is evaluated in parameter coordinates,
 
-    M4 = int_Lambda l(p)^-4  int_I |q(Phi(s,p))|^2 |J_Phi| ds dp,
+    M_n = int_Lambda l(p)^-n  int_I |q(Phi(s,p))|^(n/2) |J_Phi| ds dp,
 
-so the leaf map Phi is never inverted.  Leaf lengths l(p) are served by
-:class:`LeafLengthField`, which memoizes exact leaf integrals and only
-interpolates when a cubic fit demonstrably reproduces probe values.  The
-two p-integrals ride on the shared batch quadrature with error channels
-(`aux_cols`), so the reported ``error_estimate`` aggregates the s-stage
-error, the leaf-length error, and both p-stages.
+with n = 4 for a group family over two p-axes,
+
+    M4 = int l(p1, p2)^-4  int |q(Phi)|^2 |J_Phi| ds dp1 dp2,
+
+and n = 2 for a planar family over one p-axis,
+
+    M2 = int l(p)^-2  int |q(Phi)| |J_Phi| ds dp,
+
+so the leaf map Phi is never inverted.  One engine serves both: it
+reads the chart's p-axes and exponent, and `modulus_m4` here and
+`heismod.planar.modulus_m2` only add their family's gates.  Leaf
+lengths l(p) are served by :class:`LeafLengthField`, which memoizes
+exact leaf integrals and only interpolates when a cubic fit
+demonstrably reproduces probe values.  The p-integrals ride on the
+shared batch quadrature with error channels (`aux_cols`), so the
+reported ``error_estimate`` aggregates the s-stage error, the
+leaf-length error, and every p-stage.
 
 The extremal density rho0 = sqrt|q|/l and its perturbations live here
 too; ``perturbation_probe`` renormalizes per leaf, which keeps every
@@ -36,8 +47,14 @@ from .errors import (
     VariableMismatch,
     ZeroLeafLength,
 )
-from .foliation import Foliation, check_horizontal, leaf_length_batch, \
-    leaf_speed_fn
+from .foliation import (
+    Foliation,
+    _full_shape,
+    check_horizontal,
+    column_binding,
+    leaf_length_batch,
+    leaf_speed_fn,
+)
 from .qdiff import Q_FLOOR, QuadDiff
 from .quadrature import integrate_batch
 
@@ -73,10 +90,10 @@ class ModulusReport:
 class LeafLengthField:
     """Leaf q-lengths over the parameter box, memoized and fitted.
 
-    Sampling starts on a slightly inset tensor grid (quadrature ladders
-    probe far closer to the box edge than any practical grid, and some
-    families have lengths that blow up right at the edge).  The field
-    then settles into one of three modes:
+    Sampling starts on a slightly inset tensor grid over the chart's p
+    axes (quadrature ladders probe far closer to the box edge than any
+    practical grid, and some families have lengths that blow up right at
+    the edge).  The field then settles into one of three modes:
 
     ``constant``
         relative spread below `constant_rtol`; queries are free.
@@ -91,7 +108,7 @@ class LeafLengthField:
     `eval` always returns per-query error bounds alongside the values.
     """
 
-    def __init__(self, q: QuadDiff, fol: Foliation, rtol: float = 1e-9,
+    def __init__(self, q, fol, rtol: float = 1e-9,
                  length_tol: float = 1e-10, init_axis: int = 9,
                  max_axis: int = 65, constant_rtol: float = 1e-9):
         self.q, self.fol = q, fol
@@ -99,26 +116,21 @@ class LeafLengthField:
         self.length_tol = float(length_tol)
         self._memo: dict = {}
         self._itp = None
-        (a0, a1), (b0, b1) = fol.p_box
-        ax1 = np.linspace(a0 + 1e-3 * (a1 - a0), a1 - 1e-3 * (a1 - a0),
-                          init_axis)
-        ax2 = np.linspace(b0 + 1e-3 * (b1 - b0), b1 - 1e-3 * (b1 - b0),
-                          init_axis)
+        axes = [np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo),
+                            init_axis) for lo, hi in fol.p_box]
         qv = E.eval_array(fol.compose(q.coeff), fol.grid(5))
         if np.abs(qv).max() < Q_FLOOR:
             raise ZeroLeafLength(
                 "q vanishes identically on the box; leaves have no length")
-        check_horizontal(q, fol, np.repeat(ax1, ax2.size),
-                         np.tile(ax2, ax1.size))
+        check_horizontal(q, fol, *_tensor_pairs(axes))
         speed = leaf_speed_fn(q, fol)
 
-        def speed_cols(x, p1c, p2c):
-            return speed({"s": x[:, None], "p1": p1c[None, :],
-                          "p2": p2c[None, :]})
+        def speed_cols(x, *pc):
+            return speed(column_binding(fol, x, pc))
 
         self._sing = _probe_singular(speed_cols, fol)
         self._dep = _axis_dependence(speed_cols, fol)
-        vals = self._tensor(ax1, ax2)
+        vals = self._tensor(axes)
         if vals.min() <= 0.0 or not np.isfinite(vals).all():
             raise ZeroLeafLength("a sampled leaf has no q-length")
         mean = float(vals.mean())
@@ -129,27 +141,27 @@ class LeafLengthField:
             self.mode = "constant"
             return
         for _ in range(6):
-            itp = RegularGridInterpolator((ax1, ax2), vals, method="cubic")
-            mid1 = 0.5 * (ax1[:-1] + ax1[1:])
-            mid2 = 0.5 * (ax2[:-1] + ax2[1:])
-            P1, P2 = (g.ravel() for g in np.meshgrid(mid1, mid2,
-                                                     indexing="ij"))
-            exact = self._exact(P1, P2)[0].reshape(mid1.size, mid2.size)
-            got = itp(np.column_stack((P1, P2))).reshape(exact.shape)
+            itp = RegularGridInterpolator(tuple(axes), vals, method="cubic")
+            mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
+            P = _tensor_pairs(mids)
+            exact = self.exact(*P)[0].reshape(tuple(m.size for m in mids))
+            got = itp(np.column_stack(P)).reshape(exact.shape)
             relerr = np.abs(got - exact) / exact
             if relerr.max() <= self.rtol:
                 self.mode = "interpolated"
                 self._itp = itp
-                self._axes = (ax1, ax2)
+                self._axes = axes
                 # snapshot: later out-of-hull queries must not inflate
                 # the error attributed to in-hull interpolation
                 self._grid_err = self._max_memo_err()
                 return
-            ax1 = np.union1d(ax1, mid1[relerr.max(axis=1) > self.rtol])
-            ax2 = np.union1d(ax2, mid2[relerr.max(axis=0) > self.rtol])
-            if max(ax1.size, ax2.size) > max_axis:
+            for k, m in enumerate(mids):
+                worst = np.moveaxis(relerr, k, 0).reshape(m.size, -1)
+                axes[k] = np.union1d(axes[k],
+                                     m[worst.max(axis=1) > self.rtol])
+            if max(a.size for a in axes) > max_axis:
                 break
-            vals = self._tensor(ax1, ax2)
+            vals = self._tensor(axes)
             self._spread_rel = max(self._spread_rel,
                                    float(np.ptp(vals)) / float(vals.mean()))
         self.mode = "exact"
@@ -162,31 +174,31 @@ class LeafLengthField:
     def spread_rel(self) -> float:
         return self._spread_rel
 
-    def _tensor(self, ax1, ax2):
-        p1 = np.repeat(ax1, ax2.size)
-        p2 = np.tile(ax2, ax1.size)
-        return self._exact(p1, p2)[0].reshape(ax1.size, ax2.size)
+    def _tensor(self, axes):
+        return self.exact(*_tensor_pairs(axes))[0].reshape(
+            tuple(a.size for a in axes))
 
-    def _key(self, a, b):
+    def exact(self, *ps):
+        """Exact leaf integrals and error bounds at paired parameter
+        arrays, one per p-axis, memoized whatever the mode."""
+        points = list(zip(*(p.tolist() for p in ps)))
         # lengths memo under dead-axis collapse, so a family that is
         # symmetric in one parameter never recomputes along it
-        d1, d2 = self._dep
-        return (a if d1 else 0.0, b if d2 else 0.0)
-
-    def _exact(self, p1, p2):
-        keys = [self._key(a, b) for a, b in zip(p1.tolist(), p2.tolist())]
+        keys = points if all(self._dep) else [
+            tuple(a if d else 0.0 for a, d in zip(p, self._dep))
+            for p in points]
         rep: dict = {}
-        for k, a, b in zip(keys, p1.tolist(), p2.tolist()):
+        for k, p in zip(keys, points):
             if k not in self._memo and k not in rep:
-                rep[k] = (a, b)
+                rep[k] = p
         missing = list(rep)
         for lo in range(0, len(missing), _CHUNK):
             part = missing[lo:lo + _CHUNK]
-            mp1 = np.array([rep[k][0] for k in part])
-            mp2 = np.array([rep[k][1] for k in part])
+            mps = [np.array([rep[k][j] for k in part])
+                   for j in range(len(ps))]
             # best effort: queries squeezed against the box edge carry
             # honest enlarged errors instead of aborting the field
-            vals, errs = leaf_length_batch(self.q, self.fol, mp1, mp2,
+            vals, errs = leaf_length_batch(self.q, self.fol, *mps,
                                            tol=self.length_tol, check=False,
                                            singular=self._sing,
                                            best_effort=True)
@@ -198,26 +210,27 @@ class LeafLengthField:
     def _max_memo_err(self) -> float:
         return max(e for _, e in self._memo.values())
 
-    def eval(self, p1, p2):
-        """Lengths and error bounds at paired parameter arrays."""
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
+    def eval(self, *ps):
+        """Lengths and error bounds at paired parameter arrays, one per
+        p-axis."""
+        ps = tuple(np.asarray(p, dtype=float) for p in ps)
+        shape = ps[0].shape
         if self.mode == "constant":
-            return (np.full(p1.shape, self.value),
-                    np.full(p1.shape, self.value_err))
+            return (np.full(shape, self.value),
+                    np.full(shape, self.value_err))
         if self.mode == "exact":
-            return self._exact(p1, p2)
-        ax1, ax2 = self._axes
-        inside = ((p1 >= ax1[0]) & (p1 <= ax1[-1])
-                  & (p2 >= ax2[0]) & (p2 <= ax2[-1]))
-        vals = np.empty(p1.shape)
-        errs = np.empty(p1.shape)
+            return self.exact(*ps)
+        inside = np.ones(shape, dtype=bool)
+        for p, a in zip(ps, self._axes):
+            inside &= (p >= a[0]) & (p <= a[-1])
+        vals = np.empty(shape)
+        errs = np.empty(shape)
         if inside.any():
-            v = self._itp(np.column_stack((p1[inside], p2[inside])))
+            v = self._itp(np.column_stack([p[inside] for p in ps]))
             vals[inside] = v
             errs[inside] = 2.0 * self.rtol * np.abs(v) + self._grid_err
         if (~inside).any():
-            vo, eo = self._exact(p1[~inside], p2[~inside])
+            vo, eo = self.exact(*(p[~inside] for p in ps))
             vals[~inside] = vo
             errs[~inside] = eo
         return vals, errs
@@ -228,15 +241,23 @@ class LeafLengthField:
         return (float(vals.min()), float(vals.max()), float(vals.mean()))
 
 
-def _interior_pairs(fol: Foliation, n: int):
-    (a0, a1), (b0, b1) = fol.p_box
+def _tensor_pairs(axes):
+    """Every point of the tensor grid over `axes`, one array per axis,
+    the first axis slowest."""
+    total = math.prod(a.size for a in axes)
+    out, inner = [], total
+    for a in axes:
+        inner //= a.size
+        out.append(np.tile(np.repeat(a, inner), total // (a.size * inner)))
+    return tuple(out)
+
+
+def _interior_pairs(fol, n: int):
     fr = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    P1, P2 = np.meshgrid(a0 + (a1 - a0) * fr, b0 + (b1 - b0) * fr,
-                         indexing="ij")
-    return P1.ravel(), P2.ravel()
+    return _tensor_pairs([lo + (hi - lo) * fr for lo, hi in fol.p_box])
 
 
-def _probe_singular(cols_fn, fol: Foliation, rtol: float = 1e-3):
+def _probe_singular(cols_fn, fol, rtol: float = 1e-3):
     """Classify each s-endpoint of a nonnegative integrand as regular.
 
     Samples the integrand at geometrically shrinking offsets from the
@@ -247,11 +268,11 @@ def _probe_singular(cols_fn, fol: Foliation, rtol: float = 1e-3):
     """
     (s0, s1) = fol.s_range
     span = s1 - s0
-    p1, p2 = _interior_pairs(fol, 2)
+    ps = _interior_pairs(fol, 2)
     offs = span * 10.0 ** -np.arange(2.0, 11.0)
     flags = []
     for end, sgn in ((s0, 1.0), (s1, -1.0)):
-        v = np.abs(cols_fn(end + sgn * offs, p1, p2))
+        v = np.abs(cols_fn(end + sgn * offs, *ps))
         tail = v[-3:]
         scale = tail.max(axis=0) + 1e-300
         settled = bool(np.isfinite(v).all()
@@ -260,44 +281,45 @@ def _probe_singular(cols_fn, fol: Foliation, rtol: float = 1e-3):
     return tuple(flags)
 
 
-def _axis_dependence(cols_fn, fol: Foliation, rtol: float = 1e-12):
+def _axis_dependence(cols_fn, fol, rtol: float = 1e-12):
     """Which p-axes a nonnegative s-integrand numerically varies along.
 
     Many families are symmetric in one parameter (the integrand is a
     pullback through a rotation-like Phi), which a symbolic check
     cannot see once conjugate phases multiply out.  A collapse here
     lets pair evaluations dedup along the dead axis.
+
+    The single axis of a one-axis family is always live: its modulus
+    pairs every leaf's mass with that leaf's own length (see
+    `family_modulus`), which a collapse would undo.
     """
+    d = len(fol.p_box)
+    if d == 1:
+        return (True,)
     (s0, s1) = fol.s_range
-    (a0, a1), (b0, b1) = fol.p_box
     sv = s0 + (s1 - s0) * np.array([0.23, 0.52, 0.81])
     fr = np.linspace(0.1, 0.9, 5)
-    P1, P2 = (g.ravel() for g in np.meshgrid(a0 + (a1 - a0) * fr,
-                                             b0 + (b1 - b0) * fr,
-                                             indexing="ij"))
-    v = np.abs(cols_fn(sv, P1, P2)).reshape(sv.size, fr.size, fr.size)
+    ps = _tensor_pairs([lo + (hi - lo) * fr for lo, hi in fol.p_box])
+    v = np.abs(cols_fn(sv, *ps)).reshape((sv.size,) + (fr.size,) * d)
     scale = v.max() + 1e-300
-    return (bool(np.ptp(v, axis=1).max() / scale > rtol),
-            bool(np.ptp(v, axis=2).max() / scale > rtol))
+    return tuple(bool(np.ptp(v, axis=k + 1).max() / scale > rtol)
+                 for k in range(d))
 
 
-def _dedup_pairs(fn, p1, p2, dep1, dep2):
+def _dedup_pairs(fn, ps, dep):
     """Evaluate fn over parameter pairs, collapsing dead axes."""
-    if dep1 and dep2:
-        return fn(p1, p2)
-    key = p1 if dep1 else p2 if dep2 else np.zeros_like(p1)
+    if all(dep):
+        return fn(*ps)
+    live = [p for p, d in zip(ps, dep) if d]
+    key = live[0] if live else np.zeros_like(ps[0])
     uniq, first, inv = np.unique(key, return_index=True,
                                  return_inverse=True)
-    outs = fn(p1[first], p2[first])
+    outs = fn(*(p[first] for p in ps))
     return tuple(np.asarray(o)[inv] for o in outs)
 
 
-def _full_shape(v, shape):
-    return np.broadcast_to(v, np.broadcast_shapes(np.shape(v), shape))
-
-
-def _probe_p_edges(pair_fn, fol: Foliation, rtol: float = 1e-3):
-    """Per-edge singularity flags ((p1 lo, hi), (p2 lo, hi)) for the box.
+def _probe_p_edges(pair_fn, fol, rtol: float = 1e-3):
+    """Per-edge singularity flags ((lo, hi) per p-axis) for the box.
 
     The settled-tail rule of the leaf-direction probe, applied to the
     pointwise channels along geometric approaches to each box edge.  A
@@ -305,35 +327,35 @@ def _probe_p_edges(pair_fn, fol: Foliation, rtol: float = 1e-3):
     leaf mass diverging where leaves pinch) keeps that edge's ladder in
     the nested integration; channels that settle or vanish release it.
     """
-    (a0, a1), (b0, b1) = fol.p_box
-    mid = (0.5 * (a0 + a1), 0.5 * (b0 + b1))
+    mid = [0.5 * (lo + hi) for lo, hi in fol.p_box]
     out = []
-    for axis in (0, 1):
-        lo, hi = fol.p_box[axis]
+    for axis, (lo, hi) in enumerate(fol.p_box):
         offs = (hi - lo) * 10.0 ** -np.arange(2.0, 11.0)
         flags = []
         for end, sgn in ((lo, 1.0), (hi, -1.0)):
             x = end + sgn * offs
-            fixed = np.full(x.size, mid[1 - axis])
-            v, _ = pair_fn(x, fixed) if axis == 0 else pair_fn(fixed, x)
+            ps = [np.full(x.size, m) for m in mid]
+            ps[axis] = x
+            v, _ = pair_fn(*ps)
             v = np.abs(np.asarray(v))
             tail = v[-3:]
             settled = np.isfinite(v).all(axis=0) & (
                 (np.ptp(tail, axis=0) / (tail.max(axis=0) + 1e-300) < rtol)
                 | (tail.max(axis=0) < 1e-10 * (v.max(axis=0) + 1e-300)))
             flags.append(not settled.all())
-        out.append((flags[0], flags[1]))
+        out.append(tuple(flags))
     return tuple(out)
 
 
-def _nested_p_integral(fol: Foliation, pair_fn, n_chan: int, *,
+def _nested_p_integral(fol, pair_fn, n_chan: int, *,
                        rtol: float, atol: float = 1e-14, counter=None):
     """Integrate pointwise channels over the parameter box.
 
-    pair_fn(p1, p2) -> (values (k, n_chan), pointwise error bounds) at
-    paired parameter arrays.  Error bounds travel through both
-    integrations as aux columns; the returned errors combine them with
-    the quadrature's own estimates.
+    pair_fn(*ps) -> (values (k, n_chan), pointwise error bounds) at
+    paired parameter arrays, one per p-axis.  Error bounds travel
+    through every integration stage as aux columns; the returned errors
+    combine them with the quadrature's own estimates.  A one-axis box
+    has the outer stage only.
 
     The inner stage runs 5x tighter than the outer: the outer panels
     integrate values that carry the inner stages' quadrature noise, and
@@ -342,11 +364,14 @@ def _nested_p_integral(fol: Foliation, pair_fn, n_chan: int, *,
     degenerate and evaluation noise explodes).  Edges where a channel
     genuinely blows up get ladders, found by probing.
     """
-    (a0, a1), (b0, b1) = fol.p_box
-    sing1, sing2 = _probe_p_edges(pair_fn, fol)
+    sing = _probe_p_edges(pair_fn, fol)
+    (a0, a1) = fol.p_box[0]
 
     def outer(x1):
         x1 = np.asarray(x1, dtype=float)
+        if len(fol.p_box) == 1:
+            return np.hstack(pair_fn(x1))
+        (b0, b1) = fol.p_box[1]
         n1 = x1.size
         blk = n1 * n_chan
 
@@ -357,7 +382,7 @@ def _nested_p_integral(fol: Foliation, pair_fn, n_chan: int, *,
                               perr.reshape(x2.size, blk)))
 
         res = integrate_batch(inner, b0, b1, atol=atol, rtol=0.2 * rtol,
-                              singular=sing2, initial_panels=4,
+                              singular=sing[1], initial_panels=4,
                               aux_cols=blk, best_effort=True)
         if counter is not None:
             counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
@@ -367,7 +392,7 @@ def _nested_p_integral(fol: Foliation, pair_fn, n_chan: int, *,
         return np.hstack((v, pe + qe))
 
     res = integrate_batch(outer, a0, a1, atol=atol, rtol=rtol,
-                          singular=sing1, initial_panels=4,
+                          singular=sing[0], initial_panels=4,
                           aux_cols=n_chan)
     if counter is not None:
         counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
@@ -384,21 +409,21 @@ def _nested_p_integral(fol: Foliation, pair_fn, n_chan: int, *,
     return vals, errs
 
 
-def _s_batched(fol: Foliation, cols_fn, p1, p2, *, rtol, atol, counter,
+def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter,
                singular=(True, True)):
-    """Leaf-direction integrals of cols_fn over every (p1, p2) pair.
+    """Leaf-direction integrals of cols_fn over every parameter pair.
 
     Best-effort: pairs pinned against a degenerate box edge return
     honest oversized error bounds (which the enclosing p-integration
     weights and aggregates) instead of aborting the run.
     """
     (s0, s1) = fol.s_range
-    k = p1.size
+    k = ps[0].size
     vals = np.empty(k)
     errs = np.empty(k)
     for lo in range(0, k, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, k))
-        res = integrate_batch(lambda x: cols_fn(x, p1[sl], p2[sl]),
+        res = integrate_batch(lambda x: cols_fn(x, *(p[sl] for p in ps)),
                               s0, s1, atol=atol, rtol=rtol,
                               singular=singular, best_effort=True)
         vals[sl] = res.value.real
@@ -408,15 +433,18 @@ def _s_batched(fol: Foliation, cols_fn, p1, p2, *, rtol, atol, counter,
     return vals, errs
 
 
-def _mass_cols_fn(q: QuadDiff, fol: Foliation):
-    """|q(Phi)|^2 |J| as a column evaluator in (s, pairs)."""
-    qabs2 = fol.compose(E.mul(q.coeff, E.conj_expr(q.coeff)))
+def _mass_cols_fn(q, fol):
+    """|q(Phi)|^(n/2) |J| as a column evaluator in (s, pairs): |q|^2 |J|
+    for the group's n = 4, |q| |J| for the plane's n = 2."""
+    qn = q.coeff if fol.exponent == 2 else E.mul(q.coeff,
+                                                 E.conj_expr(q.coeff))
+    qabs = fol.compose(qn)
     jac = fol.jac_a_expr
 
-    def cols(x, p1c, p2c):
-        b = {"s": x[:, None], "p1": p1c[None, :], "p2": p2c[None, :]}
-        v = np.abs(E.eval_array(qabs2, b)) * np.abs(E.eval_array(jac, b))
-        return _full_shape(v, (x.size, p1c.size))
+    def cols(x, *pc):
+        b = column_binding(fol, x, pc)
+        v = np.abs(E.eval_array(qabs, b)) * np.abs(E.eval_array(jac, b))
+        return _full_shape(v, (x.size, pc[0].size))
     return cols
 
 
@@ -425,34 +453,76 @@ def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
     return float(np.abs(E.eval_array(composed, fol.grid(n))).max())
 
 
-def _mass_machine(q: QuadDiff, fol: Foliation, tol: float, counter):
-    """(p1, p2) -> (G, err) with G the leaf-direction |q|^2 |J| mass."""
+def _mass_machine(q, fol, tol: float, counter):
+    """(*ps) -> (G, err) with G the leaf-direction |q|^(n/2) |J| mass."""
     cols = _mass_cols_fn(q, fol)
     sing = _probe_singular(cols, fol)
     dep = _axis_dependence(cols, fol)
 
-    def raw(p1, p2):
+    def raw(*ps):
         # far below the p-stage budgets so leaf-mass noise never looks
         # like structure to the p refinement
-        return _s_batched(fol, cols, p1, p2, rtol=0.01 * tol, atol=1e-14,
+        return _s_batched(fol, cols, ps, rtol=0.01 * tol, atol=1e-14,
                           counter=counter, singular=sing)
 
-    return lambda p1, p2: _dedup_pairs(raw, p1, p2, *dep)
+    return lambda *ps: _dedup_pairs(raw, ps, dep)
 
 
-def q_volume(q: QuadDiff, fol: Foliation, tol: float = 1e-8) -> float:
-    """Total |q|^2 mass of the family in parameter coordinates."""
+def q_volume(q, fol, tol: float = 1e-8) -> float:
+    """Total |q|^(n/2) mass of the family in parameter coordinates: the
+    q-volume of a group family, the q-area of a planar one."""
     fol.validate()
     counter: dict = {}
     g_of = _mass_machine(q, fol, tol, counter)
 
-    def pair_fn(p1, p2):
-        v, e = g_of(p1, p2)
+    def pair_fn(*ps):
+        v, e = g_of(*ps)
         return v[:, None], e[:, None]
 
     vals, _ = _nested_p_integral(fol, pair_fn, 1, rtol=0.5 * tol,
                                  counter=counter)
     return float(vals[0])
+
+
+def family_modulus(q, fol, tol: float, residual: float,
+                   t0: float) -> ModulusReport:
+    """M_n = int l(p)^-n int |q o Phi|^(n/2) |J| ds dp for a family that
+    already passed its entry point's gates; n is the chart's exponent.
+
+    `residual` is the entry point's diagnostic for residual_stats and t0
+    its start time.  The report carries the q-mass in meta under
+    ``q_volume`` and, when leaf lengths are constant, the gap against the
+    constant-length shortcut mass / l^n.
+    """
+    n = fol.exponent
+    field = LeafLengthField(q, fol, rtol=0.05 * tol,
+                            length_tol=min(1e-10, 0.01 * tol))
+    counter: dict = {}
+    g_of = _mass_machine(q, fol, tol, counter)
+    # A one-axis family takes every length exactly at its own node: the
+    # p-stage is a single batch of leaves, so this is cheap, and a leaf's
+    # mass and length then share the rounding of q o Phi, which cancels in
+    # g / l^n.  One shared length per family leaves that rounding in: a
+    # few ulps, as large as the whole error of the planar oracles.
+    lengths = field.eval if len(fol.p_box) > 1 else field.exact
+
+    def pair_fn(*ps):
+        g, ge = g_of(*ps)
+        lv, le = lengths(*ps)
+        lin = 1.0 / lv ** n
+        vals = np.stack((g * lin, g), axis=1)
+        errs = np.stack((ge * lin + n * g * lin * (le / lv), ge), axis=1)
+        return vals, errs
+
+    vals, errs = _nested_p_integral(fol, pair_fn, 2, rtol=0.5 * tol,
+                                    counter=counter)
+    mod, vol = float(vals[0]), float(vals[1])
+    gap = abs(mod - vol / field.value ** n) if field.constant else None
+    meta = {"q_volume": vol, "q_volume_error": float(errs[1]),
+            "field_mode": field.mode, "tol": tol,
+            "elapsed": perf_counter() - t0, **counter}
+    return ModulusReport(mod, float(errs[0]), field.stats(), gap, residual,
+                         meta)
 
 
 def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
@@ -468,8 +538,7 @@ def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
     """
     t0 = perf_counter()
     fol.validate()
-    p1g, p2g = _interior_pairs(fol, 7)
-    check_horizontal(q, fol, p1g, p2g)
+    check_horizontal(q, fol, *_interior_pairs(fol, 7))
     b2max = _b2_spot_max(q, fol)
     if b2max > b2_tol:
         msg = (f"max |B2 q| = {b2max:.3e} exceeds {b2_tol:.1e} on the "
@@ -477,28 +546,7 @@ def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
         if not override_b2_check:
             raise KernelResidualHigh(msg)
         warnings.warn(msg)
-    field = LeafLengthField(q, fol, rtol=0.05 * tol,
-                            length_tol=min(1e-10, 0.01 * tol))
-    counter: dict = {}
-    g_of = _mass_machine(q, fol, tol, counter)
-
-    def pair_fn(p1, p2):
-        g, ge = g_of(p1, p2)
-        lv, le = field.eval(p1, p2)
-        li4 = 1.0 / lv ** 4
-        vals = np.stack((g * li4, g), axis=1)
-        errs = np.stack((ge * li4 + 4.0 * g * li4 * (le / lv), ge), axis=1)
-        return vals, errs
-
-    vals, errs = _nested_p_integral(fol, pair_fn, 2, rtol=0.5 * tol,
-                                    counter=counter)
-    mod, vol = float(vals[0]), float(vals[1])
-    gap = abs(mod - vol / field.value ** 4) if field.constant else None
-    meta = {"q_volume": vol, "q_volume_error": float(errs[1]),
-            "field_mode": field.mode, "tol": tol,
-            "elapsed": perf_counter() - t0, **counter}
-    return ModulusReport(mod, float(errs[0]), field.stats(), gap, b2max,
-                         meta)
+    return family_modulus(q, fol, tol, b2max, t0)
 
 
 def modulus_constant_length(q: QuadDiff, fol: Foliation,
@@ -506,8 +554,7 @@ def modulus_constant_length(q: QuadDiff, fol: Foliation,
     """q_volume / l^4 shortcut, valid only for constant leaf lengths."""
     t0 = perf_counter()
     fol.validate()
-    p1g, p2g = _interior_pairs(fol, 7)
-    check_horizontal(q, fol, p1g, p2g)
+    check_horizontal(q, fol, *_interior_pairs(fol, 7))
     field = LeafLengthField(q, fol, rtol=0.05 * tol,
                             length_tol=min(1e-10, 0.01 * tol))
     if field.spread_rel > CONSTANT_LENGTH_RTOL:
@@ -517,8 +564,8 @@ def modulus_constant_length(q: QuadDiff, fol: Foliation,
     counter: dict = {}
     g_of = _mass_machine(q, fol, tol, counter)
 
-    def pair_fn(p1, p2):
-        v, e = g_of(p1, p2)
+    def pair_fn(*ps):
+        v, e = g_of(*ps)
         return v[:, None], e[:, None]
 
     vals, errs = _nested_p_integral(fol, pair_fn, 1, rtol=0.5 * tol,
@@ -588,12 +635,12 @@ class Density:
         sing = _probe_singular(cols, self.foliation)
         dep = _axis_dependence(cols, self.foliation)
 
-        def raw(pa, pb):
-            return _s_batched(self.foliation, cols, pa, pb,
+        def raw(*ps):
+            return _s_batched(self.foliation, cols, ps,
                               rtol=0.1 * tol, atol=1e-14,
                               counter=counter, singular=sing)
 
-        v, ve = _dedup_pairs(raw, p1, p2, *dep)
+        v, ve = _dedup_pairs(raw, (p1, p2), dep)
         lv, le = self.length_field.eval(p1, p2)
         return v / lv, ve / lv + np.abs(v) * le / lv ** 2
 
@@ -693,12 +740,12 @@ def density_energy(rho: Density, fol: Foliation | None = None,
     sing = _probe_singular(cols, fol)
     dep = _axis_dependence(cols, fol)
 
-    def raw(p1, p2):
-        return _s_batched(fol, cols, p1, p2, rtol=0.01 * tol, atol=1e-14,
+    def raw(*ps):
+        return _s_batched(fol, cols, ps, rtol=0.01 * tol, atol=1e-14,
                           counter=counter, singular=sing)
 
     def pair_fn(p1, p2):
-        e4, e4e = _dedup_pairs(raw, p1, p2, *dep)
+        e4, e4e = _dedup_pairs(raw, (p1, p2), dep)
         lv, le = rho.length_field.eval(p1, p2)
         if rho.per_leaf_norm:
             nv, ne = rho.norms(p1, p2, min(1e-10, 0.02 * tol), counter)

@@ -1,41 +1,34 @@
 """Complex-plane modulus oracle: the 2-dimensional analog of the group
 pipeline, used as a regression bed because its answers are classical.
 
-A planar family is a chart Phi(s, p) into C with leaves along s.  The
-second-power modulus
+This module holds the planar quadratic differential q(w, wb) dw^2, the
+planar chart Phi(s, p) with leaves along s, and the M2 entry point.  A
+planar chart offers the same family interface as a group chart (one
+p-axis, exponent 2), so the second-power modulus
 
     M2 = int_J l(p)^-2  int_I |q(Phi)| |J_Phi| ds dp,
     l(p) = int_I sqrt|q(Phi)| |d_s Phi| ds,
 
-shares the quadrature engine and the report type with the group-side
-modulus; only the Jacobian, the line element, and the exponents differ.
+runs through the engine of :mod:`heismod.modulus` and the leaf
+functions of :mod:`heismod.foliation`; only the gates differ.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
+from typing import ClassVar
 
 import numpy as np
 
 from . import expr as E
-from .errors import (
-    InversionFailure,
-    NegativeQ,
-    NotHorizontal,
-    VariableMismatch,
-    ZeroLeafLength,
-    ZeroVelocity,
-)
-from .modulus import ModulusReport
+from .errors import InversionFailure, VariableMismatch, ZeroVelocity
+from .modulus import ModulusReport, family_modulus, q_volume
 from .qdiff import Q_FLOOR
-from .quadrature import integrate_batch
 
 _PARAM_VARS = frozenset({"s", "p"})
 _Q_VARS = frozenset({"w", "wb"})
-HORIZONTAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,55 +67,62 @@ def holomorphy_residual(q: PlanarQD, w) -> complex:
 
 @dataclass(frozen=True)
 class PlanarFoliation:
-    """Chart Phi(s, p) of a plane region foliated by s-curves."""
+    """Chart Phi(s, p) of a plane region foliated by s-curves.
 
-    phi: E.Expr
+    The complex coordinate is named phi1 and the box p_box holds the
+    single p range, so the chart answers to the same names as a group
+    chart without phi2.
+    """
+
+    phi1: E.Expr
     s_range: tuple
-    p_range: tuple
+    p_box: tuple
+    p_vars: ClassVar[tuple] = ("p",)
+    exponent: ClassVar[int] = 2
 
     def __post_init__(self):
-        extra = E.free_vars(self.phi) - _PARAM_VARS
+        extra = E.free_vars(self.phi1) - _PARAM_VARS
         if extra:
             raise VariableMismatch(f"phi uses variables {sorted(extra)}")
-        (s0, s1), (p0, p1) = self.s_range, self.p_range
+        (s0, s1), ((p0, p1),) = self.s_range, self.p_box
         if not (s0 < s1 and p0 < p1):
             raise ValueError("empty parameter ranges")
 
     @classmethod
-    def from_strings(cls, phi, s_range, p_range) -> "PlanarFoliation":
-        return cls(E.parse(phi), tuple(s_range), tuple(p_range))
+    def from_strings(cls, phi1, s_range, p_range) -> "PlanarFoliation":
+        return cls(E.parse(phi1), tuple(s_range), (tuple(p_range),))
 
     @cached_property
-    def d_s(self):
-        return E.diff(self.phi, "s")
+    def d_s1(self):
+        return E.diff(self.phi1, "s")
 
     @cached_property
     def d_p(self):
-        return E.diff(self.phi, "p")
+        return E.diff(self.phi1, "p")
 
     @cached_property
-    def jac_expr(self):
-        """Im(conj(d_s Phi) d_p Phi), the oriented area density."""
-        return E.im_part(E.mul(E.conj_expr(self.d_s), self.d_p))
+    def jac_a_expr(self):
+        """Im(conj(d_s Phi) d_p Phi), the oriented area density: the
+        complex route, as the group chart's A route is."""
+        return E.im_part(E.mul(E.conj_expr(self.d_s1), self.d_p))
 
     @cached_property
     def jac_det_expr(self):
         """2x2 determinant of d(Re Phi, Im Phi)/d(s, p)."""
-        x, y = E.re_part(self.phi), E.im_part(self.phi)
+        x, y = E.re_part(self.phi1), E.im_part(self.phi1)
         return E.sub(E.mul(E.diff(x, "s"), E.diff(y, "p")),
                      E.mul(E.diff(x, "p"), E.diff(y, "s")))
 
     def compose(self, plane_expr: E.Expr) -> E.Expr:
         """Pull an expression in (w, wb) back to parameter space."""
         return E.substitute(plane_expr, {
-            "w": self.phi, "wb": E.conj_expr(self.phi)})
+            "w": self.phi1, "wb": E.conj_expr(self.phi1)})
 
     def grid(self, n: int) -> dict:
-        (s0, s1), (p0, p1) = self.s_range, self.p_range
+        (s0, s1), ((p0, p1),) = self.s_range, self.p_box
         fr = np.linspace(0.0, 1.0, n + 2)[1:-1]
-        s, p = np.meshgrid(s0 + (s1 - s0) * fr, p0 + (p1 - p0) * fr,
-                           indexing="ij")
-        return {"s": s.ravel(), "p": p.ravel()}
+        return {"s": np.repeat(s0 + (s1 - s0) * fr, n),
+                "p": np.tile(p0 + (p1 - p0) * fr, n)}
 
     def validate(self, grid_n: int = 7):
         """Spot-check d_s Phi != 0 and injectivity on an interior grid.
@@ -133,10 +133,10 @@ class PlanarFoliation:
         natural mistakes.
         """
         g = self.grid(grid_n)
-        speed = np.abs(E.eval_array(self.d_s, g))
+        speed = np.abs(E.eval_array(self.d_s1, g))
         if speed.min() < Q_FLOOR:
             raise ZeroVelocity("d_s Phi vanishes on the parameter box")
-        pts = np.ravel(np.broadcast_to(E.eval_array(self.phi, g),
+        pts = np.ravel(np.broadcast_to(E.eval_array(self.phi1, g),
                                        g["s"].shape))
         scale = np.abs(pts).max() + 1.0
         diff = np.abs(pts[:, None] - pts[None, :])
@@ -148,157 +148,9 @@ class PlanarFoliation:
         return float(speed.min())
 
 
-def planar_jacobian(fol: PlanarFoliation, u) -> float:
-    """Jacobian at u = (s, p) via the Wirtinger route."""
-    b = {"s": u[0], "p": u[1]}
-    return E.evaluate(fol.jac_expr, b).real
-
-
-def planar_jacobian_det(fol: PlanarFoliation, u) -> float:
-    """Same Jacobian via the honest 2x2 real determinant."""
-    b = {"s": u[0], "p": u[1]}
-    return E.evaluate(fol.jac_det_expr, b).real
-
-
-def mu_squared_expr_2d(q: PlanarQD, fol: PlanarFoliation) -> E.Expr:
-    return E.mul(fol.compose(q.coeff), E.mul(fol.d_s, fol.d_s))
-
-
-def check_horizontal_2d(q: PlanarQD, fol: PlanarFoliation, ps,
-                        n_s: int = 5, tol: float = HORIZONTAL_TOL):
-    """Spot-check that the leaves through the given p are horizontal."""
-    (s0, s1) = fol.s_range
-    svals = s0 + (s1 - s0) * np.linspace(0.0, 1.0, n_s + 2)[1:-1]
-    mu2 = E.eval_array(mu_squared_expr_2d(q, fol), {
-        "s": svals[:, None], "p": np.asarray(ps)[None, :]})
-    bad = (mu2.real <= 0.0) | (np.abs(mu2.imag) > tol * (np.abs(mu2) + 1.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NotHorizontal(
-            f"(q o Phi)(d_s Phi)^2 = {mu2.ravel()[k]:.6g} is not "
-            "real-positive; leaves are not horizontal for this q")
-
-
-def lambda_field_2d(q: PlanarQD, fol: PlanarFoliation, u,
-                    tol: float = HORIZONTAL_TOL) -> float:
-    """mu * J / |d_s Phi|^2 with mu the positive leaf q-speed.
-
-    Constant in s per leaf for holomorphic q on a horizontal chart; the
-    anti-holomorphic controls break that constancy.
-    """
-    b = {"s": u[0], "p": u[1]}
-    mu2 = E.evaluate(mu_squared_expr_2d(q, fol), b)
-    if mu2.real <= 0.0 or abs(mu2.imag) > tol * (abs(mu2) + 1.0):
-        raise NegativeQ(f"mu^2 = {mu2:.6g} is not real-positive")
-    jac = E.evaluate(fol.jac_expr, b).real
-    speed2 = abs(E.evaluate(fol.d_s, b)) ** 2
-    return math.sqrt(mu2.real) * jac / speed2
-
-
-def lambda_field_2d_array(q: PlanarQD, fol: PlanarFoliation,
-                          binding: dict,
-                          tol: float = HORIZONTAL_TOL) -> np.ndarray:
-    """Vectorized lambda over an (s, p) binding."""
-    mu2 = E.eval_array(mu_squared_expr_2d(q, fol), binding)
-    if (mu2.real <= 0.0).any() or \
-            (np.abs(mu2.imag) > tol * (np.abs(mu2) + 1.0)).any():
-        raise NegativeQ("mu^2 is not real-positive across the grid")
-    jac = E.eval_array(fol.jac_expr, binding).real
-    speed2 = np.abs(E.eval_array(fol.d_s, binding)) ** 2
-    shape = np.broadcast_shapes(*(np.shape(v) for v in binding.values()))
-    return np.broadcast_to(np.sqrt(mu2.real) * jac / speed2, shape)
-
-
-def leaf_length_batch_2d(q: PlanarQD, fol: PlanarFoliation, ps,
-                         tol: float = 1e-10, check: bool = True,
-                         singular=(True, True), best_effort: bool = False):
-    """q-lengths of the planar leaves through the given parameters."""
-    ps = np.asarray(ps, dtype=float)
-    if check:
-        check_horizontal_2d(q, fol, ps)
-    qc = fol.compose(q.coeff)
-    ds = fol.d_s
-    (s0, s1) = fol.s_range
-
-    def integrand(x):
-        b = {"s": x[:, None], "p": ps[None, :]}
-        v = np.sqrt(np.abs(E.eval_array(qc, b))) \
-            * np.abs(E.eval_array(ds, b))
-        return np.broadcast_to(v, (x.size, ps.size))
-
-    res = integrate_batch(integrand, s0, s1, atol=tol * 1e-2, rtol=tol,
-                          singular=singular, best_effort=best_effort)
-    return res.value.real, res.error
-
-
-def _probe_tail(values, rtol=1e-3):
-    """Settled-tail rule shared by the 1-d probes: True means regular."""
-    v = np.abs(np.asarray(values))
-    tail = v[-3:]
-    return bool(np.isfinite(v).all()
-                and ((np.ptp(tail, axis=0)
-                      / (tail.max(axis=0) + 1e-300) < rtol)
-                     | (tail.max(axis=0)
-                        < 1e-10 * (v.max(axis=0) + 1e-300))).all())
-
-
-def _probe_s_edges(cols_fn, fol: PlanarFoliation):
-    (s0, s1) = fol.s_range
-    (p0, p1) = fol.p_range
-    offs = (s1 - s0) * 10.0 ** -np.arange(2.0, 11.0)
-    pm = np.array([p0 + 0.37 * (p1 - p0), p0 + 0.71 * (p1 - p0)])
-    flags = []
-    for end, sgn in ((s0, 1.0), (s1, -1.0)):
-        flags.append(not _probe_tail(cols_fn(end + sgn * offs, pm)))
-    return tuple(flags)
-
-
-def _probe_p_edges_1d(node_fn, fol: PlanarFoliation):
-    (p0, p1) = fol.p_range
-    offs = (p1 - p0) * 10.0 ** -np.arange(2.0, 11.0)
-    flags = []
-    for end, sgn in ((p0, 1.0), (p1, -1.0)):
-        v, _ = node_fn(end + sgn * offs)
-        flags.append(not _probe_tail(v))
-    return tuple(flags)
-
-
 def q_area(q: PlanarQD, fol: PlanarFoliation, tol: float = 1e-8) -> float:
     """Total |q| area of the chart in parameter coordinates."""
-    fol.validate()
-    mass = _mass_cols_2d(q, fol)
-    sing = _probe_s_edges(mass, fol)
-
-    def nodes(pv):
-        return _s_batch_2d(fol, mass, np.asarray(pv, float),
-                           rtol=0.01 * tol, sing=sing, counter=None)
-
-    (p0, p1) = fol.p_range
-    res = integrate_batch(
-        lambda pv: np.column_stack(nodes(pv)), p0, p1, atol=1e-14,
-        rtol=0.5 * tol, singular=_probe_p_edges_1d(nodes, fol),
-        initial_panels=4, aux_cols=1)
-    return float(res.value[0].real)
-
-
-def _mass_cols_2d(q: PlanarQD, fol: PlanarFoliation):
-    qc = fol.compose(q.coeff)
-    jac = fol.jac_expr
-
-    def cols(x, pc):
-        b = {"s": x[:, None], "p": pc[None, :]}
-        v = np.abs(E.eval_array(qc, b)) * np.abs(E.eval_array(jac, b))
-        return np.broadcast_to(v, (x.size, pc.size))
-    return cols
-
-
-def _s_batch_2d(fol, cols_fn, pv, *, rtol, sing, counter):
-    (s0, s1) = fol.s_range
-    res = integrate_batch(lambda x: cols_fn(x, pv), s0, s1, atol=1e-14,
-                          rtol=rtol, singular=sing, best_effort=True)
-    if counter is not None:
-        counter["s_evals"] = counter.get("s_evals", 0) + res.n_evals
-    return res.value.real, res.error
+    return q_volume(q, fol, tol)
 
 
 def modulus_m2(q: PlanarQD, fol: PlanarFoliation,
@@ -309,73 +161,12 @@ def modulus_m2(q: PlanarQD, fol: PlanarFoliation,
     the worst holomorphy residual |d_wb q| seen on the chart (purely
     diagnostic, not a gate: the length/area decomposition only needs
     horizontality, which is checked, while holomorphy is what makes the
-    computed value extremal).
+    computed value extremal).  Horizontality is checked by the leaf-length
+    field, on its initial grid of leaves.
     """
     t0 = perf_counter()
     fol.validate()
-    (p0, p1) = fol.p_range
-    pg = p0 + (p1 - p0) * np.linspace(0.0, 1.0, 9)[1:-1]
-    check_horizontal_2d(q, fol, pg)
-    w = E.eval_array(fol.phi, fol.grid(7))
+    w = E.eval_array(fol.phi1, fol.grid(7))
     resid = float(np.max(np.abs(
         E.eval_array(q.d_wb, {"w": w, "wb": np.conj(w)}))))
-
-    counter: dict = {}
-    mass = _mass_cols_2d(q, fol)
-    sing_mass = _probe_s_edges(mass, fol)
-    length_tol = min(1e-10, 0.01 * tol)
-    qc = fol.compose(q.coeff)
-    ds = fol.d_s
-
-    def speed_cols(x, pc):
-        b = {"s": x[:, None], "p": pc[None, :]}
-        v = np.sqrt(np.abs(E.eval_array(qc, b))) \
-            * np.abs(E.eval_array(ds, b))
-        return np.broadcast_to(v, (x.size, pc.size))
-
-    sing_speed = _probe_s_edges(speed_cols, fol)
-    memo: dict = {}
-
-    def lengths(pv):
-        missing = [p for p in dict.fromkeys(pv.tolist()) if p not in memo]
-        if missing:
-            vals, errs = _s_batch_2d(fol, speed_cols, np.array(missing),
-                                     rtol=length_tol, sing=sing_speed,
-                                     counter=counter)
-            if vals.min() <= 0.0:
-                raise ZeroLeafLength("a sampled leaf has no q-length")
-            memo.update((p, (float(v), float(e)))
-                        for p, v, e in zip(missing, vals, errs))
-        out = np.array([memo[p] for p in pv.tolist()])
-        return out[:, 0], out[:, 1]
-
-    lg, _ = lengths(pg)
-    spread_rel = float(np.ptp(lg)) / float(lg.mean())
-    constant = spread_rel <= 1e-9
-
-    def nodes(pv):
-        pv = np.asarray(pv, dtype=float)
-        g, ge = _s_batch_2d(fol, mass, pv, rtol=0.01 * tol,
-                            sing=sing_mass, counter=counter)
-        lv, le = lengths(pv)
-        li2 = 1.0 / lv ** 2
-        vals = np.stack((g * li2, g), axis=1)
-        errs = np.stack((ge * li2 + 2.0 * g * li2 * (le / lv), ge), axis=1)
-        return vals, errs
-
-    res = integrate_batch(
-        lambda pv: np.hstack(nodes(pv)), p0, p1, atol=1e-14,
-        rtol=0.5 * tol, singular=_probe_p_edges_1d(nodes, fol),
-        initial_panels=4, aux_cols=2)
-    counter["p_evals"] = res.n_evals
-    mod, area = float(res.value[0].real), float(res.value[1].real)
-    errs = res.error[:2] + res.value[2:].real
-    lvals = np.array([v for v, _ in memo.values()])
-    lbar = float(lvals.mean())
-    gap = abs(mod - area / lbar ** 2) if constant else None
-    meta = {"q_area": area, "q_area_error": float(errs[1]),
-            "field_mode": "constant" if constant else "exact", "tol": tol,
-            "elapsed": perf_counter() - t0, **counter}
-    return ModulusReport(mod, float(errs[0]),
-                         (float(lvals.min()), float(lvals.max()), lbar),
-                         gap, resid, meta)
+    return family_modulus(q, fol, tol, resid, t0)

@@ -31,12 +31,7 @@ from .modulus import (
     modulus_m4,
     perturbation_probe,
 )
-from .planar import (
-    PlanarFoliation,
-    PlanarQD,
-    lambda_field_2d_array,
-    modulus_m2,
-)
+from .planar import PlanarFoliation, PlanarQD, modulus_m2
 from .qdiff import QuadDiff
 
 _HEIS_CHECKS = frozenset({
@@ -113,8 +108,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 raise _fail(f"{name}: heisenberg charts need two p ranges")
             fol = Foliation.from_strings(
                 fol_raw["phi1"], fol_raw["phi2"], s_range,
-                (p_ranges[0], p_ranges[1]),
-                tuple(fol_raw.get("exclusions") or ()))
+                (p_ranges[0], p_ranges[1]))
             QuadDiff.from_string(q_text)
         else:
             if "phi2" in fol_raw:
@@ -187,23 +181,13 @@ def list_scenarios() -> list:
 
 def lambda_spread_stats(q, fol, n_s: int = 101, n_leaves: int = 100):
     """Worst per-leaf relative spread of lambda along s."""
-    if isinstance(fol, Foliation):
-        m = max(2, math.isqrt(n_leaves))
-        (s0, s1) = fol.s_range
-        (a0, a1), (b0, b1) = fol.p_box
-        fr = np.linspace(0.0, 1.0, m + 2)[1:-1]
-        s = s0 + (s1 - s0) * np.linspace(0.02, 0.98, n_s)
-        lam = lambda_field_array(q, fol, {
-            "s": s[:, None, None],
-            "p1": (a0 + (a1 - a0) * fr)[None, :, None],
-            "p2": (b0 + (b1 - b0) * fr)[None, None, :]})
-    else:
-        (s0, s1) = fol.s_range
-        (p0, p1) = fol.p_range
-        s = s0 + (s1 - s0) * np.linspace(0.02, 0.98, n_s)
-        pr = p0 + (p1 - p0) * np.linspace(0.0, 1.0, n_leaves + 2)[1:-1]
-        lam = lambda_field_2d_array(q, fol,
-                                    {"s": s[:, None], "p": pr[None, :]})
+    d = len(fol.p_box)
+    m = n_leaves if d == 1 else max(2, math.isqrt(n_leaves))
+    (s0, s1) = fol.s_range
+    fr = np.linspace(0.0, 1.0, m + 2)[1:-1]
+    s = s0 + (s1 - s0) * np.linspace(0.02, 0.98, n_s)
+    grids = np.ix_(s, *(lo + (hi - lo) * fr for lo, hi in fol.p_box))
+    lam = lambda_field_array(q, fol, dict(zip(("s", *fol.p_vars), grids)))
     scale = np.abs(lam).max(axis=0)
     return float((np.ptp(lam, axis=0) / scale).max())
 
@@ -339,7 +323,7 @@ def _check_rows(scn: Scenario, report, rk_tol: float) -> list:
         elif key == "leaf_length":
             got = report.leaf_length_stats[2]
         else:
-            got = report.meta.get("q_volume", report.meta.get("q_area"))
+            got = report.meta["q_volume"]
         want, tol = float(gate["value"]), float(gate["rtol"])
         row(f"expected_{key}", got, tol,
             abs(got - want) <= tol * abs(want))

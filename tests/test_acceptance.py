@@ -25,12 +25,7 @@ from heismod.modulus import (
     perturbation_probe,
     q_volume,
 )
-from heismod.planar import (
-    PlanarFoliation,
-    PlanarQD,
-    lambda_field_2d_array,
-    modulus_m2,
-)
+from heismod.planar import PlanarFoliation, PlanarQD, modulus_m2
 from heismod.qdiff import QuadDiff
 from heismod.scenarios import (
     lambda_spread_stats,
@@ -165,8 +160,8 @@ def test_criterion_05_lambda_constancy_and_control():
         PlanarQD.from_string("1/w^2"), radial, 101, 100)
 
     s = np.linspace(1.02, 1.98, 101)
-    lam = lambda_field_2d_array(PlanarQD.from_string("conj(w)"), radial,
-                                {"s": s, "p": np.zeros_like(s)})
+    lam = lambda_field_array(PlanarQD.from_string("conj(w)"), radial,
+                             {"s": s, "p": np.zeros_like(s)})
     control = float(np.ptp(lam) / np.abs(lam).max())
     _line(5, f"spreads: arc={arc_spread:.3e} radius={rad_spread:.3e} "
              f"planar={plan_spread:.3e}; control={control:.3f}")

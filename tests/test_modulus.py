@@ -33,6 +33,7 @@ from heismod.modulus import (
     perturbation_probe,
     q_volume,
 )
+from heismod.planar import PlanarFoliation, PlanarQD, modulus_m2
 from heismod.qdiff import QuadDiff
 
 LOG_R = math.log(2.0)
@@ -220,6 +221,31 @@ def test_m4_varying_chart_interpolated_field():
     rep = modulus_m4(q_one(), varying_foliation(), tol=1e-6)
     assert rep.meta["field_mode"] in ("interpolated", "exact")
     assert rep.modulus == pytest.approx(oracle, rel=3e-6)
+
+
+@pytest.mark.parametrize("family, tol, want", [
+    ("rectangle", 1e-10, 0.5),
+    ("radial", 1e-9, 2 * math.pi / LOG_R),
+    ("circular", 1e-9, LOG_R / (2 * math.pi)),
+    ("shear", 1e-8, 0.125),
+])
+def test_error_estimate_covers_closed_form(family, tol, want):
+    # the reported error bounds the true error on both lanes of the
+    # shared engine: the planar M2 oracles and the straight M4 family
+    if family == "shear":
+        rep = modulus_m4(q_one(), shear_foliation(), tol=tol)
+    else:
+        q, phi, s_range, p_range = {
+            "rectangle": ("1", "s + i*p", (0.0, 2.0), (0.0, 1.0)),
+            "radial": ("1/w^2", "s*exp(i*p)", (1.0, 2.0),
+                       (0.0, 2 * math.pi)),
+            "circular": ("-1/w^2", "p*exp(i*s)", (0.0, 2 * math.pi),
+                         (1.0, 2.0)),
+        }[family]
+        rep = modulus_m2(PlanarQD.from_string(q),
+                         PlanarFoliation.from_strings(phi, s_range, p_range),
+                         tol=tol)
+    assert abs(rep.modulus - want) <= rep.error_estimate
 
 
 def test_m4_invariant_under_positive_scaling():

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from heismod import expr as E
 from heismod.errors import (
     InversionFailure,
     NegativeQ,
@@ -17,18 +18,18 @@ from heismod.errors import (
     VariableMismatch,
     ZeroVelocity,
 )
-from heismod.modulus import ModulusReport
+from heismod.foliation import (
+    check_horizontal,
+    lambda_field,
+    lambda_field_array,
+    leaf_length_batch,
+)
+from heismod.modulus import LeafLengthField, ModulusReport
 from heismod.planar import (
     PlanarFoliation,
     PlanarQD,
-    check_horizontal_2d,
     holomorphy_residual,
-    lambda_field_2d,
-    lambda_field_2d_array,
-    leaf_length_batch_2d,
     modulus_m2,
-    planar_jacobian,
-    planar_jacobian_det,
     q_area,
 )
 
@@ -49,6 +50,12 @@ def circular_annulus(r=R):
     # leaves are circles; w = p e^{is}
     return PlanarFoliation.from_strings("p*exp(i*s)", (0.0, 2 * math.pi),
                                         (1.0, r))
+
+
+def varying_chart():
+    # leaves w = s(1 + p) + ip have q-length l(p) = 1 + p under q = 1
+    return PlanarFoliation.from_strings("s*(1 + p) + i*p", (0.0, 1.0),
+                                        (0.0, 1.0))
 
 
 def q_unit():
@@ -89,32 +96,36 @@ def test_holomorphy_residual_vectorized():
 
 
 # ---------------------------------------------------------------------------
-# jacobians
+# jacobians: the complex route (jac_a_expr) against the real determinant
+
+def at(expr, u):
+    return E.evaluate(expr, {"s": u[0], "p": u[1]}).real
+
 
 def test_jacobian_translation_chart():
-    assert planar_jacobian(rectangle(), (0.3, 0.4)) == pytest.approx(1.0)
+    assert at(rectangle().jac_a_expr, (0.3, 0.4)) == pytest.approx(1.0)
 
 
 def test_jacobian_polar_chart():
     u = (1.7, 2.1)
-    assert planar_jacobian(radial_annulus(), u) == pytest.approx(1.7,
-                                                                 rel=1e-12)
+    assert at(radial_annulus().jac_a_expr, u) == pytest.approx(1.7,
+                                                               rel=1e-12)
 
 
 def test_jacobian_degenerate_chart_is_zero():
     flat = PlanarFoliation.from_strings("s + p", (0, 1), (0, 1))
-    assert planar_jacobian(flat, (0.5, 0.5)) == pytest.approx(0.0, abs=1e-14)
+    assert at(flat.jac_a_expr, (0.5, 0.5)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_jacobian_routes_agree_on_corpus():
     rng = np.random.default_rng(3)
     for fol in (rectangle(), radial_annulus(), circular_annulus()):
-        (s0, s1), (p0, p1) = fol.s_range, fol.p_range
+        (s0, s1), ((p0, p1),) = fol.s_range, fol.p_box
         for _ in range(25):
             u = (s0 + (s1 - s0) * rng.uniform(0.05, 0.95),
                  p0 + (p1 - p0) * rng.uniform(0.05, 0.95))
-            a = planar_jacobian(fol, u)
-            d = planar_jacobian_det(fol, u)
+            a = at(fol.jac_a_expr, u)
+            d = at(fol.jac_det_expr, u)
             assert a == pytest.approx(d, rel=1e-10, abs=1e-12)
 
 
@@ -135,15 +146,15 @@ def test_validate_rejects_non_injective_chart():
 # lambda constancy (the planar per-leaf invariant)
 
 def test_lambda_unit_translation():
-    assert lambda_field_2d(q_unit(), rectangle(), (0.5, 0.2)) == \
+    assert lambda_field(q_unit(), rectangle(), (0.5, 0.2)) == \
         pytest.approx(1.0, rel=1e-12)
 
 
 def test_lambda_radial_is_one_and_constant():
     fol = radial_annulus()
     s = np.linspace(1.05, 1.95, 120)
-    lam = lambda_field_2d_array(q_radial(), fol,
-                                {"s": s, "p": np.full_like(s, 1.3)})
+    lam = lambda_field_array(q_radial(), fol,
+                             {"s": s, "p": np.full_like(s, 1.3)})
     assert np.allclose(lam, 1.0, rtol=1e-10)
     assert np.ptp(lam) / np.mean(lam) < 1e-8
 
@@ -153,32 +164,62 @@ def test_lambda_antiholomorphic_control_varies():
     fol = radial_annulus()
     q = PlanarQD.from_string("conj(w)")
     s = np.linspace(1.05, 1.95, 120)
-    lam = lambda_field_2d_array(q, fol, {"s": s, "p": np.zeros_like(s)})
+    lam = lambda_field_array(q, fol, {"s": s, "p": np.zeros_like(s)})
     assert np.allclose(lam, s ** 1.5, rtol=1e-10)
     assert np.ptp(lam) / np.abs(lam).max() >= 0.1
 
 
 def test_lambda_rejects_wrong_sign():
     with pytest.raises(NegativeQ):
-        lambda_field_2d(q_circular(), radial_annulus(), (1.5, 0.7))
+        lambda_field(q_circular(), radial_annulus(), (1.5, 0.7))
     with pytest.raises(NotHorizontal):
-        check_horizontal_2d(q_circular(), radial_annulus(),
-                            np.array([0.5, 1.0]))
+        check_horizontal(q_circular(), radial_annulus(),
+                         np.array([0.5, 1.0]))
 
 
 # ---------------------------------------------------------------------------
 # lengths and areas
 
 def test_leaf_lengths_radial():
-    v, e = leaf_length_batch_2d(q_radial(), radial_annulus(),
-                                np.array([0.3, 2.0, 5.5]))
+    v, e = leaf_length_batch(q_radial(), radial_annulus(),
+                             np.array([0.3, 2.0, 5.5]))
     assert np.allclose(v, math.log(R), rtol=1e-10)
 
 
 def test_leaf_lengths_circular():
-    v, _ = leaf_length_batch_2d(q_circular(), circular_annulus(),
-                                np.array([1.2, 1.8]))
+    v, _ = leaf_length_batch(q_circular(), circular_annulus(),
+                             np.array([1.2, 1.8]))
     assert np.allclose(v, 2 * math.pi, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# leaf-length field over the single p-axis
+
+def test_field_constant_on_radial_chart():
+    f = LeafLengthField(q_radial(), radial_annulus())
+    assert f.mode == "constant"
+    assert f.value == pytest.approx(math.log(R), rel=1e-10)
+    v, e = f.eval(np.array([0.3, 4.0]))
+    assert np.allclose(v, math.log(R), rtol=1e-10)
+    assert (e >= 0.0).all()
+
+
+def test_field_interpolated_on_varying_chart():
+    f = LeafLengthField(q_unit(), varying_chart(), rtol=1e-5)
+    assert f.mode == "interpolated"
+    p = np.linspace(0.05, 0.95, 11)
+    v, e = f.eval(p)
+    assert np.max(np.abs(v - (1 + p)) / (1 + p)) < 1e-5
+    assert (e > 0).all()
+
+
+def test_field_interpolated_falls_back_outside_hull():
+    f = LeafLengthField(q_unit(), varying_chart(), rtol=1e-5)
+    # 1e-4 into the box is outside the inset interpolation grid, so the
+    # query is an exact leaf integral and joins the exact-leaf stats
+    v, _ = f.eval(np.array([1e-4]))
+    assert v[0] == pytest.approx(1.0 + 1e-4, rel=1e-9)
+    assert f.stats()[0] == pytest.approx(1.0 + 1e-4, rel=1e-9)
 
 
 def test_q_area_rectangle():
@@ -238,6 +279,6 @@ def test_m2_varying_lengths_no_gap():
     rep = modulus_m2(q_unit(), fol, tol=1e-9)
     assert rep.modulus == pytest.approx(math.log(2.0), rel=1e-8)
     assert rep.consistency_gap is None
-    assert rep.meta["field_mode"] == "exact"
+    assert rep.meta["field_mode"] == "interpolated"
     lo, hi, mean = rep.leaf_length_stats
     assert lo < hi
