@@ -32,12 +32,32 @@ Nodes are immutable and hash-consed: structurally equal subtrees are the
 same object, which makes evaluation over the resulting DAG cache shared
 work automatically.  The intern table only grows; expressions are tiny, so
 this is a deliberate trade for fast repeated evaluation.
+
+:func:`evaluate` is the checked evaluator at one point.
+:func:`eval_array` compiles each root once into a plan, kept in a bounded
+LRU cache: the children-first order, one numpy kernel per node, and the
+release of every intermediate after its last read.  The plan runs over
+row blocks of about 32k points of the broadcast grid, so its temporaries
+stay cache-sized; a blocked result equals the whole-array result bit for
+bit.  Values that are real by construction run in float64: real-bound
+variables, ``re``, ``im``, ``abs2``, products ``x * conj_expr(x)``
+(evaluated as |x|^2 from x alone) and arithmetic over those.  A square
+root, logarithm or fractional power of a real operand runs in float64
+unless some element of the call is negative; the call then starts over
+with that operand promoted to complex, so the principal branches are
+those of complex evaluation and the choice never depends on the blocks.
+A node whose structural conjugate is already computed is taken as the
+conjugate of that value wherever this is bit for bit what evaluating it
+gives; at branch cuts and signed zeros it is evaluated.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
-from typing import Callable, Mapping
+from collections import OrderedDict
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -622,7 +642,32 @@ def _effective_prec(e: Expr) -> int:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _coerce_binding(binding: Mapping, checked: bool) -> dict:
+def _topo(e: Expr) -> list[Expr]:
+    """The nodes of the DAG under ``e``, each once, children first.
+
+    This one linearization drives every evaluator: the checked
+    :func:`evaluate`, the array plans of :func:`eval_array` and the code
+    that :func:`compile_scalar` generates.
+    """
+    order: list[Expr] = []
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        pending = [c for c in node._children() if id(c) not in seen]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        seen.add(id(node))
+        order.append(node)
+    return order
+
+
+def _coerce_binding(binding: Mapping) -> dict:
     vals = {}
     for name, v in binding.items():
         if name not in VAR_NAMES:
@@ -631,141 +676,75 @@ def _coerce_binding(binding: Mapping, checked: bool) -> dict:
             vals[name] = np.asarray(v, dtype=np.complex128)
         else:
             vals[name] = complex(v)
-    if checked:
-        for a, b in (("z", "zb"), ("w", "wb")):
-            if a in vals and b in vals:
-                za, zb_ = vals[a], vals[b]
-                bad = abs(zb_ - np.conjugate(za)) > 1e-12 * (1.0 + abs(za))
-                if np.any(bad):
-                    raise VariableMismatch(
-                        f"binding has {b} inconsistent with conj({a})")
+    for a, b in (("z", "zb"), ("w", "wb")):
+        if a in vals and b in vals:
+            za, zb_ = vals[a], vals[b]
+            bad = abs(zb_ - np.conjugate(za)) > 1e-12 * (1.0 + abs(za))
+            if np.any(bad):
+                raise VariableMismatch(
+                    f"binding has {b} inconsistent with conj({a})")
     return vals
 
 
-def _pow_value(base, expo: float, checked: bool):
+def _int_expo(expo: float):
+    """The exponent as an int for ``**``, or None for a fractional power."""
     n = round(expo)
-    if expo == n and abs(n) <= 128:
-        if checked and n < 0 and abs(base) < _DIV_FLOOR:
+    return int(n) if expo == n and abs(n) <= 128 else None
+
+
+def _checked_pow(base, expo: float):
+    n = _int_expo(expo)
+    if n is not None:
+        if n < 0 and abs(base) < _DIV_FLOOR:
             raise DivisionNearZero(f"0^{n} in power")
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return base ** int(n)
+            return base ** n
         except (ZeroDivisionError, OverflowError):
-            if checked:
-                raise DivisionNearZero(f"overflow in ^{n}") from None
-            return complex(np.inf, np.nan)
-    if checked and isinstance(base, complex):
-        if base.imag == 0.0 and base.real < 0.0:
-            warnings.warn("fractional power on the negative real axis",
-                          BranchCutWarning, stacklevel=4)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.power(base, expo)
+            raise DivisionNearZero(f"overflow in ^{n}") from None
+    if isinstance(base, complex) and base.imag == 0.0 and base.real < 0.0:
+        warnings.warn("fractional power on the negative real axis",
+                      BranchCutWarning, stacklevel=4)
+    return np.power(base, expo)
 
 
-def _eval_dag(e: Expr, vals: dict, checked: bool):
-    with np.errstate(all="ignore"):
-        return _eval_dag_inner(e, vals, checked)
-
-
-def _count_uses(e: Expr) -> dict[int, int]:
-    """Number of parent references per node, for early release of
-    intermediate arrays during evaluation."""
-    uses: dict[int, int] = {id(e): 1}
-    stack = [e]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        nid = id(node)
-        if nid in seen:
-            continue
-        seen.add(nid)
-        for c in node._children():
-            uses[id(c)] = uses.get(id(c), 0) + 1
-            stack.append(c)
-    return uses
-
-
-def _eval_dag_inner(e: Expr, vals: dict, checked: bool):
-    uses = _count_uses(e)
-    done: dict[int, object] = {}
-    memo: dict[int, object] = {}
-
-    def consume(node):
-        # fetch a child's value, releasing it once all parents have read it
-        nid = id(node)
-        v = memo[nid]
-        uses[nid] -= 1
-        if uses[nid] <= 0 and nid != id(e):
-            del memo[nid]
-        return v
-
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        nid = id(node)
-        if nid in done:
-            stack.pop()
-            continue
-        kids = node._children()
-        pending = [c for c in kids if id(c) not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if isinstance(node, Const):
-            v = node.value
-        elif isinstance(node, Var):
-            if node.name not in vals:
-                raise VariableMismatch(f"unbound variable {node.name!r}")
-            v = vals[node.name]
-        elif isinstance(node, Add):
-            v = consume(node.lhs) + consume(node.rhs)
-        elif isinstance(node, Sub):
-            v = consume(node.lhs) - consume(node.rhs)
-        elif isinstance(node, Mul):
-            v = consume(node.lhs) * consume(node.rhs)
-        elif isinstance(node, Div):
-            den = consume(node.rhs)
-            if checked and abs(den) < _DIV_FLOOR:
-                raise DivisionNearZero(f"denominator {den!r}")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = consume(node.lhs) / den
-        elif isinstance(node, Neg):
-            v = -consume(node.arg)
-        elif isinstance(node, PowR):
-            v = _pow_value(consume(node.base), node.expo, checked)
-        elif isinstance(node, Sqrt):
-            v = np.sqrt(consume(node.arg))
-        elif isinstance(node, Exp):
-            v = np.exp(consume(node.arg))
-        elif isinstance(node, Log):
-            a = consume(node.arg)
-            if checked and isinstance(a, complex):
-                if a.imag == 0.0 and a.real < 0.0:
-                    warnings.warn("log on the negative real axis",
-                                  BranchCutWarning, stacklevel=4)
-                if abs(a) < _DIV_FLOOR:
-                    raise DivisionNearZero("log of zero")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = np.log(a)
-        elif isinstance(node, Sin):
-            v = np.sin(consume(node.arg))
-        elif isinstance(node, Cos):
-            v = np.cos(consume(node.arg))
-        elif isinstance(node, Re):
-            a = consume(node.arg)
-            v = complex(a.real) if isinstance(a, complex) else a.real + 0j
-        elif isinstance(node, Im):
-            a = consume(node.arg)
-            v = complex(a.imag) if isinstance(a, complex) else a.imag + 0j
-        elif isinstance(node, Abs2):
-            a = consume(node.arg)
-            v = a * np.conjugate(a)
-        else:  # pragma: no cover
-            raise TypeError(f"unhandled node {type(node).__name__}")
-        memo[nid] = v
-        done[nid] = True
-    return memo[id(e)]
+def _checked_value(node: Expr, memo: dict, vals: dict):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        if node.name not in vals:
+            raise VariableMismatch(f"unbound variable {node.name!r}")
+        return vals[node.name]
+    kids = [memo[id(c)] for c in node._children()]
+    if isinstance(node, Add):
+        return kids[0] + kids[1]
+    if isinstance(node, Sub):
+        return kids[0] - kids[1]
+    if isinstance(node, Mul):
+        return kids[0] * kids[1]
+    if isinstance(node, Div):
+        if abs(kids[1]) < _DIV_FLOOR:
+            raise DivisionNearZero(f"denominator {kids[1]!r}")
+        return kids[0] / kids[1]
+    a = kids[0]
+    if isinstance(node, Neg):
+        return -a
+    if isinstance(node, PowR):
+        return _checked_pow(a, node.expo)
+    if isinstance(node, Log):
+        if isinstance(a, complex):
+            if a.imag == 0.0 and a.real < 0.0:
+                warnings.warn("log on the negative real axis",
+                              BranchCutWarning, stacklevel=3)
+            if abs(a) < _DIV_FLOOR:
+                raise DivisionNearZero("log of zero")
+        return np.log(a)
+    if isinstance(node, Re):
+        return complex(a.real) if isinstance(a, complex) else a.real + 0j
+    if isinstance(node, Im):
+        return complex(a.imag) if isinstance(a, complex) else a.imag + 0j
+    if isinstance(node, Abs2):
+        return a * np.conjugate(a)
+    return _NP_FUNCS[type(node)](a)
 
 
 def evaluate(e: Expr, binding: Mapping[str, complex]) -> complex:
@@ -789,8 +768,296 @@ def evaluate(e: Expr, binding: Mapping[str, complex]) -> complex:
     BranchCutWarning
         When a log or fractional power lands on the negative real axis.
     """
-    vals = _coerce_binding(binding, checked=True)
-    return complex(_eval_dag(e, vals, checked=True))
+    vals = _coerce_binding(binding)
+    memo: dict[int, object] = {}
+    with np.errstate(all="ignore"):
+        for node in _topo(e):
+            memo[id(node)] = _checked_value(node, memo, vals)
+    return complex(memo[id(e)])
+
+
+# -- array plans --------------------------------------------------------------
+# A plan is keyed by its root, the variables bound to real values, the
+# conjugate-reuse switch and the nodes promoted to complex in this call.
+
+#: Rows of a large broadcast grid go through a plan in blocks of about
+#: this many points, so every temporary of the plan stays cache-sized.
+_BLOCK = 1 << 15
+_PLAN_CAP = 256
+_PLANS: OrderedDict = OrderedDict()
+
+_NP_FUNCS = {Sqrt: np.sqrt, Exp: np.exp, Log: np.log, Sin: np.sin,
+             Cos: np.cos}
+_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+          Div: operator.truediv}
+
+
+class _Promote(Exception):
+    """A node assumed real met a value that needs the complex branch."""
+
+    def __init__(self, node: Expr):
+        super().__init__()
+        self.node = node
+
+
+def _on_cut(n: Expr) -> bool:
+    """Whether the op's complex value depends on the side of the negative
+    real axis its argument lies on.  numpy takes integer powers of 100
+    and more through the logarithm, like fractional ones."""
+    if isinstance(n, (Sqrt, Log)):
+        return True
+    if isinstance(n, PowR):
+        k = _int_expo(n.expo)
+        return k is None or abs(k) >= 100
+    return False
+
+
+def _mirror_guards(m: Expr, real: dict):
+    """Arguments whose values decide whether conj_expr(m) evaluates to
+    the conjugate of m's value (up to the sign of zero parts) under an
+    exact conjugate binding, or None when it never does.
+
+    Real nodes evaluate alike on both sides.  Between them every op but
+    the branch-cut ones commutes with conjugation; those do so when
+    their argument is off the cut, which the returned arguments are
+    checked for with :func:`_off_cut`.  A real-named variable bound to
+    complex values breaks conj(s) = s.
+    """
+    stack, seen, args = [m], set(), []
+    while stack:
+        n = stack.pop()
+        if id(n) in seen or real[id(n)]:
+            continue
+        seen.add(id(n))
+        if isinstance(n, Var) and n.name in REAL_VARS:
+            return None
+        if _on_cut(n):
+            args.append(n._children()[0])
+        stack.extend(n._children())
+    return args
+
+
+def _off_cut(v) -> bool:
+    if v.dtype.kind != "c":
+        return not np.any(v < 0.0)
+    return not np.any((v.imag == 0.0) & ~(v.real > 0.0))
+
+
+def _exact_conj(v) -> bool:
+    # every part nonzero, so no sign of zero can differ, and finite, as
+    # conjugation flips the sign bit of a NaN part
+    return np.count_nonzero(v.real) == v.size \
+        and np.count_nonzero(v.imag) == v.size and np.isfinite(v.sum())
+
+
+def _kinds(order: list, real_vars: frozenset, promoted: frozenset):
+    """Whether each node is evaluated in float64, and the guards of the
+    products x * conj_expr(x) that are evaluated as |x|^2."""
+    real: dict[int, bool] = {}
+    squares: dict[int, list] = {}
+    for n in order:
+        t = type(n)
+        if t is Const:
+            r = n.value.imag == 0.0
+        elif t is Var:
+            r = n.name in real_vars
+        elif t in (Re, Im, Abs2):
+            r = True
+        else:
+            r = all(real[id(c)] for c in n._children())
+            if t is Mul and n not in promoted and n.lhs is not n.rhs \
+                    and (_CONJ_CACHE.get(id(n.lhs)) is n.rhs
+                         or _CONJ_CACHE.get(id(n.rhs)) is n.lhs):
+                guards = _mirror_guards(n.lhs, real)
+                if guards is not None:
+                    squares[id(n)] = guards
+                    r = True
+            elif r and n in promoted:
+                r = False
+        real[id(n)] = r
+    return real, squares
+
+
+def _abs2(x):
+    r, i = x.real, x.imag
+    out = r * r
+    out += i * i
+    return out
+
+
+def _square(x):
+    return x * x
+
+
+def _same(x):
+    return x
+
+
+def _to_complex(x):
+    return x.astype(np.complex128)
+
+
+def _kernel(n: Expr, real: dict, squares: dict):
+    t = type(n)
+    if id(n) in squares:
+        guards = squares[id(n)]
+        if real[id(n.lhs)]:
+            return _square
+        if not guards:
+            return _abs2
+
+        def square(x, *args):
+            if all(map(_off_cut, args)):
+                return _abs2(x)
+            raise _Promote(n)
+        return square
+    if t in _ARITH:
+        return _ARITH[t]
+    if t is Neg:
+        return operator.neg
+    arg = real[id(n._children()[0])]
+    if t is Abs2:
+        return _square if arg else _abs2
+    if t in (Re, Im):
+        if arg:
+            return _same if t is Re else np.zeros_like
+        return operator.attrgetter("real" if t is Re else "imag")
+    if t is PowR:
+        i, expo = _int_expo(n.expo), n.expo
+        if i is not None:
+            return lambda x: x ** i
+
+        def f(x):
+            return np.power(x, expo)
+    else:
+        f = _NP_FUNCS[t]
+    if not (arg and _on_cut(n)):
+        return f
+    if not real[id(n)]:
+        return lambda x: f(_to_complex(x))
+
+    def assumed_real(x):
+        if np.any(x < 0.0):
+            raise _Promote(n)
+        return f(x)
+    return assumed_real
+
+
+def _conjugate_of(m: Expr, c: Expr, real: dict, real_vars: frozenset,
+                  promoted: frozenset):
+    """Kernel and inputs that give c = conj_expr(m) from m's value, or
+    None.  The conjugate is taken in a block only where it is bit for
+    bit the value c evaluates to; otherwise c runs through its own plan."""
+    if real[id(m)]:
+        return _same, (m,)
+    guards = _mirror_guards(m, real)
+    if guards is None:
+        return None
+    sig = real_vars & free_vars(c)
+
+    def conjugate(mv, vals, *args):
+        if _exact_conj(mv) and all(map(_off_cut, args)):
+            return np.conjugate(mv)
+        return _run(_plan(c, sig, True, promoted), vals)
+    return conjugate, (m, None, *guards)
+
+
+class _Plan(NamedTuple):
+    steps: tuple        # (kernel, slot, input slots, slots released)
+    slots: int          # slot 0 holds the binding
+    root: int
+
+
+def _leaf(n: Expr, real: dict):
+    if isinstance(n, Var):
+        return operator.itemgetter(n.name), (None,)
+    v = np.float64(n.value.real) if real[id(n)] else np.complex128(n.value)
+    return (lambda: v), ()
+
+
+def _compile_plan(e: Expr, real_vars: frozenset, reuse: bool,
+                  promoted: frozenset) -> _Plan:
+    order = _topo(e)
+    real, squares = _kinds(order, real_vars, promoted)
+    # (kernel, inputs) per node; None as an input stands for the binding
+    spec = {id(n): _leaf(n, real) if isinstance(n, (Const, Var))
+            else (_kernel(n, real, squares),
+                  (n.lhs, *squares[id(n)]) if id(n) in squares
+                  else n._children())
+            for n in order}
+    if reuse:
+        pos = {id(n): k for k, n in enumerate(order)}
+        for n in order:
+            p = _CONJ_CACHE.get(id(n))
+            if p is None or p is n or id(p) not in pos:
+                continue
+            m, c = (n, p) if pos[id(n)] < pos[id(p)] else (p, n)
+            if isinstance(c, (Const, Var)):
+                continue
+            got = _conjugate_of(m, c, real, real_vars, promoted)
+            if got is not None:
+                spec[id(c)] = got
+    needed: set[int] = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n is not None and id(n) not in needed:
+            needed.add(id(n))
+            stack.extend(spec[id(n)][1])
+    live = [n for n in order if id(n) in needed]
+    slot = {id(n): k + 1 for k, n in enumerate(live)}
+    steps = [(spec[id(n)][0], slot[id(n)],
+              tuple(0 if a is None else slot[id(a)] for a in spec[id(n)][1]))
+             for n in live]
+    last = {a: k for k, (_, _, src) in enumerate(steps) for a in src}
+    drops: list[list] = [[] for _ in steps]
+    for a, k in last.items():
+        if a not in (0, slot[id(e)]):
+            drops[k].append(a)
+    return _Plan(tuple((fn, s, src, tuple(d))
+                       for (fn, s, src), d in zip(steps, drops)),
+                 len(live) + 1, slot[id(e)])
+
+
+def _plan(e: Expr, real_vars: frozenset, reuse: bool,
+          promoted: frozenset) -> _Plan:
+    key = (e, real_vars, reuse, promoted)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _compile_plan(e, real_vars, reuse, promoted)
+        if len(_PLANS) > _PLAN_CAP:
+            _PLANS.popitem(last=False)
+    else:
+        _PLANS.move_to_end(key)
+    return plan
+
+
+def _run(plan: _Plan, vals: dict):
+    env = [vals] + [None] * (plan.slots - 1)
+    for fn, dst, src, drop in plan.steps:
+        env[dst] = fn(*[env[a] for a in src])
+        for a in drop:
+            env[a] = None
+    return env[plan.root]
+
+
+def _array_binding(binding: Mapping):
+    """Bindings as float64 (real-valued input) or complex128 values, and
+    the names bound to real values."""
+    vals, real = {}, set()
+    for name, v in binding.items():
+        if name not in VAR_NAMES:
+            raise VariableMismatch(f"unknown variable {name!r} in binding")
+        if isinstance(v, np.ndarray):
+            cplx = v.dtype.kind == "c"
+            vals[name] = np.asarray(
+                v, dtype=np.complex128 if cplx else np.float64)
+        else:
+            cplx = isinstance(v, (complex, np.complexfloating))
+            vals[name] = np.complex128(v) if cplx else np.float64(float(v))
+        if not cplx:
+            real.add(name)
+    return vals, real
 
 
 def eval_array(e: Expr, binding: Mapping) -> np.ndarray:
@@ -798,11 +1065,50 @@ def eval_array(e: Expr, binding: Mapping) -> np.ndarray:
 
     Array bindings broadcast against each other.  Division by zero and
     powers of zero produce inf/nan silently; quadrature callers treat
-    non-finite panel values as a refinement signal.
+    non-finite panel values as a refinement signal.  Conjugate pairs
+    must be bound to exact conjugates (``zb = np.conj(z)``): products
+    ``x * conj_expr(x)`` read x only, and a conjugate already computed
+    is reused.  The result is complex128 with the broadcast shape of
+    the variables that ``e`` uses.
     """
-    vals = _coerce_binding(binding, checked=False)
-    out = _eval_dag(e, vals, checked=False)
-    return np.asarray(out, dtype=np.complex128)
+    return _eval_array(e, binding, _BLOCK, True)
+
+
+def _eval_array(e: Expr, binding: Mapping, block: int,
+                reuse: bool) -> np.ndarray:
+    vals, real = _array_binding(binding)
+    names = free_vars(e)
+    missing = names - vals.keys()
+    if missing:
+        raise VariableMismatch(f"unbound variable {min(missing)!r}")
+    real_vars = names & real
+    shape = np.broadcast_shapes(*(np.shape(vals[v]) for v in names))
+    size = math.prod(shape)
+    promoted = frozenset()
+    with np.errstate(all="ignore"):
+        while True:
+            plan = _plan(e, real_vars, reuse, promoted)
+            try:
+                if size <= block or shape[0] == 1:
+                    return np.asarray(_run(plan, vals),
+                                      dtype=np.complex128)
+                return _run_blocked(plan, vals, names, shape,
+                                    max(1, block // (size // shape[0])))
+            except _Promote as exc:
+                promoted = promoted | {exc.node}
+
+
+def _run_blocked(plan: _Plan, vals: dict, names, shape: tuple,
+                 rows: int) -> np.ndarray:
+    cut = [v for v in names if np.ndim(vals[v]) == len(shape)
+           and np.shape(vals[v])[0] > 1]
+    out = np.empty(shape, dtype=np.complex128)
+    part = dict(vals)
+    for lo in range(0, shape[0], rows):
+        for v in cut:
+            part[v] = vals[v][lo:lo + rows]
+        out[lo:lo + rows] = _run(plan, part)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1006,21 +1312,7 @@ def compile_scalar(e: Expr, argnames: tuple[str, ...]) -> Callable:
     missing = free_vars(e) - set(argnames)
     if missing:
         raise VariableMismatch(f"unbound variables {sorted(missing)}")
-    order: list[Expr] = []
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if id(node) in seen:
-            stack.pop()
-            continue
-        pending = [c for c in node._children() if id(c) not in seen]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        seen.add(id(node))
-        order.append(node)
+    order = _topo(e)
     names = {id(n): f"v{k}" for k, n in enumerate(order)}
     lines = []
     for n in order:

@@ -436,9 +436,7 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter,
 def _mass_cols_fn(q, fol):
     """|q(Phi)|^(n/2) |J| as a column evaluator in (s, pairs): |q|^2 |J|
     for the group's n = 4, |q| |J| for the plane's n = 2."""
-    qn = q.coeff if fol.exponent == 2 else E.mul(q.coeff,
-                                                 E.conj_expr(q.coeff))
-    qabs = fol.compose(qn)
+    qabs = fol.compose(q.coeff if fol.exponent == 2 else E.abs2(q.coeff))
     jac = fol.jac_a_expr
 
     def cols(x, *pc):
@@ -727,7 +725,7 @@ def density_energy(rho: Density, fol: Foliation | None = None,
         return 0.0
     fol.validate()
     counter: dict = {}
-    qabs2 = fol.compose(E.mul(rho.q.coeff, E.conj_expr(rho.q.coeff)))
+    qabs2 = fol.compose(E.abs2(rho.q.coeff))
     jac = fol.jac_a_expr
     factor = rho._factor
 

@@ -2,11 +2,17 @@
 
 import math
 import warnings
+from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heismod import expr as E
+from heismod.expr import (
+    _DIV_FLOOR, VAR_NAMES, Abs2, Add, Const, Cos, Div, Exp, Expr, Im, Log,
+    Mul, Neg, PowR, Re, Sin, Sqrt, Sub, Var)
 from heismod.errors import (
     BranchCutWarning,
     DivisionNearZero,
@@ -339,3 +345,411 @@ def test_compile_scalar_matches_evaluate():
         t = rng.uniform(-1, 1)
         v = E.evaluate(e, bind(z, t))
         assert abs(f(z, z.conjugate(), t) - v) <= 1e-12 * max(1.0, abs(v))
+
+
+# ---------------------------------------------------------------------------
+# array plans against the tree-walking evaluator they replaced
+#
+# The functions below are eval_array's evaluator before plans, verbatim;
+# oracle_array is the eval_array of that code.
+
+def _coerce_binding(binding: Mapping, checked: bool) -> dict:
+    vals = {}
+    for name, v in binding.items():
+        if name not in VAR_NAMES:
+            raise VariableMismatch(f"unknown variable {name!r} in binding")
+        if isinstance(v, np.ndarray):
+            vals[name] = np.asarray(v, dtype=np.complex128)
+        else:
+            vals[name] = complex(v)
+    if checked:
+        for a, b in (("z", "zb"), ("w", "wb")):
+            if a in vals and b in vals:
+                za, zb_ = vals[a], vals[b]
+                bad = abs(zb_ - np.conjugate(za)) > 1e-12 * (1.0 + abs(za))
+                if np.any(bad):
+                    raise VariableMismatch(
+                        f"binding has {b} inconsistent with conj({a})")
+    return vals
+
+
+def _pow_value(base, expo: float, checked: bool):
+    n = round(expo)
+    if expo == n and abs(n) <= 128:
+        if checked and n < 0 and abs(base) < _DIV_FLOOR:
+            raise DivisionNearZero(f"0^{n} in power")
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return base ** int(n)
+        except (ZeroDivisionError, OverflowError):
+            if checked:
+                raise DivisionNearZero(f"overflow in ^{n}") from None
+            return complex(np.inf, np.nan)
+    if checked and isinstance(base, complex):
+        if base.imag == 0.0 and base.real < 0.0:
+            warnings.warn("fractional power on the negative real axis",
+                          BranchCutWarning, stacklevel=4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.power(base, expo)
+
+
+def _eval_dag(e: Expr, vals: dict, checked: bool):
+    with np.errstate(all="ignore"):
+        return _eval_dag_inner(e, vals, checked)
+
+
+def _count_uses(e: Expr) -> dict[int, int]:
+    """Number of parent references per node, for early release of
+    intermediate arrays during evaluation."""
+    uses: dict[int, int] = {id(e): 1}
+    stack = [e]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        nid = id(node)
+        if nid in seen:
+            continue
+        seen.add(nid)
+        for c in node._children():
+            uses[id(c)] = uses.get(id(c), 0) + 1
+            stack.append(c)
+    return uses
+
+
+def _eval_dag_inner(e: Expr, vals: dict, checked: bool):
+    uses = _count_uses(e)
+    done: dict[int, object] = {}
+    memo: dict[int, object] = {}
+
+    def consume(node):
+        # fetch a child's value, releasing it once all parents have read it
+        nid = id(node)
+        v = memo[nid]
+        uses[nid] -= 1
+        if uses[nid] <= 0 and nid != id(e):
+            del memo[nid]
+        return v
+
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        nid = id(node)
+        if nid in done:
+            stack.pop()
+            continue
+        kids = node._children()
+        pending = [c for c in kids if id(c) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if isinstance(node, Const):
+            v = node.value
+        elif isinstance(node, Var):
+            if node.name not in vals:
+                raise VariableMismatch(f"unbound variable {node.name!r}")
+            v = vals[node.name]
+        elif isinstance(node, Add):
+            v = consume(node.lhs) + consume(node.rhs)
+        elif isinstance(node, Sub):
+            v = consume(node.lhs) - consume(node.rhs)
+        elif isinstance(node, Mul):
+            v = consume(node.lhs) * consume(node.rhs)
+        elif isinstance(node, Div):
+            den = consume(node.rhs)
+            if checked and abs(den) < _DIV_FLOOR:
+                raise DivisionNearZero(f"denominator {den!r}")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = consume(node.lhs) / den
+        elif isinstance(node, Neg):
+            v = -consume(node.arg)
+        elif isinstance(node, PowR):
+            v = _pow_value(consume(node.base), node.expo, checked)
+        elif isinstance(node, Sqrt):
+            v = np.sqrt(consume(node.arg))
+        elif isinstance(node, Exp):
+            v = np.exp(consume(node.arg))
+        elif isinstance(node, Log):
+            a = consume(node.arg)
+            if checked and isinstance(a, complex):
+                if a.imag == 0.0 and a.real < 0.0:
+                    warnings.warn("log on the negative real axis",
+                                  BranchCutWarning, stacklevel=4)
+                if abs(a) < _DIV_FLOOR:
+                    raise DivisionNearZero("log of zero")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = np.log(a)
+        elif isinstance(node, Sin):
+            v = np.sin(consume(node.arg))
+        elif isinstance(node, Cos):
+            v = np.cos(consume(node.arg))
+        elif isinstance(node, Re):
+            a = consume(node.arg)
+            v = complex(a.real) if isinstance(a, complex) else a.real + 0j
+        elif isinstance(node, Im):
+            a = consume(node.arg)
+            v = complex(a.imag) if isinstance(a, complex) else a.imag + 0j
+        elif isinstance(node, Abs2):
+            a = consume(node.arg)
+            v = a * np.conjugate(a)
+        else:  # pragma: no cover
+            raise TypeError(f"unhandled node {type(node).__name__}")
+        memo[nid] = v
+        done[nid] = True
+    return memo[id(e)]
+
+
+
+
+def oracle_array(e, binding):
+    vals = _coerce_binding(binding, checked=False)
+    out = _eval_dag(e, vals, checked=False)
+    return np.asarray(out, dtype=np.complex128)
+
+
+def oracle_evaluate(e, binding):
+    vals = _coerce_binding(binding, checked=True)
+    return complex(_eval_dag(e, vals, checked=True))
+
+
+UNBLOCKED = 1 << 62
+FRACTIONS = (0.5, 2 / 3, 4 / 3, -1 / 3, -0.5, 1.5, 0.25)
+CONSTANTS = (2.0, -0.5, 1j, 0.5 - 1j, -3.0, 0.0 + 2.5j)
+# zeros, negative reals with either sign of zero, the imaginary axis
+Z_EDGE = (0.0, -1.5, complex(-1.5, -0.0), 1j, -2j, 0.3 + 0.4j, 2.0,
+          complex(-0.0, 0.0))
+R_EDGE = (0.0, -0.0, -1.0, 2.5, 1e-3, -4.0)
+
+
+def _op(kind, a, b, draw):
+    if kind == "pow_int":
+        return E.powr(a, draw(st.sampled_from((-3, -2, -1, 2, 3, 4))))
+    if kind == "pow_frac":
+        return E.powr(a, draw(st.sampled_from(FRACTIONS)))
+    if kind == "conj":
+        return E.conj_expr(a)
+    if kind == "square":
+        return E.mul(a, E.conj_expr(a)) if draw(st.booleans()) \
+            else E.mul(E.conj_expr(a), a)
+    if kind == "pair":
+        return E.add(E.mul(a, b), E.mul(E.conj_expr(a), E.conj_expr(b)))
+    binary = {"add": E.add, "sub": E.sub, "mul": E.mul, "div": E.div}
+    if kind in binary:
+        return binary[kind](a, b)
+    unary = {"neg": E.neg, "sqrt": E.sqrt, "exp": E.exp, "log": E.log,
+             "sin": E.sin, "cos": E.cos, "re": E.re_part, "im": E.im_part,
+             "abs2": E.abs2}
+    return unary[kind](a)
+
+
+OPS = ("add", "sub", "mul", "div", "neg", "pow_int", "pow_frac", "sqrt",
+       "exp", "log", "sin", "cos", "re", "im", "abs2", "conj", "square",
+       "pair")
+# branch-cut ops and conjugates twice as often: they decide the rewrites
+WEIGHTED_OPS = OPS + ("pow_frac", "sqrt", "log", "conj", "square", "pair")
+
+
+@st.composite
+def dags(draw):
+    """A DAG over z, zb, t, s, p1 with shared subtrees, conjugate pairs
+    and products x * conj_expr(x) among every node type."""
+    pool = [E.var(v) for v in ("z", "zb", "t", "s", "p1")]
+    pool += [E.const(c) for c in draw(st.lists(
+        st.sampled_from(CONSTANTS), min_size=1, max_size=2))]
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(WEIGHTED_OPS))
+        # favour recent nodes so the DAG grows deep as well as wide
+        a = pool[-1 - draw(st.integers(0, min(3, len(pool) - 1)))]
+        b = draw(st.sampled_from(pool))
+        pool.append(_op(kind, a, b, draw))
+    return pool[-1]
+
+
+@st.composite
+def bindings(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cfloat = st.floats(-3, 3, allow_subnormal=False)
+    zs = draw(st.lists(st.one_of(
+        st.sampled_from(Z_EDGE),
+        st.builds(complex, cfloat, cfloat)), min_size=rows, max_size=rows))
+    z = np.array(zs, dtype=np.complex128).reshape(rows, 1)
+
+    def real(shape):
+        vals = draw(st.lists(st.one_of(st.sampled_from(R_EDGE), cfloat),
+                             min_size=math.prod(shape),
+                             max_size=math.prod(shape)))
+        return np.array(vals, dtype=float).reshape(shape)
+
+    b = {"z": z, "zb": np.conj(z), "t": real((rows, cols)),
+         "s": real((1, cols)), "p1": real((rows, cols))}
+    if draw(st.booleans()):
+        # a real-named variable bound to complex values
+        b["p1"] = b["p1"] + 1j * real((rows, cols))
+    return b
+
+
+def _rebuild(n, kids):
+    """The op of node n applied to the given child expressions."""
+    if isinstance(n, PowR):
+        return E.powr(kids[0], n.expo)
+    ctor = {Add: E.add, Sub: E.sub, Mul: E.mul, Div: E.div, Neg: E.neg,
+            Sqrt: E.sqrt, Exp: E.exp, Log: E.log, Sin: E.sin, Cos: E.cos,
+            Re: E.re_part, Im: E.im_part, Abs2: E.abs2}[type(n)]
+    return ctor(*kids)
+
+
+def _ulp_budget(n, kid_vals):
+    """Ulps between a float64 kernel and the complex kernel of the oracle:
+    exp(e log x) against pow, repeated products against pow, and a few
+    for every other op."""
+    if isinstance(n, PowR):
+        k = E._int_expo(n.expo)
+        if k is None:
+            with np.errstate(all="ignore"):
+                amp = np.abs(n.expo * np.log(np.abs(kid_vals[0])))
+            return 8.0 * (1.0 + np.where(np.isfinite(amp), amp, 0.0))
+        return 4.0 + abs(k)
+    return 8.0
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_plans(e, b):
+    """Every node of e: row blocks and conjugate reuse change no bit, and
+    the node's op agrees with the oracle's op on the same operands."""
+    eps = np.finfo(float).eps
+    for n in E._topo(e):
+        new = E._eval_array(n, b, UNBLOCKED, True)
+        assert bitwise_equal(E._eval_array(n, b, 4, True), new), n
+        assert bitwise_equal(E._eval_array(n, b, UNBLOCKED, False), new), n
+        assert bitwise_equal(E._eval_array(n, b, 4, False), new), n
+        if isinstance(n, (Const, Var)):
+            continue
+        kids = n._children()
+        kid_vals = [E._eval_array(c, b, UNBLOCKED, True) for c in kids]
+        names = ("z", "w")[:len(kids)]
+        old = oracle_array(_rebuild(n, [E.var(v) for v in names]),
+                           dict(zip(names, kid_vals)))
+        new, old = np.broadcast_arrays(new, old)
+        fin = np.isfinite(new)
+        assert np.array_equal(fin, np.isfinite(old)), (n, new, old)
+        scale = np.maximum(np.abs(new), np.abs(old))
+        budget = np.broadcast_to(_ulp_budget(n, kid_vals), new.shape)
+        err = np.abs(new[fin] - old[fin])
+        assert np.all(err <= budget[fin] * eps * scale[fin] + 1e-300), \
+            (n, new, old)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dags(), bindings())
+def test_eval_array_plans_against_oracle(e, b):
+    check_plans(e, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dags(), bindings(), st.integers(0, 29))
+def test_evaluate_keeps_checked_semantics(e, b, k):
+    point = {name: v.ravel()[k % v.size].item() for name, v in b.items()}
+
+    def run(fn):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            try:
+                out = fn(e, point)
+            except (DivisionNearZero, VariableMismatch, ZeroDivisionError,
+                    OverflowError) as exc:
+                out = type(exc)
+        return out, [type(w.message) for w in rec]
+
+    new, new_warn = run(E.evaluate)
+    old, old_warn = run(oracle_evaluate)
+    assert new_warn == old_warn
+    if isinstance(old, complex):
+        assert isinstance(new, complex)
+        assert bitwise_equal(np.array(new), np.array(old)), (e, new, old)
+    else:
+        assert new is old
+
+
+def test_eval_array_real_branch_promotes_whole_call():
+    t = np.array([4.0, -4.0, 9.0])
+    for text in ("sqrt(t)", "t^0.5", "log(t)"):
+        e = E.parse(text)
+        got = E.eval_array(e, {"t": t})
+        assert bitwise_equal(got, oracle_array(e, {"t": t}))
+        assert bitwise_equal(E._eval_array(e, {"t": t}, 1, True), got)
+    # with no negative element the float64 kernel runs
+    got = E.eval_array(E.parse("sqrt(t)"), {"t": np.array([4.0, 9.0])})
+    assert got.dtype == np.complex128 and list(got) == [2.0, 3.0]
+
+
+def test_square_spellings_share_one_kernel():
+    phi = E.parse("sqrt(exp(p1)*sin(s)) * exp(i*(p2 + s/2))")
+    q = E.substitute(E.parse(Q0_TEXT), {"z": phi, "zb": E.conj_expr(phi),
+                                        "t": E.parse("exp(p1)*cos(s)")})
+    rng = np.random.default_rng(4)
+    b = {"s": rng.uniform(0.1, 3.0, (40, 1)),
+         "p1": rng.uniform(0.0, 1.4, (1, 30)),
+         "p2": rng.uniform(0.0, 6.2, (1, 30))}
+    via_mul = E.eval_array(E.mul(q, E.conj_expr(q)), b)
+    via_abs2 = E.eval_array(E.abs2(q), b)
+    assert bitwise_equal(via_mul, via_abs2)
+    assert not via_abs2.imag.any()
+    old = oracle_array(E.abs2(q), b)
+    assert np.all(np.abs(via_abs2 - old) <= 64 * np.finfo(float).eps
+                  * np.abs(old))
+
+
+def test_plan_cache_stays_bounded():
+    E._PLANS.clear()
+    z = np.linspace(0.5, 1.5, 8) + 0.25j
+    b = {"z": z, "zb": np.conj(z), "t": np.linspace(-1.0, 1.0, 8)}
+    for k in range(8 * E._PLAN_CAP):
+        c = 1.0 + k / 4096
+        e = E.parse(f"({c!r}*z*conj(z))^(2/3) + {c!r}*t*z")
+        E.eval_array(e, b)
+        assert len(E._PLANS) <= E._PLAN_CAP
+    assert len(E._PLANS) == E._PLAN_CAP
+
+
+def test_blocked_evaluation_matches_whole_array():
+    phi = E.parse("sqrt(exp(p1)*sin(s)) * exp(i*(p2 + s/2))")
+    e = E.mul(E.powr(E.abs2(phi), 2 / 3), E.conj_expr(phi))
+    s = np.linspace(-0.2, 3.0, 301)[:, None]
+    b = {"s": s, "p1": np.linspace(0.0, 1.4, 250)[None, :],
+         "p2": np.linspace(0.0, 6.2, 250)[None, :]}
+    whole = E._eval_array(e, b, UNBLOCKED, True)
+    assert bitwise_equal(E.eval_array(e, b), whole)
+    assert bitwise_equal(E._eval_array(e, b, 1000, False), whole)
+
+
+# Where an op returns a zero part, its sign can differ from the sign in
+# the conjugate of the mirror (x + -x is +0 on both sides); principal
+# branches on the negative real axis and division then tell them apart.
+# Conjugating a NaN part flips its sign bit (the 1/0 case).
+CUT_CASES = [
+    "sqrt(conj(z + (-3))) * (z + (-3))",
+    "log(conj(z*t + (-1))) * (z*t + (-1))",
+    "(z + t)^(2/3) + conj((z + t)^(2/3))",
+    "sqrt(z + (-3)) * conj(sqrt(z + (-3)))",
+    "log(z*t) * conj(log(z*t))",
+    "sqrt(t + (-1))*z * conj(sqrt(t + (-1))*z)",
+    "exp(i*(t + s/2)) * conj(exp(i*(t + s/2)))",
+    "s*z * conj(s*z) + conj(s*z)^(1/3)",
+    "1/re(conj(i*t)) + i*t",
+    "(2 + conj(z))/conj(z) * ((2 + z)/z)",
+]
+
+
+@pytest.mark.parametrize("text", CUT_CASES)
+@pytest.mark.parametrize("complex_s", [False, True])
+def test_rewrites_exact_at_branch_cuts(text, complex_s):
+    z = np.array([1, 2, -1, 0, complex(-0.0, 0.0), 1j, -1j, 0.5 + 0.5j,
+                  complex(-2.0, -0.0), 3])
+    t = np.array([0.0, -0.0, -1.0, 2.0, 0.5, 1.0, -2.0, 3.0, 1e-300, 4.0])
+    s = np.linspace(-1.0, 2.0, 10) + (0.5j if complex_s else 0.0)
+    for zz, tt in ((z, t), (z[:, None], t[None, :])):
+        check_plans(E.parse(text), {"z": zz, "zb": np.conj(zz), "t": tt,
+                                    "s": s[:tt.shape[-1]]})
