@@ -34,18 +34,20 @@ from .errors import NonConvergent
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# 7-point Gauss / 15-point Kronrod pair on [-1, 1].
+# 7-point Gauss / 15-point Kronrod pair on [-1, 1], correctly rounded:
+# Gauss nodes are the roots of P7; Kronrod nodes and weights solve the
+# even moment equations through degree 22 (30-digit mpmath Newton).
 _XK_HALF = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0])
+    0.99145537112081261, 0.94910791234275849, 0.8648644233597691,
+    0.74153118559939446, 0.58608723546769115, 0.40584515137739718,
+    0.20778495500789848, 0.0])
 _WK_HALF = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728])
+    0.022935322010529224, 0.063092092629978558, 0.10479001032225019,
+    0.14065325971552592, 0.16900472663926791, 0.19035057806478542,
+    0.20443294007529889, 0.20948214108472782])
 _WG_HALF = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469])
+    0.1294849661688697, 0.27970539148927664, 0.38183005050511892,
+    0.4179591836734694])
 
 _NODES = np.concatenate((-_XK_HALF[:7], _XK_HALF[::-1]))   # ascending, 15
 _WK = np.concatenate((_WK_HALF[:7], _WK_HALF[::-1]))
@@ -114,6 +116,9 @@ def _panel_rule(fx, hw):
         scaled = resasc * np.minimum(
             1.0, (200.0 * diff / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
     err = np.where(resasc > 0, scaled, diff)
+    # QUADPACK's roundoff floor: the 15-term sum is no better than this
+    resabs = np.einsum("pnc,n->pc", fabs, _WK) * hw[:, None]
+    err = np.maximum(err, 50.0 * _EPS * resabs)
     ok = np.isfinite(fabs).all(axis=1)
     i15 = np.where(ok, i15, 0.0)
     err = np.where(ok, err, np.inf)

@@ -248,6 +248,11 @@ def test_error_estimate_covers_closed_form(family, tol, want):
     assert abs(rep.modulus - want) <= rep.error_estimate
 
 
+def test_shear_modulus_to_two_ulps():
+    rep = modulus_m4(q_one(), shear_foliation(), tol=1e-8)
+    assert abs(rep.modulus - 0.125) <= 2 * math.ulp(0.125)
+
+
 def test_m4_invariant_under_positive_scaling():
     base = modulus_m4(q_one(), shear_foliation(), tol=1e-9)
     for c in (0.5, 2.0, 10.0):

@@ -14,11 +14,31 @@ from heismod.quadrature import (
     _AITKEN_TERMS,
     _EPS,
     _RATIO_CEILING,
+    _NODES,
+    _WG15,
+    _WK,
     QuadResult,
     _tail_limits,
     integrate_1d,
     integrate_batch,
 )
+
+
+def test_gauss_kronrod_constants_solve_moment_equations():
+    # Kronrod exact through degree 22, its Gauss part through degree 13;
+    # odd moments vanish by symmetry
+    for k in range(0, 23, 2):
+        assert abs(_WK @ _NODES ** k - 2.0 / (k + 1)) <= 4 * _EPS
+    for k in range(0, 14, 2):
+        assert abs(_WG15 @ _NODES ** k - 2.0 / (k + 1)) <= 4 * _EPS
+
+
+def test_monomials_on_unit_interval_to_two_ulps():
+    k = np.arange(23)
+    res = integrate_batch(lambda x: x[:, None] ** k[None, :], 0.0, 1.0,
+                          singular=(False, False), atol=0.0, rtol=1e-13)
+    exact = 1.0 / (k + 1)
+    assert np.all(np.abs(res.value.real - exact) <= 2 * np.spacing(exact))
 
 
 def test_inverse_sqrt_singularity():
