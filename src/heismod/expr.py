@@ -777,13 +777,11 @@ def evaluate(e: Expr, binding: Mapping[str, complex]) -> complex:
 
 
 # -- array plans --------------------------------------------------------------
-# A plan is keyed by its root, the variables bound to real values, the
-# conjugate-reuse switch and the nodes promoted to complex in this call.
 
 #: Rows of a large broadcast grid go through a plan in blocks of about
 #: this many points, so every temporary of the plan stays cache-sized.
 _BLOCK = 1 << 15
-_PLAN_CAP = 256
+_PLAN_CAP = 128
 _PLANS: OrderedDict = OrderedDict()
 
 _NP_FUNCS = {Sqrt: np.sqrt, Exp: np.exp, Log: np.log, Sin: np.sin,
@@ -838,6 +836,8 @@ def _mirror_guards(m: Expr, real: dict):
 
 
 def _off_cut(v) -> bool:
+    """No element on the branch cut: none below zero for a real array,
+    none on the closed negative real axis for a complex one."""
     if v.dtype.kind != "c":
         return not np.any(v < 0.0)
     return not np.any((v.imag == 0.0) & ~(v.real > 0.0))
@@ -953,12 +953,10 @@ def _conjugate_of(m: Expr, c: Expr, real: dict, real_vars: frozenset,
     guards = _mirror_guards(m, real)
     if guards is None:
         return None
-    sig = real_vars & free_vars(c)
-
     def conjugate(mv, vals, *args):
         if _exact_conj(mv) and all(map(_off_cut, args)):
             return np.conjugate(mv)
-        return _run(_plan(c, sig, True, promoted), vals)
+        return _run(_plan(c, real_vars, True, promoted), vals)
     return conjugate, (m, None, *guards)
 
 
@@ -966,6 +964,7 @@ class _Plan(NamedTuple):
     steps: tuple        # (kernel, slot, input slots, slots released)
     slots: int          # slot 0 holds the binding
     root: int
+    names: frozenset    # the variables of the DAG
 
 
 def _leaf(n: Expr, real: dict):
@@ -1016,7 +1015,8 @@ def _compile_plan(e: Expr, real_vars: frozenset, reuse: bool,
             drops[k].append(a)
     return _Plan(tuple((fn, s, src, tuple(d))
                        for (fn, s, src), d in zip(steps, drops)),
-                 len(live) + 1, slot[id(e)])
+                 len(live) + 1, slot[id(e)],
+                 frozenset(n.name for n in order if isinstance(n, Var)))
 
 
 def _plan(e: Expr, real_vars: frozenset, reuse: bool,
@@ -1043,7 +1043,7 @@ def _run(plan: _Plan, vals: dict):
 
 def _array_binding(binding: Mapping):
     """Bindings as float64 (real-valued input) or complex128 values, and
-    the names bound to real values."""
+    the set of names bound to real values."""
     vals, real = {}, set()
     for name, v in binding.items():
         if name not in VAR_NAMES:
@@ -1057,7 +1057,7 @@ def _array_binding(binding: Mapping):
             vals[name] = np.complex128(v) if cplx else np.float64(float(v))
         if not cplx:
             real.add(name)
-    return vals, real
+    return vals, frozenset(real)
 
 
 def eval_array(e: Expr, binding: Mapping) -> np.ndarray:
@@ -1077,30 +1077,29 @@ def eval_array(e: Expr, binding: Mapping) -> np.ndarray:
 def _eval_array(e: Expr, binding: Mapping, block: int,
                 reuse: bool) -> np.ndarray:
     vals, real = _array_binding(binding)
-    names = free_vars(e)
-    missing = names - vals.keys()
+    promoted = frozenset()
+    plan = _plan(e, real, reuse, promoted)
+    missing = plan.names - vals.keys()
     if missing:
         raise VariableMismatch(f"unbound variable {min(missing)!r}")
-    real_vars = names & real
-    shape = np.broadcast_shapes(*(np.shape(vals[v]) for v in names))
+    shape = np.broadcast_shapes(*(np.shape(vals[v]) for v in plan.names))
     size = math.prod(shape)
-    promoted = frozenset()
     with np.errstate(all="ignore"):
         while True:
-            plan = _plan(e, real_vars, reuse, promoted)
             try:
                 if size <= block or shape[0] == 1:
                     return np.asarray(_run(plan, vals),
                                       dtype=np.complex128)
-                return _run_blocked(plan, vals, names, shape,
+                return _run_blocked(plan, vals, shape,
                                     max(1, block // (size // shape[0])))
             except _Promote as exc:
                 promoted = promoted | {exc.node}
+                plan = _plan(e, real, reuse, promoted)
 
 
-def _run_blocked(plan: _Plan, vals: dict, names, shape: tuple,
+def _run_blocked(plan: _Plan, vals: dict, shape: tuple,
                  rows: int) -> np.ndarray:
-    cut = [v for v in names if np.ndim(vals[v]) == len(shape)
+    cut = [v for v in plan.names if np.ndim(vals[v]) == len(shape)
            and np.shape(vals[v])[0] > 1]
     out = np.empty(shape, dtype=np.complex128)
     part = dict(vals)

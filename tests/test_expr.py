@@ -350,8 +350,9 @@ def test_compile_scalar_matches_evaluate():
 # ---------------------------------------------------------------------------
 # array plans against the tree-walking evaluator they replaced
 #
-# The functions below are eval_array's evaluator before plans, verbatim;
-# oracle_array is the eval_array of that code.
+# The functions below are the tree-walking evaluator that eval_array and
+# evaluate ran on before plans, verbatim; oracle_array and
+# oracle_evaluate are those two entry points over it.
 
 def _coerce_binding(binding: Mapping, checked: bool) -> dict:
     vals = {}
@@ -706,7 +707,7 @@ def test_plan_cache_stays_bounded():
     E._PLANS.clear()
     z = np.linspace(0.5, 1.5, 8) + 0.25j
     b = {"z": z, "zb": np.conj(z), "t": np.linspace(-1.0, 1.0, 8)}
-    for k in range(8 * E._PLAN_CAP):
+    for k in range(16 * E._PLAN_CAP):
         c = 1.0 + k / 4096
         e = E.parse(f"({c!r}*z*conj(z))^(2/3) + {c!r}*t*z")
         E.eval_array(e, b)
