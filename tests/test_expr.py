@@ -500,8 +500,6 @@ def _eval_dag_inner(e: Expr, vals: dict, checked: bool):
     return memo[id(e)]
 
 
-
-
 def oracle_array(e, binding):
     vals = _coerce_binding(binding, checked=False)
     out = _eval_dag(e, vals, checked=False)
@@ -740,7 +738,7 @@ CUT_CASES = [
     "exp(i*(t + s/2)) * conj(exp(i*(t + s/2)))",
     "s*z * conj(s*z) + conj(s*z)^(1/3)",
     "1/re(conj(i*t)) + i*t",
-    "(2 + conj(z))/conj(z) * ((2 + z)/z)",
+    "conj((2 + z)/z)*i + (2 + z)/z",
 ]
 
 
@@ -751,6 +749,8 @@ def test_rewrites_exact_at_branch_cuts(text, complex_s):
                   complex(-2.0, -0.0), 3])
     t = np.array([0.0, -0.0, -1.0, 2.0, 0.5, 1.0, -2.0, 3.0, 1e-300, 4.0])
     s = np.linspace(-1.0, 2.0, 10) + (0.5j if complex_s else 0.0)
-    for zz, tt in ((z, t), (z[:, None], t[None, :])):
+    # off the axes but for one zero, so no other element vetoes reuse
+    z_off = np.array([0, 1 + 1j, -0.5 + 2j, 2 - 3j])
+    for zz, tt in ((z, t), (z[:, None], t[None, :]), (z_off, t[5:9])):
         check_plans(E.parse(text), {"z": zz, "zb": np.conj(zz), "t": tt,
                                     "s": s[:tt.shape[-1]]})
