@@ -433,6 +433,20 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter,
     return vals, errs
 
 
+def _leaf_integrals(fol, cols, rtol: float, counter):
+    """(*ps) -> (values, errors): the leaf-direction integrals of the
+    nonnegative column evaluator cols(x, *pc) at paired parameter
+    arrays.  Singular endpoints and dead p-axes are probed once, here."""
+    sing = _probe_singular(cols, fol)
+    dep = _axis_dependence(cols, fol)
+
+    def raw(*ps):
+        return _s_batched(fol, cols, ps, rtol=rtol, atol=1e-14,
+                          counter=counter, singular=sing)
+
+    return lambda *ps: _dedup_pairs(raw, ps, dep)
+
+
 def _mass_cols_fn(q, fol):
     """|q(Phi)|^(n/2) |J| as a column evaluator in (s, pairs): |q|^2 |J|
     for the group's n = 4, |q| |J| for the plane's n = 2."""
@@ -451,35 +465,32 @@ def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
     return float(np.abs(E.eval_array(composed, fol.grid(n))).max())
 
 
-def _mass_machine(q, fol, tol: float, counter):
-    """(*ps) -> (G, err) with G the leaf-direction |q|^(n/2) |J| mass."""
-    cols = _mass_cols_fn(q, fol)
-    sing = _probe_singular(cols, fol)
-    dep = _axis_dependence(cols, fol)
+def _mass_integrals(q, fol, tol: float, counter):
+    """(*ps) -> (G, err) with G the leaf-direction |q|^(n/2) |J| mass,
+    integrated far below the p-stage budgets so leaf-mass noise never
+    looks like structure to the p refinement."""
+    return _leaf_integrals(fol, _mass_cols_fn(q, fol), 0.01 * tol, counter)
 
-    def raw(*ps):
-        # far below the p-stage budgets so leaf-mass noise never looks
-        # like structure to the p refinement
-        return _s_batched(fol, cols, ps, rtol=0.01 * tol, atol=1e-14,
-                          counter=counter, singular=sing)
 
-    return lambda *ps: _dedup_pairs(raw, ps, dep)
+def _q_mass(q, fol, tol: float, counter):
+    """(mass, error) of the whole family: the one-channel p-integral of
+    the leaf masses."""
+    g_of = _mass_integrals(q, fol, tol, counter)
+
+    def pair_fn(*ps):
+        v, e = g_of(*ps)
+        return v[:, None], e[:, None]
+
+    vals, errs = _nested_p_integral(fol, pair_fn, 1, rtol=0.5 * tol,
+                                    counter=counter)
+    return float(vals[0]), float(errs[0])
 
 
 def q_volume(q, fol, tol: float = 1e-8) -> float:
     """Total |q|^(n/2) mass of the family in parameter coordinates: the
     q-volume of a group family, the q-area of a planar one."""
     fol.validate()
-    counter: dict = {}
-    g_of = _mass_machine(q, fol, tol, counter)
-
-    def pair_fn(*ps):
-        v, e = g_of(*ps)
-        return v[:, None], e[:, None]
-
-    vals, _ = _nested_p_integral(fol, pair_fn, 1, rtol=0.5 * tol,
-                                 counter=counter)
-    return float(vals[0])
+    return _q_mass(q, fol, tol, {})[0]
 
 
 def family_modulus(q, fol, tol: float, residual: float,
@@ -496,7 +507,7 @@ def family_modulus(q, fol, tol: float, residual: float,
     field = LeafLengthField(q, fol, rtol=0.05 * tol,
                             length_tol=min(1e-10, 0.01 * tol))
     counter: dict = {}
-    g_of = _mass_machine(q, fol, tol, counter)
+    g_of = _mass_integrals(q, fol, tol, counter)
     # A one-axis family takes every length exactly at its own node: the
     # p-stage is a single batch of leaves, so this is cheap, and a leaf's
     # mass and length then share the rounding of q o Phi, which cancels in
@@ -560,19 +571,11 @@ def modulus_constant_length(q: QuadDiff, fol: Foliation,
             f"leaf lengths spread by {field.spread_rel:.3e} relative "
             f"(limit {CONSTANT_LENGTH_RTOL:.1e})")
     counter: dict = {}
-    g_of = _mass_machine(q, fol, tol, counter)
-
-    def pair_fn(*ps):
-        v, e = g_of(*ps)
-        return v[:, None], e[:, None]
-
-    vals, errs = _nested_p_integral(fol, pair_fn, 1, rtol=0.5 * tol,
-                                    counter=counter)
-    vol = float(vals[0])
+    vol, vol_err = _q_mass(q, fol, tol, counter)
     lbar = field.stats()[2]
     mod = vol / lbar ** 4
-    err = float(errs[0]) / lbar ** 4 + 4.0 * vol * field.value_err / lbar ** 5
-    meta = {"q_volume": vol, "q_volume_error": float(errs[0]),
+    err = vol_err / lbar ** 4 + 4.0 * vol * field.value_err / lbar ** 5
+    meta = {"q_volume": vol, "q_volume_error": vol_err,
             "common_length": lbar, "field_mode": field.mode, "tol": tol,
             "elapsed": perf_counter() - t0, **counter}
     return ModulusReport(mod, err, field.stats(), None,
@@ -585,8 +588,9 @@ class Density:
 
     With per_leaf_norm set, each leaf's line integral is divided out, so
     the density is exactly admissible (every leaf integral equals
-    `scale`).  The modifier g is an expression in (s, p1, p2); without
-    one the density is the extremal rho0 up to `scale`.
+    `scale`).  The modifier g is an expression in s and the chart's
+    p-variables; without one the density is the extremal rho0 up to
+    `scale`.  Parameter arguments come one array per p-axis.
     """
 
     q: QuadDiff
@@ -603,11 +607,12 @@ class Density:
         if self.scale < 0.0:
             raise ValueError("scale must be nonnegative")
         if self.modifier is not None:
-            extra = E.free_vars(self.modifier) - {"s", "p1", "p2"}
+            names = ("s", *self.foliation.p_vars)
+            extra = E.free_vars(self.modifier) - set(names)
             if extra:
                 raise VariableMismatch(
                     f"modifier uses variables {sorted(extra)}; only "
-                    "(s, p1, p2) are allowed")
+                    f"({', '.join(names)}) are allowed")
 
     def scaled(self, c: float) -> "Density":
         return replace(self, scale=self.scale * c)
@@ -618,40 +623,29 @@ class Density:
         v = E.eval_array(self.modifier, binding)
         return _full_shape(1.0 + self.eps * np.real(v), shape)
 
-    def _base_cols(self):
-        speed = leaf_speed_fn(self.q, self.foliation)
+    def _leaf_cols(self):
+        """sqrt|q(Phi)| |d_s Phi1| (1+eps g) as a column evaluator."""
+        fol, speed = self.foliation, leaf_speed_fn(self.q, self.foliation)
 
-        def cols(x, p1c, p2c):
-            b = {"s": x[:, None], "p1": p1c[None, :], "p2": p2c[None, :]}
-            shape = (x.size, p1c.size)
-            return _full_shape(speed(b), shape) * self._factor(b, shape)
+        def cols(x, *pc):
+            b = column_binding(fol, x, pc)
+            return speed(b) * self._factor(b, (x.size, pc[0].size))
         return cols
 
-    def _base_leaf_integrals(self, p1, p2, tol, counter=None):
+    def _base_leaf_integrals(self, ps, tol, counter=None):
         """(1/l) int sqrt|q(Phi)| (1+eps g) |d_s Phi1| ds per leaf."""
-        cols = self._base_cols()
-        sing = _probe_singular(cols, self.foliation)
-        dep = _axis_dependence(cols, self.foliation)
-
-        def raw(*ps):
-            return _s_batched(self.foliation, cols, ps,
-                              rtol=0.1 * tol, atol=1e-14,
-                              counter=counter, singular=sing)
-
-        v, ve = _dedup_pairs(raw, (p1, p2), dep)
-        lv, le = self.length_field.eval(p1, p2)
+        v, ve = _leaf_integrals(self.foliation, self._leaf_cols(),
+                                0.1 * tol, counter)(*ps)
+        lv, le = self.length_field.eval(*ps)
         return v / lv, ve / lv + np.abs(v) * le / lv ** 2
 
-    def norms(self, p1, p2, tol: float = 1e-10, counter=None):
+    def norms(self, *ps, tol: float = 1e-10, counter=None):
         """Per-leaf integrals used for renormalization, memoized."""
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        keys = list(zip(p1.tolist(), p2.tolist()))
+        keys = list(zip(*(np.asarray(p, dtype=float).tolist() for p in ps)))
         missing = [k for k in dict.fromkeys(keys) if k not in self._norm_memo]
         if missing:
-            mp1 = np.array([k[0] for k in missing])
-            mp2 = np.array([k[1] for k in missing])
-            vals, errs = self._base_leaf_integrals(mp1, mp2, tol, counter)
+            mps = tuple(np.array(c) for c in zip(*missing))
+            vals, errs = self._base_leaf_integrals(mps, tol, counter)
             if vals.min() <= math.sqrt(Q_FLOOR):
                 raise NonAdmissibleAfterRenormalization(
                     f"a leaf integral collapsed to {vals.min():.3e}; the "
@@ -661,98 +655,78 @@ class Density:
         out = np.array([self._norm_memo[k] for k in keys])
         return out[:, 0], out[:, 1]
 
-    def pullback(self, s, p1, p2):
-        """Density values rho(Phi(s, p1, p2)) at broadcastable arrays."""
-        s, p1, p2 = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                        np.asarray(p1, dtype=float),
-                                        np.asarray(p2, dtype=float))
-        b = {"s": s, "p1": p1, "p2": p2}
+    def pullback(self, s, *ps):
+        """Density values rho(Phi(s, *ps)) at broadcastable arrays."""
+        s, *ps = np.broadcast_arrays(
+            *(np.asarray(a, dtype=float) for a in (s, *ps)))
+        b = dict(zip(("s", *self.foliation.p_vars), (s, *ps)))
         qv = np.abs(E.eval_array(self.foliation.compose(self.q.coeff), b))
         base = np.sqrt(_full_shape(qv, s.shape))
-        lv, _ = self.length_field.eval(p1.ravel(), p2.ravel())
+        flat = [p.ravel() for p in ps]
+        lv, _ = self.length_field.eval(*flat)
         out = self.scale * base * self._factor(b, s.shape) \
             / lv.reshape(s.shape)
         if self.per_leaf_norm:
-            nv, _ = self.norms(p1.ravel(), p2.ravel())
+            nv, _ = self.norms(*flat)
             out = out / nv.reshape(s.shape)
         return out
 
 
-def extremal_density(q: QuadDiff, fol: Foliation) -> Density:
+def extremal_density(q, fol) -> Density:
     """The density sqrt|q|/l that attains the modulus."""
-    qv = E.eval_array(fol.compose(q.coeff), fol.grid(5))
-    if np.abs(qv).max() < Q_FLOOR:
-        raise ZeroLeafLength(
-            "q vanishes identically on the box; leaves have no length")
     return Density(q, fol, LeafLengthField(q, fol))
 
 
-def admissibility_check(rho: Density, fol: Foliation | None = None,
-                        leaf_sample_count: int = 64,
+def admissibility_check(rho: Density, leaf_sample_count: int = 64,
                         tol: float = 1e-10):
     """Per-leaf line integrals of rho; admissible iff the min is >= 1.
 
-    Returns (min_integral, table) with table columns (p1, p2, integral,
-    error bound) over roughly `leaf_sample_count` sampled leaves.
+    Returns (min_integral, table) with table columns (*p, integral,
+    error bound), one p column per chart axis, over roughly
+    `leaf_sample_count` sampled leaves.
     """
-    fol = _check_family(rho, fol)
-    n = max(2, math.ceil(math.sqrt(leaf_sample_count)))
-    p1, p2 = _interior_pairs(fol, n)
-    vals, errs = rho._base_leaf_integrals(p1, p2, tol)
+    fol = rho.foliation
+    n = max(2, math.ceil(leaf_sample_count ** (1.0 / len(fol.p_box))))
+    ps = _interior_pairs(fol, n)
+    vals, errs = rho._base_leaf_integrals(ps, tol)
     vals = rho.scale * vals
     errs = rho.scale * errs
     if rho.per_leaf_norm:
-        nv, ne = rho.norms(p1, p2, tol)
+        nv, ne = rho.norms(*ps, tol=tol)
         errs = errs / nv + vals * ne / nv ** 2
         vals = vals / nv
-    table = np.column_stack((p1, p2, vals, errs))
+    table = np.column_stack((*ps, vals, errs))
     return float(vals.min()), table
 
 
-def _check_family(rho: Density, fol: Foliation | None) -> Foliation:
-    # compare by value: equal charts built twice must interoperate
-    if fol is not None and _family_key(rho.q, fol) != _family_key(
-            rho.q, rho.foliation):
-        raise ValueError("density was built for a different family")
-    return rho.foliation
-
-
-def density_energy(rho: Density, fol: Foliation | None = None,
-                   tol: float = 1e-8) -> float:
-    """Fourth-power energy int (rho o Phi)^4 |J| over the family."""
-    fol = _check_family(rho, fol)
+def density_energy(rho: Density, tol: float = 1e-8) -> float:
+    """Energy int (rho o Phi)^n |J| over the family, n the chart's
+    exponent: the modulus itself when rho is extremal."""
     if rho.scale == 0.0:
         return 0.0
+    fol = rho.foliation
     fol.validate()
+    n = fol.exponent
     counter: dict = {}
-    qabs2 = fol.compose(E.abs2(rho.q.coeff))
-    jac = fol.jac_a_expr
-    factor = rho._factor
+    mass = _mass_cols_fn(rho.q, fol)
 
-    def cols(x, p1c, p2c):
-        b = {"s": x[:, None], "p1": p1c[None, :], "p2": p2c[None, :]}
-        shape = (x.size, p1c.size)
-        v = np.abs(E.eval_array(qabs2, b)) * np.abs(E.eval_array(jac, b))
-        return _full_shape(v, shape) * factor(b, shape) ** 4
+    def cols(x, *pc):
+        b = column_binding(fol, x, pc)
+        return mass(x, *pc) * rho._factor(b, (x.size, pc[0].size)) ** n
 
-    sing = _probe_singular(cols, fol)
-    dep = _axis_dependence(cols, fol)
+    e_of = _leaf_integrals(fol, cols, 0.01 * tol, counter)
 
-    def raw(*ps):
-        return _s_batched(fol, cols, ps, rtol=0.01 * tol, atol=1e-14,
-                          counter=counter, singular=sing)
-
-    def pair_fn(p1, p2):
-        e4, e4e = _dedup_pairs(raw, (p1, p2), dep)
-        lv, le = rho.length_field.eval(p1, p2)
+    def pair_fn(*ps):
+        en, ene = e_of(*ps)
+        lv, le = rho.length_field.eval(*ps)
         if rho.per_leaf_norm:
-            nv, ne = rho.norms(p1, p2, min(1e-10, 0.02 * tol), counter)
+            nv, ne = rho.norms(*ps, tol=min(1e-10, 0.02 * tol),
+                               counter=counter)
         else:
             nv, ne = np.ones_like(lv), np.zeros_like(lv)
-        denom = (lv * nv) ** 4
-        vals = rho.scale ** 4 * e4 / denom
-        errs = rho.scale ** 4 * e4e / denom \
-            + vals * 4.0 * (le / lv + ne / nv)
+        denom = (lv * nv) ** n
+        vals = rho.scale ** n * en / denom
+        errs = rho.scale ** n * ene / denom + vals * n * (le / lv + ne / nv)
         return vals[:, None], errs[:, None]
 
     vals, _ = _nested_p_integral(fol, pair_fn, 1, rtol=0.5 * tol,
@@ -760,44 +734,18 @@ def density_energy(rho: Density, fol: Foliation | None = None,
     return float(vals[0])
 
 
-_MOD_CACHE: dict = {}
-_FIELD_CACHE: dict = {}
+def perturbation_probe(rho: Density, g, eps: float,
+                       tol: float = 1e-8) -> float:
+    """Energy of the renormalized perturbation rho*(1+eps*g) of the
+    extremal density rho.
 
-
-def _family_key(q: QuadDiff, fol: Foliation):
-    return (E.to_string(q.coeff), E.to_string(fol.phi1),
-            E.to_string(fol.phi2), fol.s_range, fol.p_box)
-
-
-def _cached_modulus(q: QuadDiff, fol: Foliation, tol: float) -> ModulusReport:
-    key = (*_family_key(q, fol), float(tol))
-    if key not in _MOD_CACHE:
-        _MOD_CACHE[key] = modulus_m4(q, fol, tol)
-    return _MOD_CACHE[key]
-
-
-def _cached_density(q: QuadDiff, fol: Foliation) -> Density:
-    key = _family_key(q, fol)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = extremal_density(q, fol)
-    return _FIELD_CACHE[key]
-
-
-def perturbation_probe(q: QuadDiff, fol: Foliation, g, eps: float,
-                       tol: float = 1e-8):
-    """Energy of the renormalized perturbation rho0*(1+eps*g) vs the modulus.
-
-    Returns (energy, reference_modulus).  Extremality of rho0 means the
-    energy can never undercut the modulus (beyond quadrature noise); the
-    perturbation must keep 1 + eps*g positive on the whole box.
+    Extremality of rho means the energy can never undercut the modulus
+    (beyond quadrature noise); the caller compares the two.  g must be
+    real and keep 1 + eps*g positive on the whole box.
     """
     g = E.parse(g) if isinstance(g, str) else g
-    extra = E.free_vars(g) - {"s", "p1", "p2"}
-    if extra:
-        raise VariableMismatch(
-            f"perturbation uses variables {sorted(extra)}; only "
-            "(s, p1, p2) are allowed")
-    gv = E.eval_array(g, fol.grid(8))
+    rho = replace(rho, modifier=g, eps=float(eps), per_leaf_norm=True)
+    gv = E.eval_array(g, rho.foliation.grid(8))
     if np.abs(gv.imag).max() > 1e-9 * (1.0 + np.abs(gv.real).max()):
         raise ValueError("perturbation g must be real-valued")
     low = 1.0 + eps * gv.real.min() if eps >= 0 else 1.0 + eps * gv.real.max()
@@ -805,7 +753,4 @@ def perturbation_probe(q: QuadDiff, fol: Foliation, g, eps: float,
         raise ValueError(
             f"1 + eps*g reaches {low:.3g} on the box; the perturbed "
             "density would not be nonnegative")
-    rho = replace(_cached_density(q, fol), modifier=g, eps=float(eps),
-                  per_leaf_norm=True)
-    energy = density_energy(rho, fol, tol)
-    return energy, _cached_modulus(q, fol, tol).modulus
+    return density_energy(rho, tol)

@@ -39,6 +39,7 @@ _HEIS_CHECKS = frozenset({
     "admissibility", "perturbation", "trace_vs_closed_form"})
 _PLANE_CHECKS = frozenset({"lambda_constancy"})
 _EXPECTED_KEYS = frozenset({"modulus", "leaf_length", "volume"})
+_DENSITY_CHECKS = frozenset({"admissibility", "perturbation"})
 
 # fixed check thresholds; scenario tolerances.residual_tol governs the
 # operator/legendrian residual rows only
@@ -55,17 +56,11 @@ class Scenario:
 
     name: str
     space: str
-    q_text: str
+    q: object                   # QuadDiff or PlanarQD
     foliation: object           # Foliation or PlanarFoliation
     tolerances: dict
     checks: tuple
     expected: dict
-
-    @property
-    def q(self):
-        if self.space == "heisenberg":
-            return QuadDiff.from_string(self.q_text)
-        return PlanarQD.from_string(self.q_text)
 
 
 def _fail(msg: str) -> ScenarioError:
@@ -109,7 +104,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             fol = Foliation.from_strings(
                 fol_raw["phi1"], fol_raw["phi2"], s_range,
                 (p_ranges[0], p_ranges[1]))
-            QuadDiff.from_string(q_text)
+            q = QuadDiff.from_string(q_text)
         else:
             if "phi2" in fol_raw:
                 raise _fail(f"{name}: phi2 is a heisenberg-only field")
@@ -117,7 +112,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 raise _fail(f"{name}: plane charts take one p range")
             fol = PlanarFoliation.from_strings(fol_raw["phi1"], s_range,
                                                p_ranges[0])
-            PlanarQD.from_string(q_text)
+            q = PlanarQD.from_string(q_text)
     except ScenarioError:
         raise
     except (HeismodError, ValueError, KeyError) as exc:
@@ -147,7 +142,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not (isinstance(v, dict) and "value" in v and "rtol" in v):
             raise _fail(f"{name}: expected.{k} needs value and rtol")
 
-    return Scenario(name, space, q_text, fol, tolerances, checks,
+    return Scenario(name, space, q, fol, tolerances, checks,
                     expected)
 
 
@@ -268,9 +263,19 @@ def _residual_max(q: QuadDiff, fol: Foliation, which: str) -> float:
     return float(np.abs(vals).max())
 
 
-def _check_rows(scn: Scenario, report, rk_tol: float) -> list:
-    """Execute the requested checks; one dict per row (two for traces)."""
+def _check_rows(scn: Scenario, ladder: dict, quad_tol: float, rho,
+                rk_tol: float) -> list:
+    """Execute the requested checks; one dict per row (two for traces).
+
+    `ladder` maps each tolerance level to its modulus report (empty when
+    no modulus was needed) and `rho` is the family's extremal density
+    (None unless a density check is requested).  The perturbation probes
+    run at the ladder's middle level 10*quad_tol and are measured against
+    that level's own modulus.
+    """
     q, fol = scn.q, scn.foliation
+    report = ladder.get(quad_tol)
+    probe_tol = 10.0 * quad_tol
     rtol = scn.tolerances["residual_tol"]
     rows = []
 
@@ -291,7 +296,7 @@ def _check_rows(scn: Scenario, report, rk_tol: float) -> list:
             tol = LAMBDA_SPREAD_TOL[scn.space]
             row(c, spread, tol, spread <= tol)
         elif c == "admissibility":
-            mn, _ = admissibility_check(extremal_density(q, fol))
+            mn, _ = admissibility_check(rho)
             row(c, mn, ADMISSIBILITY_TOL, mn >= 1.0 - ADMISSIBILITY_TOL)
         elif c == "perturbation":
             rng = np.random.default_rng(0)
@@ -301,9 +306,9 @@ def _check_rows(scn: Scenario, report, rk_tol: float) -> list:
                 cs = rng.uniform(0.3, 1.0)
                 g = (f"{c0:.6f} + {cs:.6f}*sin(s) + {c1:.6f}*p1"
                      f" + {c2:.6f}*cos(p2)")
-                energy, ref = perturbation_probe(
-                    q, fol, g, 0.1, tol=scn.tolerances["quad_tol"] * 10)
-                worst_ratio = min(worst_ratio, energy / ref)
+                energy = perturbation_probe(rho, g, 0.1, tol=probe_tol)
+                worst_ratio = min(worst_ratio,
+                                  energy / ladder[probe_tol].modulus)
             row(c, worst_ratio, PERTURBATION_TOL,
                 worst_ratio >= 1.0 - PERTURBATION_TOL)
         elif c == "trace_vs_closed_form":
@@ -331,8 +336,7 @@ def _check_rows(scn: Scenario, report, rk_tol: float) -> list:
 
 
 def _needs_modulus(scn: Scenario) -> bool:
-    return bool(scn.expected) or bool(
-        {"admissibility", "perturbation"} & set(scn.checks))
+    return bool(scn.expected) or bool(_DENSITY_CHECKS & set(scn.checks))
 
 
 @dataclass(frozen=True)
@@ -372,17 +376,20 @@ def run_scenario(scn: Scenario, *, quad_tol: float | None = None,
     tol = quad_tol if quad_tol is not None else scn.tolerances["quad_tol"]
     rk = rk_tol if rk_tol is not None else scn.tolerances["rk_tol"]
 
-    report = None
-    convergence = []
+    ladder = {}
     if _needs_modulus(scn):
         for level in (100.0 * tol, 10.0 * tol, tol):
             if scn.space == "heisenberg":
-                report = modulus_m4(scn.q, scn.foliation, tol=level,
-                                    override_b2_check=override_b2_check)
+                ladder[level] = modulus_m4(
+                    scn.q, scn.foliation, tol=level,
+                    override_b2_check=override_b2_check)
             else:
-                report = modulus_m2(scn.q, scn.foliation, tol=level)
-            convergence.append([level, report.modulus])
+                ladder[level] = modulus_m2(scn.q, scn.foliation, tol=level)
+    rho = None
+    if _DENSITY_CHECKS & set(scn.checks):
+        rho = extremal_density(scn.q, scn.foliation)
 
-    checks = _check_rows(scn, report, rk)
-    return RunReport(scn.name, report, checks, convergence,
+    checks = _check_rows(scn, ladder, tol, rho, rk)
+    return RunReport(scn.name, ladder.get(tol), checks,
+                     [[lv, r.modulus] for lv, r in ladder.items()],
                      perf_counter() - t0, started)

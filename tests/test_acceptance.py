@@ -201,20 +201,21 @@ def test_criterion_07_extremality_probes():
     q, fol = q0(), arc_foliation()
     ref = modulus_m4(q, fol, tol=1e-7)
     rho = extremal_density(q, fol)
-    energy0 = density_energy(rho, fol, tol=1e-7)
+    energy0 = density_energy(rho, tol=1e-7)
     base_gap = abs(energy0 - ref.modulus) / ref.modulus
 
     rng = np.random.default_rng(7)
     eps_cycle = (0.01, 0.05, 0.1, 0.2)
     ratios = []
     strict_ok = True
+    mod = modulus_m4(q, fol, tol=1e-6).modulus
     for k in range(20):
         eps = eps_cycle[k % 4]
         c0, c1, c2 = rng.uniform(-0.4, 0.4, 3)
         cs = rng.uniform(0.3, 1.0)
         g = (f"{c0:.6f} + {cs:.6f}*sin(s) + {c1:.6f}*p1"
              f" + {c2:.6f}*cos(p2)")
-        energy, mod = perturbation_probe(q, fol, g, eps, tol=1e-6)
+        energy = perturbation_probe(rho, g, eps, tol=1e-6)
         ratios.append(energy / mod)
         if eps >= 0.05 and not energy > mod * (1 + 1e-8):
             strict_ok = False

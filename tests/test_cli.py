@@ -94,6 +94,7 @@ def test_b2_gate_and_override(tmp_path, capsys):
                       "s_range": [0, 2],
                       "p_ranges": [[0, 1], [0, 1]]},
         "tolerances": {"quad_tol": 1e-7},
+        "checks": ["perturbation"],
         "expected": {"volume": {"value": 776.0 / 45.0, "rtol": 1e-6}},
     }
     p = tmp_path / "scn.json"

@@ -18,6 +18,7 @@ from heismod.errors import (
     ConstantLengthViolated,
     KernelResidualHigh,
     NonAdmissibleAfterRenormalization,
+    VariableMismatch,
     ZeroLeafLength,
 )
 from heismod.foliation import Foliation
@@ -357,7 +358,7 @@ def test_density_energy_matches_modulus():
             (q_one(), shear_foliation(), 0.125),
             (q0(), arc_foliation(), M4_ARC)):
         rho = extremal_density(q, fol)
-        assert density_energy(rho, fol, tol=1e-7) == pytest.approx(
+        assert density_energy(rho, tol=1e-7) == pytest.approx(
             want, rel=1e-6)
 
 
@@ -366,24 +367,59 @@ def test_density_energy_zero_scale():
     assert density_energy(rho) == 0.0
 
 
-def test_density_energy_rejects_foreign_foliation():
-    rho = extremal_density(q_one(), shear_foliation())
-    with pytest.raises(ValueError):
-        density_energy(rho, arc_foliation())
+def plane_rectangle():
+    return (PlanarQD.from_string("1"),
+            PlanarFoliation.from_strings("s + i*p", (0.0, 2.0), (0.0, 1.0)))
+
+
+def plane_radial():
+    return (PlanarQD.from_string("1/w^2"),
+            PlanarFoliation.from_strings("s*exp(i*p)", (1.0, 2.0),
+                                         (0.0, 2 * math.pi)))
+
+
+@pytest.mark.parametrize("family, want", [
+    (plane_rectangle, 0.5), (plane_radial, 2 * math.pi / LOG_R)])
+def test_planar_density_energy_matches_m2(family, want):
+    q, fol = family()
+    energy = density_energy(extremal_density(q, fol), tol=1e-9)
+    assert energy == pytest.approx(want, rel=1e-8)
+
+
+def test_planar_admissibility_exactly_one():
+    q, fol = plane_radial()
+    mn, table = admissibility_check(extremal_density(q, fol),
+                                    leaf_sample_count=16)
+    assert mn == pytest.approx(1.0, rel=1e-10)
+    assert table.shape == (16, 3)
+    assert np.allclose(table[:, 1], 1.0, rtol=1e-10)
+
+
+def test_planar_density_modifier_binds_chart_variables():
+    q, fol = plane_rectangle()
+    rho = extremal_density(q, fol)
+    with pytest.raises(VariableMismatch):
+        Density(q, fol, rho.length_field, modifier=E.parse("s + p1"))
+    energy = perturbation_probe(rho, "sin(s) + p", 0.1, tol=1e-8)
+    assert energy > 0.5 * (1 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
 # perturbation probes
 
 def test_probe_identity_perturbation_reproduces_modulus():
-    energy, ref = perturbation_probe(q0(), arc_foliation(), "cos(s)", 0.0,
-                                     tol=1e-7)
+    q, fol = q0(), arc_foliation()
+    ref = modulus_m4(q, fol, tol=1e-7).modulus
+    energy = perturbation_probe(extremal_density(q, fol), "cos(s)", 0.0,
+                                tol=1e-7)
     assert energy == pytest.approx(ref, rel=1e-6)
 
 
 def test_probe_strict_excess_for_real_perturbation():
-    energy, ref = perturbation_probe(q0(), arc_foliation(), "cos(s)", 0.1,
-                                     tol=1e-7)
+    q, fol = q0(), arc_foliation()
+    ref = modulus_m4(q, fol, tol=1e-7).modulus
+    energy = perturbation_probe(extremal_density(q, fol), "cos(s)", 0.1,
+                                tol=1e-7)
     assert energy > ref * (1 + 1e-6)
 
 
@@ -391,19 +427,23 @@ def test_probe_random_perturbations_never_beat_extremal():
     rng = np.random.default_rng(42)
     fol = arc_foliation()
     q = q0()
+    rho = extremal_density(q, fol)
+    ref = modulus_m4(q, fol, tol=1e-7).modulus
     for _ in range(3):
         c0, c1, c2 = rng.uniform(-0.5, 0.5, 3)
         cs = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
         g = f"{c0:.6f} + {cs:.6f}*sin(s) + {c1:.6f}*p1 + {c2:.6f}*cos(p2)"
-        energy, ref = perturbation_probe(q, fol, g, 0.15, tol=1e-7)
+        energy = perturbation_probe(rho, g, 0.15, tol=1e-7)
         assert energy >= ref * (1 - 1e-9)
 
 
 def test_probe_rejects_complex_modifier():
+    rho = extremal_density(q_one(), shear_foliation())
     with pytest.raises(ValueError):
-        perturbation_probe(q_one(), shear_foliation(), "i*s", 0.1)
+        perturbation_probe(rho, "i*s", 0.1)
 
 
 def test_probe_rejects_sign_breaking_modifier():
+    rho = extremal_density(q_one(), shear_foliation())
     with pytest.raises(ValueError):
-        perturbation_probe(q_one(), shear_foliation(), "-3*cos(s)", 0.5)
+        perturbation_probe(rho, "-3*cos(s)", 0.5)

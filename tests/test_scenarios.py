@@ -7,6 +7,7 @@ import math
 import pytest
 
 from heismod.errors import ScenarioError
+from heismod.qdiff import QuadDiff
 from heismod.scenarios import (
     Scenario,
     list_scenarios,
@@ -52,6 +53,7 @@ def test_valid_scenario_roundtrip():
     assert isinstance(scn, Scenario)
     assert scn.space == "heisenberg"
     assert scn.tolerances["quad_tol"] == 1e-8   # defaults filled in
+    assert isinstance(scn.q, QuadDiff)      # parsed once, kept
 
 
 @pytest.mark.parametrize("mutate, fragment", [
@@ -148,6 +150,18 @@ def test_run_shear_builtin_passes():
     assert len(rep.convergence) == 3
     tols = [t for t, _ in rep.convergence]
     assert tols == sorted(tols, reverse=True)
+
+
+def test_run_density_checks_share_the_ladder():
+    rep = run_scenario(scenario_from_dict(
+        shear_dict(checks=["admissibility", "perturbation"])))
+    assert rep.passed
+    rows = {r["name"]: r for r in rep.checks}
+    assert rows["admissibility"]["value"] == pytest.approx(1.0, rel=1e-10)
+    # five renormalized probes of the extremal density, each measured
+    # against the ladder's own modulus at 10*tol
+    assert rows["perturbation"]["pass"]
+    assert 1.0 < rows["perturbation"]["value"] < 1.1
 
 
 def test_run_skips_modulus_when_unneeded():
