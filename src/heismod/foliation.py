@@ -219,27 +219,22 @@ def leaf_speed_fn(q, fol):
     return speed
 
 
-def leaf_length_batch(q, fol, *ps, tol: float = 1e-10, check: bool = True,
-                      singular=(True, True), best_effort: bool = False):
-    """q-lengths of the leaves through the parameter columns ps.
+def leaf_length_batch(q, fol, *ps, tol: float = 1e-10):
+    """q-lengths of the leaves through the parameter columns ps, after
+    checking that those leaves are horizontal.
 
     Returns (values, errors) as float arrays.  The s-integrand may blow
-    up at either leaf end (integrably); the quadrature ladders handle it
-    unless the caller certifies an endpoint as regular via `singular`.
-    `best_effort` returns honest oversized error bounds instead of
-    raising when a leaf sits where evaluation noise exceeds `tol`.
+    up at either leaf end (integrably); the quadrature ladders handle it.
     """
     ps = tuple(np.asarray(p, dtype=float) for p in ps)
-    if check:
-        check_horizontal(q, fol, *ps)
+    check_horizontal(q, fol, *ps)
     speed = leaf_speed_fn(q, fol)
     (s0, s1) = fol.s_range
 
     def integrand(x):
         return speed(column_binding(fol, x, ps))
 
-    res = integrate_batch(integrand, s0, s1, atol=tol * 1e-2, rtol=tol,
-                          singular=singular, best_effort=best_effort)
+    res = integrate_batch(integrand, s0, s1, atol=tol * 1e-2, rtol=tol)
     return res.value.real, res.error
 
 

@@ -15,12 +15,12 @@ and n = 2 for a planar family over one p-axis,
 so the leaf map Phi is never inverted.  One engine serves both: it
 reads the chart's p-axes and exponent, and `modulus_m4` here and
 `heismod.planar.modulus_m2` only add their family's gates.  Leaf
-lengths l(p) are served by :class:`LeafLengthField`, which memoizes
-exact leaf integrals and only interpolates when a cubic fit
-demonstrably reproduces probe values.  The p-integrals ride on the
-shared batch quadrature with error channels (`aux_cols`), so the
-reported ``error_estimate`` aggregates the s-stage error, the
-leaf-length error, and every p-stage.
+lengths l(p) are served by :class:`LeafLengthField`, which serves one
+shared value when the lengths are constant and memoized exact leaf
+integrals otherwise.  The p-integrals ride on the shared batch
+quadrature with error channels (`aux_cols`), so the reported
+``error_estimate`` aggregates the s-stage error, the leaf-length
+error, and every p-stage.
 
 The extremal density rho0 = sqrt|q|/l and its perturbations live here
 too; ``perturbation_probe`` renormalizes per leaf, which keeps every
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from time import perf_counter
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import expr as E
 from .errors import (
@@ -52,7 +51,6 @@ from .foliation import (
     _full_shape,
     check_horizontal,
     column_binding,
-    leaf_length_batch,
     leaf_speed_fn,
 )
 from .qdiff import Q_FLOOR, QuadDiff
@@ -61,6 +59,8 @@ from .quadrature import integrate_batch
 B2_GATE_TOL = 1e-8
 CONSTANT_LENGTH_RTOL = 1e-6
 _CHUNK = 2048
+_INIT_AXIS = 9              # leaf-length grid points per p-axis
+_CONSTANT_RTOL = 1e-9       # grid spread below which lengths are constant
 
 
 @dataclass(frozen=True)
@@ -88,95 +88,54 @@ class ModulusReport:
 
 
 class LeafLengthField:
-    """Leaf q-lengths over the parameter box, memoized and fitted.
+    """Leaf q-lengths over the parameter box, memoized.
 
     Sampling starts on a slightly inset tensor grid over the chart's p
     axes (quadrature ladders probe far closer to the box edge than any
     practical grid, and some families have lengths that blow up right at
-    the edge).  The field then settles into one of three modes:
+    the edge).  The field then settles into one of two modes:
 
     ``constant``
-        relative spread below `constant_rtol`; queries are free.
-    ``interpolated``
-        a cubic fit reproduces midpoint probes within `rtol`; queries
-        inside the grid hull interpolate, queries outside fall back to
-        exact integrals.
+        relative spread on the grid below `_CONSTANT_RTOL`; queries are
+        free and carry the spread in their error bound.
     ``exact``
-        the fit cannot meet `rtol` even after refining the axes where
-        probes fail; every query is an exact batched leaf integral.
+        every query is an exact batched leaf integral, memoized.
 
     `eval` always returns per-query error bounds alongside the values.
     """
 
-    def __init__(self, q, fol, rtol: float = 1e-9,
-                 length_tol: float = 1e-10, init_axis: int = 9,
-                 max_axis: int = 65, constant_rtol: float = 1e-9):
-        self.q, self.fol = q, fol
-        self.rtol = float(rtol)
+    def __init__(self, q, fol, length_tol: float = 1e-10):
+        self.fol = fol
         self.length_tol = float(length_tol)
         self._memo: dict = {}
-        self._itp = None
         axes = [np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo),
-                            init_axis) for lo, hi in fol.p_box]
+                            _INIT_AXIS) for lo, hi in fol.p_box]
         qv = E.eval_array(fol.compose(q.coeff), fol.grid(5))
         if np.abs(qv).max() < Q_FLOOR:
             raise ZeroLeafLength(
                 "q vanishes identically on the box; leaves have no length")
-        check_horizontal(q, fol, *_tensor_pairs(axes))
+        pairs = _tensor_pairs(axes)
+        check_horizontal(q, fol, *pairs)
         speed = leaf_speed_fn(q, fol)
 
         def speed_cols(x, *pc):
             return speed(column_binding(fol, x, pc))
 
+        self._speed_cols = speed_cols
         self._sing = _probe_singular(speed_cols, fol)
         self._dep = _axis_dependence(speed_cols, fol)
-        vals = self._tensor(axes)
+        vals, errs = self.exact(*pairs)
         if vals.min() <= 0.0 or not np.isfinite(vals).all():
             raise ZeroLeafLength("a sampled leaf has no q-length")
-        mean = float(vals.mean())
-        self._spread_rel = float(np.ptp(vals)) / mean
-        self.value = mean
-        self.value_err = self._max_memo_err() + float(np.ptp(vals))
-        if self._spread_rel <= constant_rtol:
-            self.mode = "constant"
-            return
-        for _ in range(6):
-            itp = RegularGridInterpolator(tuple(axes), vals, method="cubic")
-            mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
-            P = _tensor_pairs(mids)
-            exact = self.exact(*P)[0].reshape(tuple(m.size for m in mids))
-            got = itp(np.column_stack(P)).reshape(exact.shape)
-            relerr = np.abs(got - exact) / exact
-            if relerr.max() <= self.rtol:
-                self.mode = "interpolated"
-                self._itp = itp
-                self._axes = axes
-                # snapshot: later out-of-hull queries must not inflate
-                # the error attributed to in-hull interpolation
-                self._grid_err = self._max_memo_err()
-                return
-            for k, m in enumerate(mids):
-                worst = np.moveaxis(relerr, k, 0).reshape(m.size, -1)
-                axes[k] = np.union1d(axes[k],
-                                     m[worst.max(axis=1) > self.rtol])
-            if max(a.size for a in axes) > max_axis:
-                break
-            vals = self._tensor(axes)
-            self._spread_rel = max(self._spread_rel,
-                                   float(np.ptp(vals)) / float(vals.mean()))
-        self.mode = "exact"
+        self.value = float(vals.mean())
+        self.value_err = float(errs.max()) + float(np.ptp(vals))
+        self.spread_rel = float(np.ptp(vals)) / self.value
+        self.mode = "constant" if self.spread_rel <= _CONSTANT_RTOL \
+            else "exact"
 
     @property
     def constant(self) -> bool:
         return self.mode == "constant"
-
-    @property
-    def spread_rel(self) -> float:
-        return self._spread_rel
-
-    def _tensor(self, axes):
-        return self.exact(*_tensor_pairs(axes))[0].reshape(
-            tuple(a.size for a in axes))
 
     def exact(self, *ps):
         """Exact leaf integrals and error bounds at paired parameter
@@ -191,24 +150,17 @@ class LeafLengthField:
         for k, p in zip(keys, points):
             if k not in self._memo and k not in rep:
                 rep[k] = p
-        missing = list(rep)
-        for lo in range(0, len(missing), _CHUNK):
-            part = missing[lo:lo + _CHUNK]
-            mps = [np.array([rep[k][j] for k in part])
-                   for j in range(len(ps))]
-            # best effort: queries squeezed against the box edge carry
-            # honest enlarged errors instead of aborting the field
-            vals, errs = leaf_length_batch(self.q, self.fol, *mps,
-                                           tol=self.length_tol, check=False,
-                                           singular=self._sing,
-                                           best_effort=True)
-            for k, v, e in zip(part, vals, errs):
-                self._memo[k] = (float(v), float(e))
+        # best effort: queries squeezed against the box edge carry honest
+        # enlarged errors instead of aborting the field
+        mps = [np.array([p[j] for p in rep.values()]) for j in range(len(ps))]
+        vals, errs = _s_batched(self.fol, self._speed_cols, mps,
+                                rtol=self.length_tol,
+                                atol=0.01 * self.length_tol,
+                                counter=None, singular=self._sing)
+        for k, v, e in zip(rep, vals, errs):
+            self._memo[k] = (float(v), float(e))
         out = np.array([self._memo[k] for k in keys])
         return out[:, 0], out[:, 1]
-
-    def _max_memo_err(self) -> float:
-        return max(e for _, e in self._memo.values())
 
     def eval(self, *ps):
         """Lengths and error bounds at paired parameter arrays, one per
@@ -218,22 +170,7 @@ class LeafLengthField:
         if self.mode == "constant":
             return (np.full(shape, self.value),
                     np.full(shape, self.value_err))
-        if self.mode == "exact":
-            return self.exact(*ps)
-        inside = np.ones(shape, dtype=bool)
-        for p, a in zip(ps, self._axes):
-            inside &= (p >= a[0]) & (p <= a[-1])
-        vals = np.empty(shape)
-        errs = np.empty(shape)
-        if inside.any():
-            v = self._itp(np.column_stack([p[inside] for p in ps]))
-            vals[inside] = v
-            errs[inside] = 2.0 * self.rtol * np.abs(v) + self._grid_err
-        if (~inside).any():
-            vo, eo = self.exact(*(p[~inside] for p in ps))
-            vals[~inside] = vo
-            errs[~inside] = eo
-        return vals, errs
+        return self.exact(*ps)
 
     def stats(self) -> tuple:
         """(min, max, mean) over every exactly computed leaf."""
@@ -504,8 +441,7 @@ def family_modulus(q, fol, tol: float, residual: float,
     constant-length shortcut mass / l^n.
     """
     n = fol.exponent
-    field = LeafLengthField(q, fol, rtol=0.05 * tol,
-                            length_tol=min(1e-10, 0.01 * tol))
+    field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
     counter: dict = {}
     g_of = _mass_integrals(q, fol, tol, counter)
     # A one-axis family takes every length exactly at its own node: the
@@ -535,7 +471,6 @@ def family_modulus(q, fol, tol: float, residual: float,
 
 
 def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
-               b2_tol: float = B2_GATE_TOL,
                override_b2_check: bool = False) -> ModulusReport:
     """Fourth-power modulus of the horizontal family carved out by q.
 
@@ -549,8 +484,8 @@ def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
     fol.validate()
     check_horizontal(q, fol, *_interior_pairs(fol, 7))
     b2max = _b2_spot_max(q, fol)
-    if b2max > b2_tol:
-        msg = (f"max |B2 q| = {b2max:.3e} exceeds {b2_tol:.1e} on the "
+    if b2max > B2_GATE_TOL:
+        msg = (f"max |B2 q| = {b2max:.3e} exceeds {B2_GATE_TOL:.1e} on the "
                "sample grid; q is not in the B2 kernel")
         if not override_b2_check:
             raise KernelResidualHigh(msg)
@@ -564,8 +499,7 @@ def modulus_constant_length(q: QuadDiff, fol: Foliation,
     t0 = perf_counter()
     fol.validate()
     check_horizontal(q, fol, *_interior_pairs(fol, 7))
-    field = LeafLengthField(q, fol, rtol=0.05 * tol,
-                            length_tol=min(1e-10, 0.01 * tol))
+    field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
     if field.spread_rel > CONSTANT_LENGTH_RTOL:
         raise ConstantLengthViolated(
             f"leaf lengths spread by {field.spread_rel:.3e} relative "

@@ -57,6 +57,10 @@ _WG15[1:14:2] = np.concatenate((_WG_HALF[:3], _WG_HALF[::-1]))
 _RATIO_CEILING = 0.97      # cell-mass decay slower than this is hopeless
 _AITKEN_TERMS = 10
 _AITKEN_PASSES = 4
+_LADDER_LEVELS = 30        # geometric cells per flagged endpoint
+_LADDER_FRAC = 0.25        # share of the interval each ladder spans
+_MAX_PANELS = 4096
+_MAX_ROUNDS = 48
 
 
 @dataclass
@@ -215,9 +219,7 @@ def _tail_limits(cells, noise, aux, strict=True):
 
 
 def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
-                    ladder_levels=30, ladder_frac=0.25, initial_panels=8,
-                    max_panels=4096, max_rounds=48, aux_cols=0,
-                    best_effort=False):
+                    initial_panels=8, aux_cols=0, best_effort=False):
     """Integrate columns of `f` over [a, b] with a shared adaptive mesh.
 
     Parameters
@@ -269,14 +271,14 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
 
     def build_initial():
         olo, ohi, anc, side, cell = [], [], [], [], []
-        ll = span * ladder_frac if sing_l else 0.0
-        lr = span * ladder_frac if sing_r else 0.0
+        ll = span * _LADDER_FRAC if sing_l else 0.0
+        lr = span * _LADDER_FRAC if sing_r else 0.0
         for flag, width, anchor, sd in ((sing_l, ll, 0, -1),
                                         (sing_r, lr, 1, 1)):
             if not flag:
                 continue
             hi = width
-            for k in range(ladder_levels):
+            for k in range(_LADDER_LEVELS):
                 lo = hi * 0.5
                 olo.append(lo)
                 ohi.append(hi)
@@ -338,7 +340,7 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
         nonlocal rounds
         stall = 0
         prev_excess = None
-        while rounds < max_rounds and len(ps.olo) < max_panels:
+        while rounds < _MAX_ROUNDS and len(ps.olo) < _MAX_PANELS:
             value, tgt = (main_cols(x) for x in targets())
             perr = main_cols(ps.errs.sum(axis=0))
             failing = perr > budget_frac * tgt
@@ -363,7 +365,7 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
             if top <= 0.0:
                 return False
             pick = nscore >= 0.25 * top
-            room = max_panels - len(ps.olo)
+            room = _MAX_PANELS - len(ps.olo)
             if room <= 0:
                 return False
             if pick.sum() > room:
@@ -401,7 +403,7 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
             if not flag:
                 continue
             mask = ps.side == sd
-            cells = np.zeros((ladder_levels, m), np.complex128)
+            cells = np.zeros((_LADDER_LEVELS, m), np.complex128)
             np.add.at(cells, ps.cell[mask], ps.vals[mask])
             # one contiguous row per column, so a row sum is the same
             # pairwise sum as a sum over that column alone

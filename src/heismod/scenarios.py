@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -19,6 +20,7 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 
 from . import expr as E
 from .errors import HeismodError, ScenarioError
@@ -67,6 +69,23 @@ def _fail(msg: str) -> ScenarioError:
     return ScenarioError(msg)
 
 
+def _real(v) -> bool:
+    """True for an int or float that is finite as a float; not for bools."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
+
+
+def _optional(raw: dict, key: str, kind: type, name: str):
+    """raw[key] if it is a `kind`; an empty one when absent or null."""
+    v = raw.get(key)
+    if v is None:
+        return kind()
+    if not isinstance(v, kind):
+        what = "an object" if kind is dict else "a list"
+        raise _fail(f"{name}: {key} must be {what}")
+    return v
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     """Validate a raw JSON object into a Scenario.
 
@@ -88,14 +107,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(fol_raw, dict):
         raise _fail(f"{name}: missing foliation object")
 
-    try:
-        s_range = tuple(float(x) for x in fol_raw["s_range"])
-        p_ranges = [tuple(float(x) for x in r)
-                    for r in fol_raw["p_ranges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"{name}: bad foliation ranges ({exc})") from exc
-    if len(s_range) != 2 or any(len(r) != 2 for r in p_ranges):
-        raise _fail(f"{name}: ranges must be [lo, hi] pairs")
+    def bounds(r):
+        ok = isinstance(r, list) and len(r) == 2 and all(map(_real, r))
+        return tuple(map(float, r)) if ok else None
+
+    s_range = bounds(fol_raw.get("s_range"))
+    p_raw = fol_raw.get("p_ranges")
+    p_ranges = [bounds(r) for r in p_raw] if isinstance(p_raw, list) \
+        else [None]
+    if s_range is None or None in p_ranges:
+        raise _fail(f"{name}: ranges must be [lo, hi] pairs of finite "
+                    "numbers")
+    for key in ("phi1", "phi2") if space == "heisenberg" else ("phi1",):
+        if not isinstance(fol_raw.get(key), str):
+            raise _fail(f"{name}: foliation.{key} must be an expression "
+                        "string")
 
     try:
         if space == "heisenberg":
@@ -118,7 +144,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     except (HeismodError, ValueError, KeyError) as exc:
         raise _fail(f"{name}: {exc}") from exc
 
-    tol_raw = raw.get("tolerances") or {}
+    tol_raw = _optional(raw, "tolerances", dict, name)
     tolerances = {"quad_tol": 1e-8, "rk_tol": 1e-9, "residual_tol": 1e-9}
     for k, v in tol_raw.items():
         if k not in tolerances:
@@ -127,20 +153,25 @@ def scenario_from_dict(raw: dict) -> Scenario:
             raise _fail(f"{name}: tolerance {k} must be in (0, 1)")
         tolerances[k] = float(v)
 
-    checks = tuple(raw.get("checks") or ())
+    checks = tuple(_optional(raw, "checks", list, name))
     allowed = _HEIS_CHECKS if space == "heisenberg" else _PLANE_CHECKS
     for c in checks:
+        if not isinstance(c, str):
+            raise _fail(f"{name}: checks must be strings, got {c!r}")
         if c not in _HEIS_CHECKS:
             raise _fail(f"{name}: unknown check '{c}'")
         if c not in allowed:
             raise _fail(f"{name}: check '{c}' does not apply to {space}")
 
-    expected = raw.get("expected") or {}
+    expected = _optional(raw, "expected", dict, name)
     for k, v in expected.items():
         if k not in _EXPECTED_KEYS:
             raise _fail(f"{name}: unknown expected key '{k}'")
         if not (isinstance(v, dict) and "value" in v and "rtol" in v):
             raise _fail(f"{name}: expected.{k} needs value and rtol")
+        if not (_real(v["value"]) and _real(v["rtol"]) and v["rtol"] > 0):
+            raise _fail(f"{name}: expected.{k} needs a finite real value "
+                        "and a finite rtol > 0")
 
     return Scenario(name, space, q, fol, tolerances, checks,
                     expected)
@@ -200,8 +231,6 @@ def trace_leaf_deviation(q: QuadDiff, fol: Foliation, p1: float,
     parameter; a Koranyi comparison would instead turn the tracer's
     O(rk_tol) vertical drift into its square root and swamp everything.
     """
-    from scipy.integrate import cumulative_simpson
-
     (s0, s1) = fol.s_range
     span = s1 - s0
     grid = np.linspace(s0 + 0.02 * span, s1 - 0.02 * span, 16385)

@@ -15,11 +15,11 @@ import pytest
 from scipy.integrate import quad
 
 from heismod import expr as E
-from heismod.foliation import Foliation, lambda_field_array
+from heismod.foliation import Foliation, lambda_field_array, \
+    leaf_length_batch
 from heismod.modulus import (
     density_energy,
     extremal_density,
-    leaf_length_batch,
     modulus_constant_length,
     modulus_m4,
     perturbation_probe,

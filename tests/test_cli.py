@@ -105,6 +105,63 @@ def test_b2_gate_and_override(tmp_path, capsys):
         assert run_cli("run", str(p), "--override-b2-check") == 0
 
 
+def _shear_scenario(**over):
+    raw = {
+        "name": "shear-malformed", "space": "heisenberg", "q": "1",
+        "foliation": {"phi1": "s + i*p1", "phi2": "p2 + 2*p1*s",
+                      "s_range": [0, 2], "p_ranges": [[0, 1], [0, 1]]},
+        "checks": ["b2"],
+        "expected": {"modulus": {"value": 0.125, "rtol": 1e-6}},
+    }
+    raw.update(over)
+    return raw
+
+
+def _gate(value, rtol):
+    return {"modulus": {"value": value, "rtol": rtol}}
+
+
+def _chart(**over):
+    return {**_shear_scenario()["foliation"], **over}
+
+
+@pytest.mark.parametrize("over, fragment", [
+    pytest.param({"checks": 5}, "checks must be a list", id="checks-int"),
+    pytest.param({"checks": [["b2"]]}, "checks must be strings",
+                 id="checks-nested"),
+    pytest.param({"checks": "lambda_constancy"}, "checks must be a list",
+                 id="checks-string"),
+    pytest.param({"tolerances": [1]}, "tolerances must be an object",
+                 id="tolerances-list"),
+    pytest.param({"expected": [1]}, "expected must be an object",
+                 id="expected-list"),
+    pytest.param({"foliation": _chart(phi1=5)}, "foliation.phi1",
+                 id="phi1-int"),
+    pytest.param({"foliation": _chart(phi2=None)}, "foliation.phi2",
+                 id="phi2-null"),
+    pytest.param({"foliation": _chart(s_range=["0", "2"])}, "ranges",
+                 id="range-strings"),
+    pytest.param({"expected": _gate("abc", 1e-3)}, "finite real value",
+                 id="value-string"),
+    pytest.param({"expected": _gate(True, 1e-3)}, "finite real value",
+                 id="value-bool"),
+    pytest.param({"expected": _gate(0.125, -1)}, "rtol > 0",
+                 id="rtol-negative"),
+    pytest.param({"expected": _gate(0.125, False)}, "rtol > 0",
+                 id="rtol-bool"),
+])
+def test_malformed_scenario_exits_2_without_traceback(tmp_path, capsys,
+                                                      over, fragment):
+    # in process, so any exception escaping main() fails the test itself
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_shear_scenario(**over)))
+    assert run_cli("run", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert fragment in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # trace
 

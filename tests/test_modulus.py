@@ -36,6 +36,7 @@ from heismod.modulus import (
 )
 from heismod.planar import PlanarFoliation, PlanarQD, modulus_m2
 from heismod.qdiff import QuadDiff
+from heismod.scenarios import load_scenario
 
 LOG_R = math.log(2.0)
 Q0_TEXT = ("conj(z)^2 * (t^2 + (z*conj(z))^2)^(2/3)"
@@ -72,7 +73,7 @@ def shear_foliation(a=2.0):
 
 def varying_foliation(a=2.0):
     # leaves z = s(1 + 0.3 sin p1) + i p1; lengths vary along p1 only,
-    # which forces the interpolated field mode
+    # which puts the field in exact mode
     return Foliation.from_strings(
         "s*(1 + 0.3*sin(p1)) + i*p1",
         "p2 + 2*p1*s*(1 + 0.3*sin(p1))",
@@ -135,18 +136,19 @@ def test_field_exact_on_radius_chart():
 
 
 def test_field_interpolated_on_varying_chart():
-    f = LeafLengthField(q_one(), varying_foliation(), rtol=1e-5)
-    assert f.mode == "interpolated"
+    f = LeafLengthField(q_one(), varying_foliation())
+    assert f.mode == "exact"
     p1 = np.linspace(0.2, 2.9, 11)
     v, e = f.eval(p1, np.full(11, 0.5))
     want = 2.0 * (1 + 0.3 * np.sin(p1))
-    assert np.max(np.abs(v - want) / want) < 1e-5
+    assert np.max(np.abs(v - want) / want) < 1e-9
     assert (e > 0).all()
 
 
 def test_field_interpolated_falls_back_outside_hull():
-    f = LeafLengthField(q_one(), varying_foliation(), rtol=1e-5)
-    # 1e-4 into the box is outside the inset interpolation grid
+    f = LeafLengthField(q_one(), varying_foliation())
+    assert f.mode == "exact"
+    # 1e-4 into the box is outside the inset sampling grid
     v, _ = f.eval(np.array([1e-4]), np.array([0.5]))
     assert v[0] == pytest.approx(2.0 * (1 + 0.3 * math.sin(1e-4)), rel=1e-9)
 
@@ -279,6 +281,61 @@ def test_m4_gate_rejects_non_kernel_differential():
                          tol=1e-7)
     assert rep.modulus > 0
     assert rep.residual_stats > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# metamorphic invariance under the conformal maps of the group
+#
+# Each map F moves the family to the chart F o Phi and the differential
+# to its pushforward q' with q'(F) (dF)^2 = q, so the leaves stay
+# horizontal with the same q-lengths and M4 cannot change.
+
+Z, ZB, T = E.parse("z"), E.parse("zb"), E.parse("t")
+
+
+def _moved(q, fol, pull, factor, phi1, phi2):
+    """(factor * q o pull, chart (phi1, phi2) on fol's parameter box)."""
+    coeff = E.mul(E.const(factor), E.substitute(q.coeff, pull))
+    return QuadDiff(coeff), Foliation(phi1, phi2, fol.s_range, fol.p_box)
+
+
+def dilated(q, fol, r=1.7):
+    # q' = r^-2 q o delta_{1/r} on the chart delta_r o Phi
+    pull = {"z": E.mul(E.const(1 / r), Z), "zb": E.mul(E.const(1 / r), ZB),
+            "t": E.mul(E.const(r ** -2), T)}
+    return _moved(q, fol, pull, r ** -2, E.mul(E.const(r), fol.phi1),
+                  E.mul(E.const(r * r), fol.phi2))
+
+
+def rotated(q, fol, theta=0.7):
+    # q' = e^(-2 i theta) q o R_{-theta} on the chart R_theta o Phi
+    u = complex(math.cos(theta), math.sin(theta))
+    pull = {"z": E.mul(E.const(u.conjugate()), Z), "zb": E.mul(E.const(u), ZB)}
+    return _moved(q, fol, pull, u.conjugate() ** 2,
+                  E.mul(E.const(u), fol.phi1), fol.phi2)
+
+
+def translated(q, fol, w=0.3 - 0.4j, tau=0.25):
+    # chart L_g o Phi for g = (w, tau), with the twist of heis.group_mul:
+    # t' = tau + t + 2 Im(w conj(z)); q' = q o L_g^-1
+    def twist(z):
+        return E.mul(E.const(2.0),
+                     E.im_part(E.mul(E.const(w), E.conj_expr(z))))
+
+    pull = {"z": E.sub(Z, E.const(w)), "zb": E.sub(ZB, E.const(w.conjugate())),
+            "t": E.sub(E.sub(T, E.const(tau)), twist(Z))}
+    return _moved(q, fol, pull, 1.0, E.add(E.const(w), fol.phi1),
+                  E.add(E.add(E.const(tau), fol.phi2), twist(fol.phi1)))
+
+
+@pytest.mark.parametrize("move", [dilated, rotated, translated])
+@pytest.mark.parametrize("name", ["annulus-horizontal", "shear"])
+def test_m4_invariant_under_conformal_maps(name, move):
+    scn = load_scenario(name)
+    base = modulus_m4(scn.q, scn.foliation)
+    rep = modulus_m4(*move(scn.q, scn.foliation))
+    assert abs(rep.modulus - base.modulus) <= \
+        rep.error_estimate + base.error_estimate
 
 
 # ---------------------------------------------------------------------------

@@ -205,18 +205,19 @@ def test_field_constant_on_radial_chart():
 
 
 def test_field_interpolated_on_varying_chart():
-    f = LeafLengthField(q_unit(), varying_chart(), rtol=1e-5)
-    assert f.mode == "interpolated"
+    f = LeafLengthField(q_unit(), varying_chart())
+    assert f.mode == "exact"
     p = np.linspace(0.05, 0.95, 11)
     v, e = f.eval(p)
-    assert np.max(np.abs(v - (1 + p)) / (1 + p)) < 1e-5
+    assert np.max(np.abs(v - (1 + p)) / (1 + p)) < 1e-9
     assert (e > 0).all()
 
 
 def test_field_interpolated_falls_back_outside_hull():
-    f = LeafLengthField(q_unit(), varying_chart(), rtol=1e-5)
-    # 1e-4 into the box is outside the inset interpolation grid, so the
-    # query is an exact leaf integral and joins the exact-leaf stats
+    f = LeafLengthField(q_unit(), varying_chart())
+    assert f.mode == "exact"
+    # 1e-4 into the box is outside the inset sampling grid; the query
+    # is an exact leaf integral and joins the exact-leaf stats
     v, _ = f.eval(np.array([1e-4]))
     assert v[0] == pytest.approx(1.0 + 1e-4, rel=1e-9)
     assert f.stats()[0] == pytest.approx(1.0 + 1e-4, rel=1e-9)
@@ -279,6 +280,6 @@ def test_m2_varying_lengths_no_gap():
     rep = modulus_m2(q_unit(), fol, tol=1e-9)
     assert rep.modulus == pytest.approx(math.log(2.0), rel=1e-8)
     assert rep.consistency_gap is None
-    assert rep.meta["field_mode"] == "interpolated"
+    assert rep.meta["field_mode"] == "exact"
     lo, hi, mean = rep.leaf_length_stats
     assert lo < hi

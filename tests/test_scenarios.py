@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heismod.errors import ScenarioError
 from heismod.qdiff import QuadDiff
@@ -109,6 +111,30 @@ def test_plane_needs_single_p_range():
     }
     with pytest.raises(ScenarioError, match="one p range"):
         scenario_from_dict(raw)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=8)
+TOP_FIELDS = ("name", "space", "q", "foliation", "tolerances", "checks",
+              "expected")
+FOLIATION_FIELDS = ("phi1", "phi2", "s_range", "p_ranges")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(TOP_FIELDS + FOLIATION_FIELDS), JSON_VALUES)
+def test_one_field_replaced_by_any_json_validates_or_raises(field, value):
+    raw = shear_dict(expected={"modulus": {"value": 0.125, "rtol": 1e-6}})
+    target = raw["foliation"] if field in FOLIATION_FIELDS else raw
+    target[field] = value
+    try:
+        scn = scenario_from_dict(raw)
+    except ScenarioError:
+        return
+    assert isinstance(scn, Scenario)
 
 
 # ---------------------------------------------------------------------------
