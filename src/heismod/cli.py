@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .errors import HeismodError, ScenarioError
@@ -24,7 +25,21 @@ def _write_report_json(report, stream):
     stream.write("\n")
 
 
+def _out_of_range(opts) -> bool:
+    """Report the first (flag, value, lo, hi) whose value lies outside
+    the open interval (lo, hi), NaN included; True if there is one."""
+    for flag, v, lo, hi in opts:
+        if v is not None and not lo < v < hi:
+            print(f"error: {flag} must be in ({lo:g}, {hi:g}), got {v!r}",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_run(args) -> int:
+    if _out_of_range((("--tol", args.tol, 0.0, 1.0),
+                      ("--rk-tol", args.rk_tol, 0.0, 1.0))):
+        return 2
     try:
         scn = load_scenario(args.scenario)
     except ScenarioError as exc:
@@ -72,6 +87,9 @@ def _parse_start(text: str) -> HPoint:
 
 
 def _cmd_trace(args) -> int:
+    if _out_of_range((("--rk-tol", args.rk_tol, 0.0, 1.0),
+                      ("--max-length", args.max_length, 0.0, math.inf))):
+        return 2
     try:
         q = QuadDiff.from_string(args.q)
         start = _parse_start(args.start)

@@ -16,11 +16,12 @@ so the leaf map Phi is never inverted.  One engine serves both: it
 reads the chart's p-axes and exponent, and `modulus_m4` here and
 `heismod.planar.modulus_m2` only add their family's gates.  Leaf
 lengths l(p) are served by :class:`LeafLengthField`, which serves one
-shared value when the lengths are constant and memoized exact leaf
-integrals otherwise.  The p-integrals ride on the shared batch
-quadrature with error channels (`aux_cols`), so the reported
-``error_estimate`` aggregates the s-stage error, the leaf-length
-error, and every p-stage.
+shared value when the lengths are constant and exact leaf integrals
+otherwise.  Every leaf integral (lengths, masses, energies, norms)
+collapses dead p-axes through `_dedup_pairs`.  The p-integrals ride on
+the shared batch quadrature with error channels (`aux_cols`), so the
+reported ``error_estimate`` aggregates the s-stage error, the
+leaf-length error, and every p-stage.
 
 The extremal density rho0 = sqrt|q|/l and its perturbations live here
 too; ``perturbation_probe`` renormalizes per leaf, which keeps every
@@ -61,6 +62,9 @@ CONSTANT_LENGTH_RTOL = 1e-6
 _CHUNK = 2048
 _INIT_AXIS = 9              # leaf-length grid points per p-axis
 _CONSTANT_RTOL = 1e-9       # grid spread below which lengths are constant
+_ATOL = 1e-14               # absolute tolerance of _leaf_integrals, p-stages
+_SETTLED_RTOL = 1e-3        # relative spread of a settled probe tail
+_DEAD_AXIS_RTOL = 1e-12     # relative variation below which an axis is dead
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class ModulusReport:
 
 
 class LeafLengthField:
-    """Leaf q-lengths over the parameter box, memoized.
+    """Leaf q-lengths over the parameter box.
 
     Sampling starts on a slightly inset tensor grid over the chart's p
     axes (quadrature ladders probe far closer to the box edge than any
@@ -99,7 +103,7 @@ class LeafLengthField:
         relative spread on the grid below `_CONSTANT_RTOL`; queries are
         free and carry the spread in their error bound.
     ``exact``
-        every query is an exact batched leaf integral, memoized.
+        every query is an exact batched leaf integral.
 
     `eval` always returns per-query error bounds alongside the values.
     """
@@ -107,7 +111,7 @@ class LeafLengthField:
     def __init__(self, q, fol, length_tol: float = 1e-10):
         self.fol = fol
         self.length_tol = float(length_tol)
-        self._memo: dict = {}
+        self._computed: list = []   # (leaf keys, lengths) per batch
         axes = [np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo),
                             _INIT_AXIS) for lo, hi in fol.p_box]
         qv = E.eval_array(fol.compose(q.coeff), fol.grid(5))
@@ -139,28 +143,21 @@ class LeafLengthField:
 
     def exact(self, *ps):
         """Exact leaf integrals and error bounds at paired parameter
-        arrays, one per p-axis, memoized whatever the mode."""
-        points = list(zip(*(p.tolist() for p in ps)))
-        # lengths memo under dead-axis collapse, so a family that is
-        # symmetric in one parameter never recomputes along it
-        keys = points if all(self._dep) else [
-            tuple(a if d else 0.0 for a, d in zip(p, self._dep))
-            for p in points]
-        rep: dict = {}
-        for k, p in zip(keys, points):
-            if k not in self._memo and k not in rep:
-                rep[k] = p
+        arrays, one per p-axis, whatever the mode; a family symmetric in
+        one parameter computes each leaf of a query once."""
+        return _dedup_pairs(self._integrate, ps, self._dep)
+
+    def _integrate(self, *ps):
         # best effort: queries squeezed against the box edge carry honest
         # enlarged errors instead of aborting the field
-        mps = [np.array([p[j] for p in rep.values()]) for j in range(len(ps))]
-        vals, errs = _s_batched(self.fol, self._speed_cols, mps,
+        vals, errs = _s_batched(self.fol, self._speed_cols, ps,
                                 rtol=self.length_tol,
                                 atol=0.01 * self.length_tol,
                                 counter=None, singular=self._sing)
-        for k, v, e in zip(rep, vals, errs):
-            self._memo[k] = (float(v), float(e))
-        out = np.array([self._memo[k] for k in keys])
-        return out[:, 0], out[:, 1]
+        keys = np.column_stack([p if d else np.zeros(p.size)
+                                for p, d in zip(ps, self._dep)])
+        self._computed.append((keys, vals))
+        return vals, errs
 
     def eval(self, *ps):
         """Lengths and error bounds at paired parameter arrays, one per
@@ -173,8 +170,11 @@ class LeafLengthField:
         return self.exact(*ps)
 
     def stats(self) -> tuple:
-        """(min, max, mean) over every exactly computed leaf."""
-        vals = np.array([v for v, _ in self._memo.values()])
+        """(min, max, mean) over the distinct leaves computed exactly, each
+        at its first computation, in the order they were computed."""
+        keys = np.concatenate([k for k, _ in self._computed])
+        _, first = np.unique(keys, axis=0, return_index=True)
+        vals = np.concatenate([v for _, v in self._computed])[np.sort(first)]
         return (float(vals.min()), float(vals.max()), float(vals.mean()))
 
 
@@ -194,7 +194,7 @@ def _interior_pairs(fol, n: int):
     return _tensor_pairs([lo + (hi - lo) * fr for lo, hi in fol.p_box])
 
 
-def _probe_singular(cols_fn, fol, rtol: float = 1e-3):
+def _probe_singular(cols_fn, fol):
     """Classify each s-endpoint of a nonnegative integrand as regular.
 
     Samples the integrand at geometrically shrinking offsets from the
@@ -213,12 +213,13 @@ def _probe_singular(cols_fn, fol, rtol: float = 1e-3):
         tail = v[-3:]
         scale = tail.max(axis=0) + 1e-300
         settled = bool(np.isfinite(v).all()
-                       and (np.ptp(tail, axis=0) / scale < rtol).all())
+                       and (np.ptp(tail, axis=0) / scale
+                            < _SETTLED_RTOL).all())
         flags.append(not settled)
     return tuple(flags)
 
 
-def _axis_dependence(cols_fn, fol, rtol: float = 1e-12):
+def _axis_dependence(cols_fn, fol):
     """Which p-axes a nonnegative s-integrand numerically varies along.
 
     Many families are symmetric in one parameter (the integrand is a
@@ -239,7 +240,7 @@ def _axis_dependence(cols_fn, fol, rtol: float = 1e-12):
     ps = _tensor_pairs([lo + (hi - lo) * fr for lo, hi in fol.p_box])
     v = np.abs(cols_fn(sv, *ps)).reshape((sv.size,) + (fr.size,) * d)
     scale = v.max() + 1e-300
-    return tuple(bool(np.ptp(v, axis=k + 1).max() / scale > rtol)
+    return tuple(bool(np.ptp(v, axis=k + 1).max() / scale > _DEAD_AXIS_RTOL)
                  for k in range(d))
 
 
@@ -255,7 +256,7 @@ def _dedup_pairs(fn, ps, dep):
     return tuple(np.asarray(o)[inv] for o in outs)
 
 
-def _probe_p_edges(pair_fn, fol, rtol: float = 1e-3):
+def _probe_p_edges(pair_fn, fol):
     """Per-edge singularity flags ((lo, hi) per p-axis) for the box.
 
     The settled-tail rule of the leaf-direction probe, applied to the
@@ -273,19 +274,19 @@ def _probe_p_edges(pair_fn, fol, rtol: float = 1e-3):
             x = end + sgn * offs
             ps = [np.full(x.size, m) for m in mid]
             ps[axis] = x
-            v, _ = pair_fn(*ps)
-            v = np.abs(np.asarray(v))
+            v = np.abs(np.asarray(pair_fn(*ps)[0]))
             tail = v[-3:]
             settled = np.isfinite(v).all(axis=0) & (
-                (np.ptp(tail, axis=0) / (tail.max(axis=0) + 1e-300) < rtol)
+                (np.ptp(tail, axis=0) / (tail.max(axis=0) + 1e-300)
+                 < _SETTLED_RTOL)
                 | (tail.max(axis=0) < 1e-10 * (v.max(axis=0) + 1e-300)))
             flags.append(not settled.all())
         out.append(tuple(flags))
     return tuple(out)
 
 
-def _nested_p_integral(fol, pair_fn, n_chan: int, *,
-                       rtol: float, atol: float = 1e-14, counter=None):
+def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
+                       counter: dict):
     """Integrate pointwise channels over the parameter box.
 
     pair_fn(*ps) -> (values (k, n_chan), pointwise error bounds) at
@@ -318,26 +319,24 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *,
             return np.hstack((vals.reshape(x2.size, blk),
                               perr.reshape(x2.size, blk)))
 
-        res = integrate_batch(inner, b0, b1, atol=atol, rtol=0.2 * rtol,
+        res = integrate_batch(inner, b0, b1, atol=_ATOL, rtol=0.2 * rtol,
                               singular=sing[1], initial_panels=4,
                               aux_cols=blk, best_effort=True)
-        if counter is not None:
-            counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
+        counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
         v = res.value[:blk].real.reshape(n1, n_chan)
         pe = res.value[blk:].real.reshape(n1, n_chan)
         qe = res.error[:blk].reshape(n1, n_chan)
         return np.hstack((v, pe + qe))
 
-    res = integrate_batch(outer, a0, a1, atol=atol, rtol=rtol,
+    res = integrate_batch(outer, a0, a1, atol=_ATOL, rtol=rtol,
                           singular=sing[0], initial_panels=4,
                           aux_cols=n_chan)
-    if counter is not None:
-        counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
+    counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
     vals = res.value[:n_chan].real
     errs = res.error[:n_chan] + res.value[n_chan:].real
     # the outer quadrature enforced its own budget; the aggregated
     # pointwise channels must stay commensurate or the result is junk
-    bad = errs > 8.0 * (atol + 2.0 * rtol * np.abs(vals))
+    bad = errs > 8.0 * (_ATOL + 2.0 * rtol * np.abs(vals))
     if bad.any():
         c = int(np.argmax(errs))
         raise NonConvergent(
@@ -346,8 +345,7 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *,
     return vals, errs
 
 
-def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter,
-               singular=(True, True)):
+def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular):
     """Leaf-direction integrals of cols_fn over every parameter pair.
 
     Best-effort: pairs pinned against a degenerate box edge return
@@ -373,12 +371,14 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter,
 def _leaf_integrals(fol, cols, rtol: float, counter):
     """(*ps) -> (values, errors): the leaf-direction integrals of the
     nonnegative column evaluator cols(x, *pc) at paired parameter
-    arrays.  Singular endpoints and dead p-axes are probed once, here."""
+    arrays.  Singular endpoints and dead p-axes are probed once, here.
+    Masses and energies run at 0.01 tol, so their leaf noise never looks
+    like structure to the p refinement."""
     sing = _probe_singular(cols, fol)
     dep = _axis_dependence(cols, fol)
 
     def raw(*ps):
-        return _s_batched(fol, cols, ps, rtol=rtol, atol=1e-14,
+        return _s_batched(fol, cols, ps, rtol=rtol, atol=_ATOL,
                           counter=counter, singular=sing)
 
     return lambda *ps: _dedup_pairs(raw, ps, dep)
@@ -402,17 +402,10 @@ def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
     return float(np.abs(E.eval_array(composed, fol.grid(n))).max())
 
 
-def _mass_integrals(q, fol, tol: float, counter):
-    """(*ps) -> (G, err) with G the leaf-direction |q|^(n/2) |J| mass,
-    integrated far below the p-stage budgets so leaf-mass noise never
-    looks like structure to the p refinement."""
-    return _leaf_integrals(fol, _mass_cols_fn(q, fol), 0.01 * tol, counter)
-
-
 def _q_mass(q, fol, tol: float, counter):
     """(mass, error) of the whole family: the one-channel p-integral of
     the leaf masses."""
-    g_of = _mass_integrals(q, fol, tol, counter)
+    g_of = _leaf_integrals(fol, _mass_cols_fn(q, fol), 0.01 * tol, counter)
 
     def pair_fn(*ps):
         v, e = g_of(*ps)
@@ -443,7 +436,7 @@ def family_modulus(q, fol, tol: float, residual: float,
     n = fol.exponent
     field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
     counter: dict = {}
-    g_of = _mass_integrals(q, fol, tol, counter)
+    g_of = _leaf_integrals(fol, _mass_cols_fn(q, fol), 0.01 * tol, counter)
     # A one-axis family takes every length exactly at its own node: the
     # p-stage is a single batch of leaves, so this is cheap, and a leaf's
     # mass and length then share the rounding of q o Phi, which cancels in
@@ -534,8 +527,6 @@ class Density:
     modifier: E.Expr | None = None
     eps: float = 0.0
     per_leaf_norm: bool = False
-    _norm_memo: dict = dc_field(default_factory=dict, init=False,
-                                repr=False, compare=False)
 
     def __post_init__(self):
         if self.scale < 0.0:
@@ -574,20 +565,13 @@ class Density:
         return v / lv, ve / lv + np.abs(v) * le / lv ** 2
 
     def norms(self, *ps, tol: float = 1e-10, counter=None):
-        """Per-leaf integrals used for renormalization, memoized."""
-        keys = list(zip(*(np.asarray(p, dtype=float).tolist() for p in ps)))
-        missing = [k for k in dict.fromkeys(keys) if k not in self._norm_memo]
-        if missing:
-            mps = tuple(np.array(c) for c in zip(*missing))
-            vals, errs = self._base_leaf_integrals(mps, tol, counter)
-            if vals.min() <= math.sqrt(Q_FLOOR):
-                raise NonAdmissibleAfterRenormalization(
-                    f"a leaf integral collapsed to {vals.min():.3e}; the "
-                    "perturbed density cannot be renormalized")
-            for k, v, e in zip(missing, vals, errs):
-                self._norm_memo[k] = (float(v), float(e))
-        out = np.array([self._norm_memo[k] for k in keys])
-        return out[:, 0], out[:, 1]
+        """Per-leaf integrals used for renormalization."""
+        vals, errs = self._base_leaf_integrals(ps, tol, counter)
+        if vals.min() <= math.sqrt(Q_FLOOR):
+            raise NonAdmissibleAfterRenormalization(
+                f"a leaf integral collapsed to {vals.min():.3e}; the "
+                "perturbed density cannot be renormalized")
+        return vals, errs
 
     def pullback(self, s, *ps):
         """Density values rho(Phi(s, *ps)) at broadcastable arrays."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expr as E
 from .errors import InversionFailure, VariableMismatch, ZeroVelocity
-from .modulus import ModulusReport, family_modulus, q_volume
+from .modulus import ModulusReport, family_modulus
 from .qdiff import Q_FLOOR
 
 _PARAM_VARS = frozenset({"s", "p"})
@@ -146,11 +146,6 @@ class PlanarFoliation:
                 "chart fails the injectivity spot check: two grid "
                 "parameters map to the same point")
         return float(speed.min())
-
-
-def q_area(q: PlanarQD, fol: PlanarFoliation, tol: float = 1e-8) -> float:
-    """Total |q| area of the chart in parameter coordinates."""
-    return q_volume(q, fol, tol)
 
 
 def modulus_m2(q: PlanarQD, fol: PlanarFoliation,

@@ -20,7 +20,6 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import expr as E
 from .errors import HeismodError, ScenarioError
@@ -218,6 +217,27 @@ def lambda_spread_stats(q, fol, n_s: int = 101, n_leaves: int = 100):
     return float((np.ptp(lam, axis=0) / scale).max())
 
 
+def _cumulative_simpson(y, x):
+    """Running Simpson integral of y over strictly increasing x from 0,
+    bit for bit scipy's ``cumulative_simpson(y, x=x, initial=0.0)`` on
+    1-D input of at least three points.  Interval k takes the quadratic
+    through it and interval k+1 for even k, through it and interval k-1
+    for odd k and for the last interval."""
+    def ahead(f, h):
+        a = h[:-1] / (h[:-1] + h[1:])
+        b = a * (h[:-1] / h[1:])
+        return h[:-1] / 6 * ((3 - a) * f[:-2] + (3 + b + a) * f[1:-1]
+                             - b * f[2:])
+
+    h = np.diff(x)
+    back = ahead(y[::-1], h[::-1])[::-1]
+    parts = np.empty(h.size)
+    parts[:-1:2] = ahead(y, h)[::2]
+    parts[1::2] = back[::2]
+    parts[-1] = back[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
 def trace_leaf_deviation(q: QuadDiff, fol: Foliation, p1: float,
                          p2: float, rk_tol: float = 1e-9):
     """(sup deviation, max residual) of the traced trajectory against
@@ -238,7 +258,7 @@ def trace_leaf_deviation(q: QuadDiff, fol: Foliation, p1: float,
     binding = {"s": grid, "p1": p1 * ones, "p2": p2 * ones}
     speed = leaf_speed_fn(q, fol)
     v = np.ravel(speed(binding))
-    sigma = cumulative_simpson(v, x=grid, initial=0.0)
+    sigma = _cumulative_simpson(v, grid)
     z_ref = np.ravel(np.broadcast_to(
         E.eval_array(fol.phi1, binding), grid.shape))
     t_ref = np.ravel(np.broadcast_to(

@@ -162,6 +162,29 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(("run", "plane-rectangle", "--tol", "nan"), id="tol-nan"),
+    pytest.param(("run", "plane-rectangle", "--tol", "-1"), id="tol-neg"),
+    pytest.param(("run", "plane-rectangle", "--tol", "5"), id="tol-big"),
+    pytest.param(("run", "plane-rectangle", "--rk-tol", "0"),
+                 id="run-rk-tol-zero"),
+    pytest.param(("trace", "--q", "1", "--start", "0,0,0",
+                  "--max-length", "nan"), id="max-length-nan"),
+    pytest.param(("trace", "--q", "1", "--start", "0,0,0",
+                  "--max-length", "-1"), id="max-length-neg"),
+    pytest.param(("trace", "--q", "1", "--start", "0,0,0",
+                  "--max-length", "inf"), id="max-length-inf"),
+    pytest.param(("trace", "--q", "1", "--start", "0,0,0",
+                  "--rk-tol", "-1"), id="trace-rk-tol-neg"),
+])
+def test_malformed_number_exits_2_without_traceback(capsys, argv):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert argv[-2] in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # trace
 

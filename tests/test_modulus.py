@@ -8,6 +8,7 @@ the shear family, never this package's own quadrature).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,28 @@ def test_field_interpolated_falls_back_outside_hull():
     # 1e-4 into the box is outside the inset sampling grid
     v, _ = f.eval(np.array([1e-4]), np.array([0.5]))
     assert v[0] == pytest.approx(2.0 * (1 + 0.3 * math.sin(1e-4)), rel=1e-9)
+
+
+def test_field_collapses_dead_axis_and_counts_each_leaf_once():
+    # p2 only rotates the leaves of the vertical annulus chart, so the
+    # leaf speed is dead along it and a query's pairs that share p1 share
+    # one leaf integral
+    f = LeafLengthField(neg_q0(), radius_foliation())
+    ps = (np.full(3, 0.7), np.array([0.5, 4.0, 0.5]))
+    first = f.exact(*ps)
+    for a in first:
+        assert a[0].tobytes() == a[1].tobytes() == a[2].tobytes()
+    again = f.exact(*ps)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    # the field's own 9-leaf grid along p1 (at the grid's first p2),
+    # computed first, then the one new leaf: its six queries count once.
+    # A twin field reproduces the grid's bits without touching f.
+    inset = 1e-3 * (2 * math.pi)
+    axis = np.linspace(1e-3 * math.pi, math.pi - 1e-3 * math.pi, 9)
+    twin = LeafLengthField(neg_q0(), radius_foliation())
+    grid, _ = twin.exact(axis, np.full(9, inset))
+    leaves = np.append(grid, first[0][0])
+    assert f.stats() == (leaves.min(), leaves.max(), leaves.mean())
 
 
 def test_field_zero_q_raises():
@@ -387,6 +410,18 @@ def test_extremal_density_arc_spot_values():
 def test_extremal_density_zero_q_raises():
     with pytest.raises(ZeroLeafLength):
         extremal_density(QuadDiff.from_string("0"), shear_foliation())
+
+
+def test_density_norms_repeat_bit_for_bit():
+    rho = replace(extremal_density(neg_q0(), radius_foliation()),
+                  modifier=E.parse("cos(p1)*sin(s)"), eps=0.1,
+                  per_leaf_norm=True)
+    ps = (np.array([0.4, 1.1, 2.2, 1.1]), np.array([0.3, 0.3, 5.0, 2.0]))
+    first = rho.norms(*ps)
+    again = rho.norms(*ps)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    # the dead p2 axis collapses: equal p1 gives equal bits
+    assert first[0][1] == first[0][3]
 
 
 def test_admissibility_shear_exactly_one():

@@ -24,13 +24,12 @@ from heismod.foliation import (
     lambda_field_array,
     leaf_length_batch,
 )
-from heismod.modulus import LeafLengthField, ModulusReport
+from heismod.modulus import LeafLengthField, ModulusReport, q_volume
 from heismod.planar import (
     PlanarFoliation,
     PlanarQD,
     holomorphy_residual,
     modulus_m2,
-    q_area,
 )
 
 R = 2.0
@@ -224,15 +223,15 @@ def test_field_interpolated_falls_back_outside_hull():
 
 
 def test_q_area_rectangle():
-    assert q_area(q_unit(), rectangle()) == pytest.approx(2.0, rel=1e-10)
+    assert q_volume(q_unit(), rectangle()) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_q_area_annulus_charts_agree():
     # Area_q = 2 pi ln R through either chart of the same annulus
     want = 2 * math.pi * math.log(R)
-    assert q_area(q_radial(), radial_annulus()) == pytest.approx(
+    assert q_volume(q_radial(), radial_annulus()) == pytest.approx(
         want, rel=1e-9)
-    assert q_area(q_circular(), circular_annulus()) == pytest.approx(
+    assert q_volume(q_circular(), circular_annulus()) == pytest.approx(
         want, rel=1e-9)
 
 

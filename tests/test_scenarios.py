@@ -3,7 +3,10 @@ behavior, and report determinism."""
 
 import json
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from heismod.scenarios import (
     list_scenarios,
     load_scenario,
     run_scenario,
+    _cumulative_simpson,
     scenario_from_dict,
     trace_leaf_deviation,
 )
@@ -235,3 +239,20 @@ def test_trace_matches_vertical_annulus_leaf():
         scn.q, scn.foliation, math.pi / 2, math.pi)
     assert dev <= 1e-6
     assert resid <= 1e-8
+
+
+def test_cumulative_simpson_matches_scipy_bit_for_bit():
+    integrate = pytest.importorskip("scipy.integrate")
+    # the annulus trace grid shape: 16,385 points, an endpoint blowup
+    x = np.linspace(0.02, 1.366, 16385)
+    x[1:-1] += 1e-6 * np.sin(37.0 * x[1:-1])     # unequal intervals
+    for y in (x ** (-2 / 3), np.cos(5.0 * x) * np.exp(x)):
+        want = integrate.cumulative_simpson(y, x=x, initial=0.0)
+        assert _cumulative_simpson(y, x).tobytes() == want.tobytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, heismod; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
