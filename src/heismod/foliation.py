@@ -244,29 +244,13 @@ def leaf_length(q, fol, p, tol: float = 1e-10):
     return float(vals[0]), float(errs[0])
 
 
-def lambda_field(q, fol, u, tol: float = HORIZONTAL_TOL) -> float:
-    """mu^(n-1) * J / |d_s Phi1|^n with mu the positive leaf q-speed and n
-    the chart's exponent (mu^3 J / |d_s Phi1|^4 in the group, mu J /
-    |d_s Phi|^2 in the plane), at u = (s, *p).
-
-    Constant in s (per leaf) whenever q has vanishing B2 residual (is
-    holomorphic, in the plane) and the foliation is horizontal; that
-    constancy is the tested conclusion.
-    """
-    b = dict(zip(("s", *fol.p_vars), u))
-    mu2 = E.evaluate(mu_squared_expr(q, fol), b)
-    if mu2.real <= 0.0 or abs(mu2.imag) > tol * (abs(mu2) + 1.0):
-        raise NegativeQ(f"mu^2 = {mu2:.6g} is not real-positive")
-    mu = math.sqrt(mu2.real)
-    jac = E.evaluate(fol.jac_a_expr, b).real
-    speed2 = abs(E.evaluate(fol.d_s1, b)) ** 2
-    n = fol.exponent
-    return mu ** (n - 1) * jac / speed2 ** (n // 2)
-
-
 def lambda_field_array(q, fol, binding: dict,
                        tol: float = HORIZONTAL_TOL) -> np.ndarray:
-    """Vectorized lambda over a parameter binding (broadcasting dict)."""
+    """lambda = mu^(n-1) J / |d_s Phi1|^n over a parameter binding (a
+    broadcasting dict), mu the positive leaf q-speed, n the chart's
+    exponent.  Constant in s (per leaf) whenever q has vanishing B2
+    residual (is holomorphic, in the plane) and the foliation is
+    horizontal; that constancy is the tested conclusion."""
     mu2 = E.eval_array(mu_squared_expr(q, fol), binding)
     if (mu2.real <= 0.0).any() or \
             (np.abs(mu2.imag) > tol * (np.abs(mu2) + 1.0)).any():

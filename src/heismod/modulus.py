@@ -17,16 +17,15 @@ reads the chart's p-axes and exponent, and `modulus_m4` here and
 `heismod.planar.modulus_m2` only add their family's gates.  Leaf
 lengths l(p) are served by :class:`LeafLengthField`, which serves one
 shared value when the lengths are constant and exact leaf integrals
-otherwise.  Every leaf integral (lengths, masses, energies, norms)
-collapses dead p-axes through `_dedup_pairs`.  The p-integrals ride on
-the shared batch quadrature with error channels (`aux_cols`), so the
-reported ``error_estimate`` aggregates the s-stage error, the
-leaf-length error, and every p-stage.
+otherwise.  Every leaf integral (lengths, masses, energies) collapses
+dead p-axes through `_dedup_pairs`.  The p-integrals ride on the shared
+batch quadrature with error channels (`aux_cols`), so the reported
+``error_estimate`` aggregates the s-stage error, the leaf-length error,
+and every p-stage.
 
-The extremal density rho0 = sqrt|q|/l and its perturbations live here
-too; ``perturbation_probe`` renormalizes per leaf, which keeps every
-probe exactly admissible and makes the energy comparison against the
-modulus a genuine lower-bound test.
+Densities rho = w sqrt|q|/L_w, L_w the leaf's w-weighted q-length, live
+here too; their energy runs through the modulus's own p-stage integrand
+`_ratio_fn`, so the extremal energy (w = 1) is the modulus bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import numpy as np
 from . import expr as E
 from .errors import (
     ConstantLengthViolated,
+    InversionFailure,
     KernelResidualHigh,
     NonAdmissibleAfterRenormalization,
     NonConvergent,
@@ -103,7 +103,8 @@ class LeafLengthField:
         relative spread on the grid below `_CONSTANT_RTOL`; queries are
         free and carry the spread in their error bound.
     ``exact``
-        every query is an exact batched leaf integral.
+        every query is an exact batched leaf integral, as is every query
+        of a one-axis field, whatever its mode (see `eval`).
 
     `eval` always returns per-query error bounds alongside the values.
     """
@@ -161,10 +162,17 @@ class LeafLengthField:
 
     def eval(self, *ps):
         """Lengths and error bounds at paired parameter arrays, one per
-        p-axis."""
+        p-axis.
+
+        A one-axis field takes every length exactly at its own node: a
+        one-axis p-stage is a single batch of leaves, so this is cheap,
+        and a leaf's mass and length then share the rounding of q o Phi,
+        which cancels in g / l^n.  One shared length per family leaves
+        that rounding in: a few ulps, as large as the whole error of the
+        planar oracles."""
         ps = tuple(np.asarray(p, dtype=float) for p in ps)
-        shape = ps[0].shape
-        if self.mode == "constant":
+        if self.mode == "constant" and len(ps) > 1:
+            shape = ps[0].shape
             return (np.full(shape, self.value),
                     np.full(shape, self.value_err))
         return self.exact(*ps)
@@ -229,7 +237,7 @@ def _axis_dependence(cols_fn, fol):
 
     The single axis of a one-axis family is always live: its modulus
     pairs every leaf's mass with that leaf's own length (see
-    `family_modulus`), which a collapse would undo.
+    `LeafLengthField.eval`), which a collapse would undo.
     """
     d = len(fol.p_box)
     if d == 1:
@@ -397,6 +405,19 @@ def _mass_cols_fn(q, fol):
     return cols
 
 
+def _ratio_fn(g_of, l_of, n: int):
+    """p-stage integrand of a modulus or an energy: channels (g / l^n, g)
+    and their error bounds, from leaf integrals g_of and lengths l_of."""
+    def pair_fn(*ps):
+        g, ge = g_of(*ps)
+        lv, le = l_of(*ps)
+        lin = 1.0 / lv ** n
+        vals = np.stack((g * lin, g), axis=1)
+        errs = np.stack((ge * lin + n * g * lin * (le / lv), ge), axis=1)
+        return vals, errs
+    return pair_fn
+
+
 def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
     composed = fol.compose(q.b2_expr)
     return float(np.abs(E.eval_array(composed, fol.grid(n))).max())
@@ -437,23 +458,8 @@ def family_modulus(q, fol, tol: float, residual: float,
     field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
     counter: dict = {}
     g_of = _leaf_integrals(fol, _mass_cols_fn(q, fol), 0.01 * tol, counter)
-    # A one-axis family takes every length exactly at its own node: the
-    # p-stage is a single batch of leaves, so this is cheap, and a leaf's
-    # mass and length then share the rounding of q o Phi, which cancels in
-    # g / l^n.  One shared length per family leaves that rounding in: a
-    # few ulps, as large as the whole error of the planar oracles.
-    lengths = field.eval if len(fol.p_box) > 1 else field.exact
-
-    def pair_fn(*ps):
-        g, ge = g_of(*ps)
-        lv, le = lengths(*ps)
-        lin = 1.0 / lv ** n
-        vals = np.stack((g * lin, g), axis=1)
-        errs = np.stack((ge * lin + n * g * lin * (le / lv), ge), axis=1)
-        return vals, errs
-
-    vals, errs = _nested_p_integral(fol, pair_fn, 2, rtol=0.5 * tol,
-                                    counter=counter)
+    vals, errs = _nested_p_integral(fol, _ratio_fn(g_of, field.eval, n), 2,
+                                    rtol=0.5 * tol, counter=counter)
     mod, vol = float(vals[0]), float(vals[1])
     gap = abs(mod - vol / field.value ** n) if field.constant else None
     meta = {"q_volume": vol, "q_volume_error": float(errs[1]),
@@ -467,7 +473,8 @@ def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
                override_b2_check: bool = False) -> ModulusReport:
     """Fourth-power modulus of the horizontal family carved out by q.
 
-    The foliation must be legendrian, its leaves horizontal for q, and q
+    The foliation must be legendrian with a Jacobian that does not
+    vanish on the whole sample grid, its leaves horizontal for q, and q
     must pass a B2-kernel spot check (`override_b2_check` downgrades a
     failure to a warning; the modulus formula is only exact on the
     kernel).  The report carries the q-volume in meta and, when leaf
@@ -475,6 +482,9 @@ def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
     """
     t0 = perf_counter()
     fol.validate()
+    if (np.abs(E.eval_array(fol.jac_a_expr, fol.grid(8))) < Q_FLOOR).all():
+        raise InversionFailure("the chart's Jacobian vanishes on the whole "
+                               "sample grid: its leaves sweep no volume")
     check_horizontal(q, fol, *_interior_pairs(fol, 7))
     b2max = _b2_spot_max(q, fol)
     if b2max > B2_GATE_TOL:
@@ -511,26 +521,22 @@ def modulus_constant_length(q: QuadDiff, fol: Foliation,
 
 @dataclass(frozen=True)
 class Density:
-    """Pullback density rho(Phi(s,p)) = scale * sqrt|q(Phi)|/l(p) * (1+eps*g).
+    """Pullback density rho(Phi(s,p)) = w sqrt|q(Phi)| / L_w(p), w = 1+eps*g.
 
-    With per_leaf_norm set, each leaf's line integral is divided out, so
-    the density is exactly admissible (every leaf integral equals
-    `scale`).  The modifier g is an expression in s and the chart's
-    p-variables; without one the density is the extremal rho0 up to
-    `scale`.  Parameter arguments come one array per p-axis.
+    L_w = int w sqrt|q(Phi)| |d_s Phi1| ds is the leaf's w-weighted
+    q-length, so every leaf integral of rho is 1.  The modifier g is an
+    expression in s and the chart's p-variables; with none (or eps = 0),
+    L_w is the field's length l and rho the extremal rho0.  Parameter
+    arguments come one array per p-axis.
     """
 
     q: QuadDiff
     foliation: Foliation
     length_field: LeafLengthField = dc_field(repr=False, compare=False)
-    scale: float = 1.0
     modifier: E.Expr | None = None
     eps: float = 0.0
-    per_leaf_norm: bool = False
 
     def __post_init__(self):
-        if self.scale < 0.0:
-            raise ValueError("scale must be nonnegative")
         if self.modifier is not None:
             names = ("s", *self.foliation.p_vars)
             extra = E.free_vars(self.modifier) - set(names)
@@ -539,39 +545,37 @@ class Density:
                     f"modifier uses variables {sorted(extra)}; only "
                     f"({', '.join(names)}) are allowed")
 
-    def scaled(self, c: float) -> "Density":
-        return replace(self, scale=self.scale * c)
-
     def _factor(self, binding, shape):
         if self.modifier is None or self.eps == 0.0:
             return np.ones(shape)
         v = E.eval_array(self.modifier, binding)
         return _full_shape(1.0 + self.eps * np.real(v), shape)
 
-    def _leaf_cols(self):
-        """sqrt|q(Phi)| |d_s Phi1| (1+eps g) as a column evaluator."""
+    def _speed_integrals(self, tol):
+        """(*ps) -> int w sqrt|q(Phi)| |d_s Phi1| ds per leaf, at 0.1 tol."""
         fol, speed = self.foliation, leaf_speed_fn(self.q, self.foliation)
 
         def cols(x, *pc):
             b = column_binding(fol, x, pc)
             return speed(b) * self._factor(b, (x.size, pc[0].size))
-        return cols
+        return _leaf_integrals(fol, cols, 0.1 * tol, None)
 
-    def _base_leaf_integrals(self, ps, tol, counter=None):
-        """(1/l) int sqrt|q(Phi)| (1+eps g) |d_s Phi1| ds per leaf."""
-        v, ve = _leaf_integrals(self.foliation, self._leaf_cols(),
-                                0.1 * tol, counter)(*ps)
-        lv, le = self.length_field.eval(*ps)
-        return v / lv, ve / lv + np.abs(v) * le / lv ** 2
+    def leaf_lengths(self, tol: float = 1e-10):
+        """(*ps) -> (L_w, error bounds): the field's lengths when w = 1,
+        else the weighted leaf integrals at 0.1 tol, which must not
+        collapse.  Its probes run once, here: build it once per use."""
+        if self.modifier is None or self.eps == 0.0:
+            return self.length_field.eval
+        raw = self._speed_integrals(tol)
 
-    def norms(self, *ps, tol: float = 1e-10, counter=None):
-        """Per-leaf integrals used for renormalization."""
-        vals, errs = self._base_leaf_integrals(ps, tol, counter)
-        if vals.min() <= math.sqrt(Q_FLOOR):
-            raise NonAdmissibleAfterRenormalization(
-                f"a leaf integral collapsed to {vals.min():.3e}; the "
-                "perturbed density cannot be renormalized")
-        return vals, errs
+        def lengths(*ps):
+            vals, errs = raw(*ps)
+            if vals.min() <= math.sqrt(Q_FLOOR) * self.length_field.value:
+                raise NonAdmissibleAfterRenormalization(
+                    f"a weighted leaf length collapsed to {vals.min():.3e};"
+                    " the perturbed density cannot be renormalized")
+            return vals, errs
+        return lengths
 
     def pullback(self, s, *ps):
         """Density values rho(Phi(s, *ps)) at broadcastable arrays."""
@@ -580,14 +584,8 @@ class Density:
         b = dict(zip(("s", *self.foliation.p_vars), (s, *ps)))
         qv = np.abs(E.eval_array(self.foliation.compose(self.q.coeff), b))
         base = np.sqrt(_full_shape(qv, s.shape))
-        flat = [p.ravel() for p in ps]
-        lv, _ = self.length_field.eval(*flat)
-        out = self.scale * base * self._factor(b, s.shape) \
-            / lv.reshape(s.shape)
-        if self.per_leaf_norm:
-            nv, _ = self.norms(*flat)
-            out = out / nv.reshape(s.shape)
-        return out
+        lv, _ = self.leaf_lengths()(*(p.ravel() for p in ps))
+        return base * self._factor(b, s.shape) / lv.reshape(s.shape)
 
 
 def extremal_density(q, fol) -> Density:
@@ -606,22 +604,18 @@ def admissibility_check(rho: Density, leaf_sample_count: int = 64,
     fol = rho.foliation
     n = max(2, math.ceil(leaf_sample_count ** (1.0 / len(fol.p_box))))
     ps = _interior_pairs(fol, n)
-    vals, errs = rho._base_leaf_integrals(ps, tol)
-    vals = rho.scale * vals
-    errs = rho.scale * errs
-    if rho.per_leaf_norm:
-        nv, ne = rho.norms(*ps, tol=tol)
-        errs = errs / nv + vals * ne / nv ** 2
-        vals = vals / nv
+    v, ve = rho._speed_integrals(tol)(*ps)
+    lv, le = rho.leaf_lengths(tol)(*ps)
+    vals = v / lv
+    errs = ve / lv + np.abs(v) * le / lv ** 2
     table = np.column_stack((*ps, vals, errs))
     return float(vals.min()), table
 
 
 def density_energy(rho: Density, tol: float = 1e-8) -> float:
     """Energy int (rho o Phi)^n |J| over the family, n the chart's
-    exponent: the modulus itself when rho is extremal."""
-    if rho.scale == 0.0:
-        return 0.0
+    exponent: the modulus integral with w^n in the mass and L_w for l,
+    so the modulus itself, bit for bit, when rho is extremal."""
     fol = rho.foliation
     fol.validate()
     n = fol.exponent
@@ -632,37 +626,24 @@ def density_energy(rho: Density, tol: float = 1e-8) -> float:
         b = column_binding(fol, x, pc)
         return mass(x, *pc) * rho._factor(b, (x.size, pc[0].size)) ** n
 
-    e_of = _leaf_integrals(fol, cols, 0.01 * tol, counter)
-
-    def pair_fn(*ps):
-        en, ene = e_of(*ps)
-        lv, le = rho.length_field.eval(*ps)
-        if rho.per_leaf_norm:
-            nv, ne = rho.norms(*ps, tol=min(1e-10, 0.02 * tol),
-                               counter=counter)
-        else:
-            nv, ne = np.ones_like(lv), np.zeros_like(lv)
-        denom = (lv * nv) ** n
-        vals = rho.scale ** n * en / denom
-        errs = rho.scale ** n * ene / denom + vals * n * (le / lv + ne / nv)
-        return vals[:, None], errs[:, None]
-
-    vals, _ = _nested_p_integral(fol, pair_fn, 1, rtol=0.5 * tol,
-                                 counter=counter)
+    g_of = _leaf_integrals(fol, cols, 0.01 * tol, counter)
+    l_of = rho.leaf_lengths(min(1e-10, 0.02 * tol))
+    vals, _ = _nested_p_integral(fol, _ratio_fn(g_of, l_of, n), 2,
+                                 rtol=0.5 * tol, counter=counter)
     return float(vals[0])
 
 
 def perturbation_probe(rho: Density, g, eps: float,
                        tol: float = 1e-8) -> float:
-    """Energy of the renormalized perturbation rho*(1+eps*g) of the
-    extremal density rho.
+    """Energy of the renormalized perturbation of the extremal density
+    rho: (1+eps*g) sqrt|q| over its leaf's (1+eps*g)-weighted q-length.
 
     Extremality of rho means the energy can never undercut the modulus
     (beyond quadrature noise); the caller compares the two.  g must be
     real and keep 1 + eps*g positive on the whole box.
     """
     g = E.parse(g) if isinstance(g, str) else g
-    rho = replace(rho, modifier=g, eps=float(eps), per_leaf_norm=True)
+    rho = replace(rho, modifier=g, eps=float(eps))
     gv = E.eval_array(g, rho.foliation.grid(8))
     if np.abs(gv.imag).max() > 1e-9 * (1.0 + np.abs(gv.real).max()):
         raise ValueError("perturbation g must be real-valued")

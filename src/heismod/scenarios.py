@@ -205,7 +205,8 @@ def list_scenarios() -> list:
 # checks
 
 def lambda_spread_stats(q, fol, n_s: int = 101, n_leaves: int = 100):
-    """Worst per-leaf relative spread of lambda along s."""
+    """Worst per-leaf relative spread of lambda along s; 0 on a leaf
+    where lambda vanishes, since it is constant there."""
     d = len(fol.p_box)
     m = n_leaves if d == 1 else max(2, math.isqrt(n_leaves))
     (s0, s1) = fol.s_range
@@ -214,7 +215,9 @@ def lambda_spread_stats(q, fol, n_s: int = 101, n_leaves: int = 100):
     grids = np.ix_(s, *(lo + (hi - lo) * fr for lo, hi in fol.p_box))
     lam = lambda_field_array(q, fol, dict(zip(("s", *fol.p_vars), grids)))
     scale = np.abs(lam).max(axis=0)
-    return float((np.ptp(lam, axis=0) / scale).max())
+    spread = np.ptp(lam, axis=0)
+    return float(np.divide(spread, scale, out=np.zeros_like(spread),
+                           where=scale > 0).max())
 
 
 def _cumulative_simpson(y, x):

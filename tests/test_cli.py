@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -183,6 +184,38 @@ def test_malformed_number_exits_2_without_traceback(capsys, argv):
     assert err.startswith("error:")
     assert argv[-2] in err
     assert "Traceback" not in err
+
+
+def _collapsed_chart(**over):
+    # Phi = (s, 0) ignores both parameters: a legendrian chart whose
+    # Jacobian, and with it lambda, vanishes everywhere
+    return _shear_scenario(name="collapsed-chart",
+                           foliation=_chart(phi1="s", phi2="0"), **over)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_collapsed_chart_modulus_exits_1_without_traceback(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_collapsed_chart()))
+    assert run_cli("run", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InversionFailure")
+    assert "Traceback" not in err
+
+
+def test_lambda_spread_on_collapsed_chart_is_strict_json(tmp_path):
+    path = tmp_path / "scn.json"
+    report = tmp_path / "report.json"
+    path.write_text(json.dumps(_collapsed_chart(
+        checks=["lambda_constancy"], expected={})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("run", str(path), "--report", str(report)) == 0
+    doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert doc["checks"][0]["value"] == 0.0
 
 
 # ---------------------------------------------------------------------------

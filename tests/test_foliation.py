@@ -22,7 +22,6 @@ from heismod.foliation import (
     Foliation,
     LegendrianPath,
     check_horizontal,
-    lambda_field,
     lambda_field_array,
     leaf_length,
     leaf_length_batch,
@@ -195,8 +194,9 @@ def test_leaf_length_rejects_vertical_leaves():
 # lambda field
 
 def test_lambda_shear_is_one():
-    assert lambda_field(QuadDiff.from_string("1"), shear_foliation(),
-                        (0.3, 0.4, 0.5)) == pytest.approx(1.0)
+    lam = lambda_field_array(QuadDiff.from_string("1"), shear_foliation(),
+                             {"s": 0.3, "p1": 0.4, "p2": 0.5})
+    assert lam == pytest.approx(1.0)
 
 
 def test_lambda_arc_constant_in_s():
@@ -218,7 +218,8 @@ def test_lambda_radius_constant_in_s():
 
 def test_lambda_rejects_vertical():
     with pytest.raises(NegativeQ):
-        lambda_field(neg_q0(), arc_foliation(), (0.5, 0.5, 1.0))
+        lambda_field_array(neg_q0(), arc_foliation(),
+                           {"s": 0.5, "p1": 0.5, "p2": 1.0})
 
 
 def test_length_element_identity():

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from heismod import expr as E
 from heismod.errors import (
     ConstantLengthViolated,
+    InversionFailure,
     KernelResidualHigh,
     NonAdmissibleAfterRenormalization,
     VariableMismatch,
@@ -37,7 +38,7 @@ from heismod.modulus import (
 )
 from heismod.planar import PlanarFoliation, PlanarQD, modulus_m2
 from heismod.qdiff import QuadDiff
-from heismod.scenarios import load_scenario
+from heismod.scenarios import list_scenarios, load_scenario
 
 LOG_R = math.log(2.0)
 Q0_TEXT = ("conj(z)^2 * (t^2 + (z*conj(z))^2)^(2/3)"
@@ -306,6 +307,15 @@ def test_m4_gate_rejects_non_kernel_differential():
     assert rep.residual_stats > 1e-8
 
 
+def test_m4_gate_rejects_collapsed_chart():
+    # Phi = (s + i p1, 2 p1 s) ignores p2: legendrian, horizontal for
+    # q = 1, but its leaves sweep no volume
+    fol = Foliation.from_strings("s + i*p1", "2*p1*s", (0.0, 1.0),
+                                 ((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(InversionFailure):
+        modulus_m4(q_one(), fol)
+
+
 # ---------------------------------------------------------------------------
 # metamorphic invariance under the conformal maps of the group
 #
@@ -412,16 +422,54 @@ def test_extremal_density_zero_q_raises():
         extremal_density(QuadDiff.from_string("0"), shear_foliation())
 
 
-def test_density_norms_repeat_bit_for_bit():
+def test_weighted_leaf_lengths_repeat_bit_for_bit():
     rho = replace(extremal_density(neg_q0(), radius_foliation()),
-                  modifier=E.parse("cos(p1)*sin(s)"), eps=0.1,
-                  per_leaf_norm=True)
+                  modifier=E.parse("cos(p1)*sin(s)"), eps=0.1)
     ps = (np.array([0.4, 1.1, 2.2, 1.1]), np.array([0.3, 0.3, 5.0, 2.0]))
-    first = rho.norms(*ps)
-    again = rho.norms(*ps)
+    lengths = rho.leaf_lengths()
+    first = lengths(*ps)
+    again = lengths(*ps)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    fresh = rho.leaf_lengths()(*ps)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, fresh))
     # the dead p2 axis collapses: equal p1 gives equal bits
     assert first[0][1] == first[0][3]
+
+
+def test_unweighted_leaf_lengths_are_the_field():
+    rho = extremal_density(neg_q0(), radius_foliation())
+    assert rho.leaf_lengths() == rho.length_field.eval
+    assert replace(rho, modifier=E.parse("sin(s)")).leaf_lengths() == \
+        rho.length_field.eval
+
+
+def collapsed_weight():
+    # w = 1 - 1 vanishes everywhere, so no leaf has a weighted length
+    return replace(extremal_density(q_one(), shear_foliation()),
+                   modifier=E.parse("1"), eps=-1.0)
+
+
+def test_density_energy_refuses_collapsed_weight():
+    with pytest.raises(NonAdmissibleAfterRenormalization):
+        density_energy(collapsed_weight(), tol=1e-7)
+
+
+def test_admissibility_refuses_collapsed_weight():
+    with pytest.raises(NonAdmissibleAfterRenormalization):
+        admissibility_check(collapsed_weight(), leaf_sample_count=9)
+
+
+def test_pullback_refuses_collapsed_weight():
+    with pytest.raises(NonAdmissibleAfterRenormalization):
+        collapsed_weight().pullback(np.array([0.5]), np.array([0.2]),
+                                    np.array([0.3]))
+
+
+def test_perturbed_density_is_admissible():
+    rho = replace(extremal_density(q0(), arc_foliation()),
+                  modifier=E.parse("cos(s) + p1"), eps=0.2)
+    mn, table = admissibility_check(rho, leaf_sample_count=9)
+    assert np.allclose(table[:, 2], 1.0, rtol=1e-12)
 
 
 def test_admissibility_shear_exactly_one():
@@ -439,12 +487,6 @@ def test_admissibility_arc_chart():
     assert np.allclose(table[:, 2], 1.0, rtol=1e-8)
 
 
-def test_admissibility_scales_linearly():
-    rho = extremal_density(q_one(), shear_foliation()).scaled(0.5)
-    mn, _ = admissibility_check(rho, leaf_sample_count=9)
-    assert mn == pytest.approx(0.5, rel=1e-10)
-
-
 def test_density_energy_matches_modulus():
     for q, fol, want in (
             (q_one(), shear_foliation(), 0.125),
@@ -454,9 +496,19 @@ def test_density_energy_matches_modulus():
             want, rel=1e-6)
 
 
-def test_density_energy_zero_scale():
-    rho = extremal_density(q_one(), shear_foliation()).scaled(0.0)
-    assert density_energy(rho) == 0.0
+MODULUS_BUILTINS = [n for n in list_scenarios()
+                    if "modulus" in load_scenario(n).expected]
+
+
+@pytest.mark.parametrize("name", MODULUS_BUILTINS)
+def test_extremal_energy_is_the_modulus_bit_for_bit(name):
+    # the extremal energy and the modulus are one ratio integral with one
+    # set of leaf lengths, so they agree to the last bit
+    scn = load_scenario(name)
+    q, fol = scn.q, scn.foliation
+    modulus = modulus_m4 if scn.space == "heisenberg" else modulus_m2
+    want = modulus(q, fol, tol=1e-8).modulus
+    assert density_energy(extremal_density(q, fol), tol=1e-8) == want
 
 
 def plane_rectangle():

@@ -20,7 +20,6 @@ from heismod.errors import (
 )
 from heismod.foliation import (
     check_horizontal,
-    lambda_field,
     lambda_field_array,
     leaf_length_batch,
 )
@@ -145,8 +144,8 @@ def test_validate_rejects_non_injective_chart():
 # lambda constancy (the planar per-leaf invariant)
 
 def test_lambda_unit_translation():
-    assert lambda_field(q_unit(), rectangle(), (0.5, 0.2)) == \
-        pytest.approx(1.0, rel=1e-12)
+    lam = lambda_field_array(q_unit(), rectangle(), {"s": 0.5, "p": 0.2})
+    assert lam == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lambda_radial_is_one_and_constant():
@@ -170,7 +169,8 @@ def test_lambda_antiholomorphic_control_varies():
 
 def test_lambda_rejects_wrong_sign():
     with pytest.raises(NegativeQ):
-        lambda_field(q_circular(), radial_annulus(), (1.5, 0.7))
+        lambda_field_array(q_circular(), radial_annulus(),
+                           {"s": 1.5, "p": 0.7})
     with pytest.raises(NotHorizontal):
         check_horizontal(q_circular(), radial_annulus(),
                          np.array([0.5, 1.0]))
@@ -201,6 +201,9 @@ def test_field_constant_on_radial_chart():
     v, e = f.eval(np.array([0.3, 4.0]))
     assert np.allclose(v, math.log(R), rtol=1e-10)
     assert (e >= 0.0).all()
+    # a one-axis field answers every query exactly, even when constant
+    exact = f.exact(np.array([0.3, 4.0]))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((v, e), exact))
 
 
 def test_field_interpolated_on_varying_chart():
