@@ -32,6 +32,7 @@ from .heis import (
 )
 from .modulus import (
     ModulusReport,
+    density_energies,
     density_energy,
     extremal_density,
     modulus_m4,
@@ -56,7 +57,8 @@ __all__ = [
     "koranyi_distance", "dilate", "legendrian_residual",
     "QuadDiff", "Foliation", "LegendrianPath", "trace_trajectory",
     "ModulusReport", "modulus_m4", "q_volume", "extremal_density",
-    "density_energy", "PlanarQD", "PlanarFoliation", "modulus_m2",
+    "density_energy", "density_energies", "PlanarQD", "PlanarFoliation",
+    "modulus_m2",
     "Scenario", "RunReport", "list_scenarios", "load_scenario",
     "run_scenario", "HeismodError", "__version__",
 ]

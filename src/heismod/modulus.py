@@ -1,31 +1,27 @@
-"""Moduli of horizontal families, their q-mass, and density probes.
+"""Moduli of horizontal families, their q-mass, and density energies.
 
 Everything is evaluated in parameter coordinates,
 
     M_n = int_Lambda l(p)^-n  int_I |q(Phi(s,p))|^(n/2) |J_Phi| ds dp,
 
-with n = 4 for a group family over two p-axes,
+with n = 4 for a group family over two p-axes (M4) and n = 2 for a
+planar family over one p-axis (M2), so the leaf map Phi is never
+inverted.  One engine serves both: it reads the chart's p-axes and
+exponent, and `modulus_m4` here and `heismod.planar.modulus_m2` only
+add their family's gates.  Leaf lengths l(p) come from
+:class:`LeafLengthField`: one shared value when they are constant,
+exact leaf integrals otherwise.  Every leaf integral collapses dead
+p-axes through `_dedup_pairs`.  The p-integrals ride on the batch
+quadrature with error channels (`aux_cols`), so ``error_estimate``
+aggregates the s-stage, leaf-length and p-stage errors.
 
-    M4 = int l(p1, p2)^-4  int |q(Phi)|^2 |J_Phi| ds dp1 dp2,
-
-and n = 2 for a planar family over one p-axis,
-
-    M2 = int l(p)^-2  int |q(Phi)| |J_Phi| ds dp,
-
-so the leaf map Phi is never inverted.  One engine serves both: it
-reads the chart's p-axes and exponent, and `modulus_m4` here and
-`heismod.planar.modulus_m2` only add their family's gates.  Leaf
-lengths l(p) are served by :class:`LeafLengthField`, which serves one
-shared value when the lengths are constant and exact leaf integrals
-otherwise.  Every leaf integral (lengths, masses, energies) collapses
-dead p-axes through `_dedup_pairs`.  The p-integrals ride on the shared
-batch quadrature with error channels (`aux_cols`), so the reported
-``error_estimate`` aggregates the s-stage error, the leaf-length error,
-and every p-stage.
-
-Densities rho = w sqrt|q|/L_w, L_w the leaf's w-weighted q-length, live
-here too; their energy runs through the modulus's own p-stage integrand
-`_ratio_fn`, so the extremal energy (w = 1) is the modulus bit for bit.
+A density rho = w sqrt|q|/L_w, w = 1 + eps*g and L_w the leaf's
+w-weighted q-length, has as energy the same ratio integral with w^n in
+the mass and L_w for l.  `density_energies` takes k densities as one
+integral: the mass and speed columns are evaluated once per s-node
+batch and weighted per channel, and one p-stage integrates the 2k
+channels [g_k/L_k^n ..., g_k ...].  The extremal energy (w = 1) is the
+modulus bit for bit.
 """
 
 from __future__ import annotations
@@ -65,6 +61,7 @@ _CONSTANT_RTOL = 1e-9       # grid spread below which lengths are constant
 _ATOL = 1e-14               # absolute tolerance of _leaf_integrals, p-stages
 _SETTLED_RTOL = 1e-3        # relative spread of a settled probe tail
 _DEAD_AXIS_RTOL = 1e-12     # relative variation below which an axis is dead
+_EDGE_OFFS = 10.0 ** -np.arange(2.0, 11.0)  # probe offsets, box fractions
 
 
 @dataclass(frozen=True)
@@ -72,9 +69,8 @@ class ModulusReport:
     """Outcome of a modulus computation with its error budget.
 
     consistency_gap is |main formula - constant-length shortcut| when the
-    leaf lengths came out constant, else None.  residual_stats is the
-    max |B2 q| seen on the sample grid.  meta carries run diagnostics
-    (eval counts, elapsed seconds, tolerances, leaf-field mode).
+    leaf lengths came out constant, else None; residual_stats is the max
+    |B2 q| on the sample grid; meta carries run diagnostics.
     """
 
     modulus: float
@@ -92,21 +88,15 @@ class ModulusReport:
 
 
 class LeafLengthField:
-    """Leaf q-lengths over the parameter box.
+    """Leaf q-lengths over the parameter box, with per-query error bounds.
 
-    Sampling starts on a slightly inset tensor grid over the chart's p
-    axes (quadrature ladders probe far closer to the box edge than any
-    practical grid, and some families have lengths that blow up right at
-    the edge).  The field then settles into one of two modes:
-
-    ``constant``
-        relative spread on the grid below `_CONSTANT_RTOL`; queries are
-        free and carry the spread in their error bound.
-    ``exact``
-        every query is an exact batched leaf integral, as is every query
-        of a one-axis field, whatever its mode (see `eval`).
-
-    `eval` always returns per-query error bounds alongside the values.
+    Sampled first on a slightly inset tensor grid over the chart's
+    p-axes (quadrature ladders probe far closer to the box edge than any
+    grid, and some families' lengths blow up right at the edge), the
+    field is ``constant`` when the relative spread there is below
+    `_CONSTANT_RTOL` (queries are free and carry the spread in their
+    error bound) and ``exact`` otherwise (every query is a batched leaf
+    integral, as is every query of a one-axis field; see `eval`).
     """
 
     def __init__(self, q, fol, length_tol: float = 1e-10):
@@ -121,40 +111,27 @@ class LeafLengthField:
                 "q vanishes identically on the box; leaves have no length")
         pairs = _tensor_pairs(axes)
         check_horizontal(q, fol, *pairs)
-        speed = leaf_speed_fn(q, fol)
-
-        def speed_cols(x, *pc):
-            return speed(column_binding(fol, x, pc))
-
-        self._speed_cols = speed_cols
-        self._sing = _probe_singular(speed_cols, fol)
-        self._dep = _axis_dependence(speed_cols, fol)
+        self._speed_cols = _speed_cols_fn(q, fol)
+        self._sing = _probe_singular(self._speed_cols, fol)
+        self._dep = _axis_dependence(self._speed_cols, fol)
         vals, errs = self.exact(*pairs)
         if vals.min() <= 0.0 or not np.isfinite(vals).all():
             raise ZeroLeafLength("a sampled leaf has no q-length")
         self.value = float(vals.mean())
         self.value_err = float(errs.max()) + float(np.ptp(vals))
         self.spread_rel = float(np.ptp(vals)) / self.value
-        self.mode = "constant" if self.spread_rel <= _CONSTANT_RTOL \
-            else "exact"
-
-    @property
-    def constant(self) -> bool:
-        return self.mode == "constant"
+        self.mode = "exact" if self.spread_rel > _CONSTANT_RTOL else "constant"
 
     def exact(self, *ps):
         """Exact leaf integrals and error bounds at paired parameter
-        arrays, one per p-axis, whatever the mode; a family symmetric in
-        one parameter computes each leaf of a query once."""
+        arrays, whatever the mode, each distinct leaf of a query once."""
         return _dedup_pairs(self._integrate, ps, self._dep)
 
     def _integrate(self, *ps):
-        # best effort: queries squeezed against the box edge carry honest
-        # enlarged errors instead of aborting the field
-        vals, errs = _s_batched(self.fol, self._speed_cols, ps,
-                                rtol=self.length_tol,
-                                atol=0.01 * self.length_tol,
-                                counter=None, singular=self._sing)
+        # best effort: queries at the box edge carry honest enlarged errors
+        vals, errs = (a[:, 0] for a in _s_batched(
+            self.fol, self._speed_cols, ps, rtol=self.length_tol,
+            atol=0.01 * self.length_tol, counter=None, singular=self._sing))
         keys = np.column_stack([p if d else np.zeros(p.size)
                                 for p, d in zip(ps, self._dep)])
         self._computed.append((keys, vals))
@@ -162,19 +139,15 @@ class LeafLengthField:
 
     def eval(self, *ps):
         """Lengths and error bounds at paired parameter arrays, one per
-        p-axis.
-
-        A one-axis field takes every length exactly at its own node: a
-        one-axis p-stage is a single batch of leaves, so this is cheap,
-        and a leaf's mass and length then share the rounding of q o Phi,
-        which cancels in g / l^n.  One shared length per family leaves
-        that rounding in: a few ulps, as large as the whole error of the
-        planar oracles."""
+        p-axis.  A one-axis field takes every length exactly at its own
+        node (one cheap batch of leaves), so a leaf's mass and length
+        share the rounding of q o Phi, which cancels in g / l^n; one
+        shared length would leave a few ulps, the planar oracles' whole
+        error."""
         ps = tuple(np.asarray(p, dtype=float) for p in ps)
         if self.mode == "constant" and len(ps) > 1:
-            shape = ps[0].shape
-            return (np.full(shape, self.value),
-                    np.full(shape, self.value_err))
+            return tuple(np.full(ps[0].shape, v)
+                         for v in (self.value, self.value_err))
         return self.exact(*ps)
 
     def stats(self) -> tuple:
@@ -187,8 +160,7 @@ class LeafLengthField:
 
 
 def _tensor_pairs(axes):
-    """Every point of the tensor grid over `axes`, one array per axis,
-    the first axis slowest."""
+    """The tensor grid over `axes`, one array per axis, first slowest."""
     total = math.prod(a.size for a in axes)
     out, inner = [], total
     for a in axes:
@@ -205,39 +177,36 @@ def _interior_pairs(fol, n: int):
 def _probe_singular(cols_fn, fol):
     """Classify each s-endpoint of a nonnegative integrand as regular.
 
-    Samples the integrand at geometrically shrinking offsets from the
-    endpoint over a few parameter pairs; a finite, settled tail proves
-    plain panels suffice there.  Anything non-finite or still moving
-    keeps the endpoint ladder, so the probe only ever disables
-    machinery it can certify as unnecessary.
+    A finite, settled tail over a few parameter pairs proves plain panels
+    suffice there; anything non-finite or still moving keeps the endpoint
+    ladder, so the probe only disables machinery it can certify as
+    unnecessary.
     """
     (s0, s1) = fol.s_range
-    span = s1 - s0
-    ps = _interior_pairs(fol, 2)
-    offs = span * 10.0 ** -np.arange(2.0, 11.0)
-    flags = []
-    for end, sgn in ((s0, 1.0), (s1, -1.0)):
-        v = np.abs(cols_fn(end + sgn * offs, *ps))
-        tail = v[-3:]
-        scale = tail.max(axis=0) + 1e-300
-        settled = bool(np.isfinite(v).all()
-                       and (np.ptp(tail, axis=0) / scale
-                            < _SETTLED_RTOL).all())
-        flags.append(not settled)
-    return tuple(flags)
+    offs, ps = (s1 - s0) * _EDGE_OFFS, _interior_pairs(fol, 2)
+    return (_unsettled(np.abs(cols_fn(s0 + offs, *ps))),
+            _unsettled(np.abs(cols_fn(s1 - offs, *ps))))
+
+
+def _unsettled(v, vanish=False):
+    """Whether any column of magnitudes v, sampled at `_EDGE_OFFS` toward
+    an edge, is non-finite or still moving over its last three samples
+    (with `vanish`, a tail that dies out counts as settled)."""
+    tail = v[-3:]
+    ok = np.ptp(tail, axis=0) / (tail.max(axis=0) + 1e-300) < _SETTLED_RTOL
+    if vanish:
+        ok |= tail.max(axis=0) < 1e-10 * (v.max(axis=0) + 1e-300)
+    return not (np.isfinite(v).all(axis=0) & ok).all()
 
 
 def _axis_dependence(cols_fn, fol):
     """Which p-axes a nonnegative s-integrand numerically varies along.
 
-    Many families are symmetric in one parameter (the integrand is a
-    pullback through a rotation-like Phi), which a symbolic check
-    cannot see once conjugate phases multiply out.  A collapse here
-    lets pair evaluations dedup along the dead axis.
-
-    The single axis of a one-axis family is always live: its modulus
-    pairs every leaf's mass with that leaf's own length (see
-    `LeafLengthField.eval`), which a collapse would undo.
+    Many families are symmetric in one parameter (a pullback through a
+    rotation-like Phi), which a symbolic check cannot see once conjugate
+    phases multiply out; a dead axis lets pair evaluations dedup.  The
+    single axis of a one-axis family is always live: its modulus pairs
+    each leaf's mass with its own length (see `LeafLengthField.eval`).
     """
     d = len(fol.p_box)
     if d == 1:
@@ -246,10 +215,13 @@ def _axis_dependence(cols_fn, fol):
     sv = s0 + (s1 - s0) * np.array([0.23, 0.52, 0.81])
     fr = np.linspace(0.1, 0.9, 5)
     ps = _tensor_pairs([lo + (hi - lo) * fr for lo, hi in fol.p_box])
-    v = np.abs(cols_fn(sv, *ps)).reshape((sv.size,) + (fr.size,) * d)
-    scale = v.max() + 1e-300
-    return tuple(bool(np.ptp(v, axis=k + 1).max() / scale > _DEAD_AXIS_RTOL)
-                 for k in range(d))
+    # one (s, p1, ...) block per channel; an axis is live if any
+    # channel varies along it, relative to that channel's own scale
+    v = np.abs(cols_fn(sv, *ps)).reshape(
+        (sv.size, -1) + (fr.size,) * d).swapaxes(0, 1)
+    scale = v.reshape(len(v), -1).max(axis=1) + 1e-300
+    return tuple(bool((np.ptp(v, axis=k + 2).reshape(len(v), -1).max(axis=1)
+                       / scale > _DEAD_AXIS_RTOL).any()) for k in range(d))
 
 
 def _dedup_pairs(fn, ps, dep):
@@ -258,8 +230,7 @@ def _dedup_pairs(fn, ps, dep):
         return fn(*ps)
     live = [p for p, d in zip(ps, dep) if d]
     key = live[0] if live else np.zeros_like(ps[0])
-    uniq, first, inv = np.unique(key, return_index=True,
-                                 return_inverse=True)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     outs = fn(*(p[first] for p in ps))
     return tuple(np.asarray(o)[inv] for o in outs)
 
@@ -267,30 +238,20 @@ def _dedup_pairs(fn, ps, dep):
 def _probe_p_edges(pair_fn, fol):
     """Per-edge singularity flags ((lo, hi) per p-axis) for the box.
 
-    The settled-tail rule of the leaf-direction probe, applied to the
-    pointwise channels along geometric approaches to each box edge.  A
-    channel that keeps growing (integrable parameter-edge blowup, e.g.
-    leaf mass diverging where leaves pinch) keeps that edge's ladder in
-    the nested integration; channels that settle or vanish release it.
+    `_unsettled` along geometric approaches to each box edge: a channel
+    that keeps growing (integrable blowup, e.g. leaf mass diverging where
+    leaves pinch) keeps that edge's ladder; channels that settle or
+    vanish release it.
     """
     mid = [0.5 * (lo + hi) for lo, hi in fol.p_box]
-    out = []
-    for axis, (lo, hi) in enumerate(fol.p_box):
-        offs = (hi - lo) * 10.0 ** -np.arange(2.0, 11.0)
-        flags = []
-        for end, sgn in ((lo, 1.0), (hi, -1.0)):
-            x = end + sgn * offs
-            ps = [np.full(x.size, m) for m in mid]
-            ps[axis] = x
-            v = np.abs(np.asarray(pair_fn(*ps)[0]))
-            tail = v[-3:]
-            settled = np.isfinite(v).all(axis=0) & (
-                (np.ptp(tail, axis=0) / (tail.max(axis=0) + 1e-300)
-                 < _SETTLED_RTOL)
-                | (tail.max(axis=0) < 1e-10 * (v.max(axis=0) + 1e-300)))
-            flags.append(not settled.all())
-        out.append(tuple(flags))
-    return tuple(out)
+
+    def flag(axis, x):
+        ps = [np.full(x.size, m) for m in mid]
+        ps[axis] = x
+        return _unsettled(np.abs(pair_fn(*ps)[0]), vanish=True)
+    return tuple((flag(k, lo + (hi - lo) * _EDGE_OFFS),
+                  flag(k, hi - (hi - lo) * _EDGE_OFFS))
+                 for k, (lo, hi) in enumerate(fol.p_box))
 
 
 def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
@@ -298,17 +259,14 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
     """Integrate pointwise channels over the parameter box.
 
     pair_fn(*ps) -> (values (k, n_chan), pointwise error bounds) at
-    paired parameter arrays, one per p-axis.  Error bounds travel
-    through every integration stage as aux columns; the returned errors
-    combine them with the quadrature's own estimates.  A one-axis box
-    has the outer stage only.
-
-    The inner stage runs 5x tighter than the outer: the outer panels
-    integrate values that carry the inner stages' quadrature noise, and
-    refinement must see that noise as flat, not as structure worth
-    splitting (otherwise it digs toward box edges where pullback phases
-    degenerate and evaluation noise explodes).  Edges where a channel
-    genuinely blows up get ladders, found by probing.
+    paired parameter arrays, one per p-axis.  Error bounds travel through
+    every stage as aux columns and join the quadrature's own estimates.
+    A one-axis box has the outer stage only.  The inner stage runs 5x
+    tighter than the outer, so outer refinement sees the inner noise as
+    flat, not as structure worth splitting (or it digs toward box edges
+    where pullback phases degenerate and evaluation noise explodes).
+    Edges where a channel genuinely blows up get ladders, found by
+    probing.
     """
     sing = _probe_p_edges(pair_fn, fol)
     (a0, a1) = fol.p_box[0]
@@ -353,43 +311,49 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
     return vals, errs
 
 
-def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular):
-    """Leaf-direction integrals of cols_fn over every parameter pair.
-
-    Best-effort: pairs pinned against a degenerate box edge return
-    honest oversized error bounds (which the enclosing p-integration
-    weights and aggregates) instead of aborting the run.
-    """
+def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular,
+               chans=1):
+    """Leaf-direction integrals of cols_fn, shape (pairs, chans), its
+    channels channel-major, at most `_CHUNK` columns per integrate_batch
+    call.  Best-effort: pairs pinned against a degenerate box edge return
+    honest oversized error bounds, which the p-stage weights, instead of
+    aborting."""
     (s0, s1) = fol.s_range
     k = ps[0].size
-    vals = np.empty(k)
-    errs = np.empty(k)
-    for lo in range(0, k, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, k))
+    step = max(1, _CHUNK // chans)
+    vals = np.empty((chans, k))
+    errs = np.empty((chans, k))
+    for lo in range(0, k, step):
+        sl = slice(lo, min(lo + step, k))
         res = integrate_batch(lambda x: cols_fn(x, *(p[sl] for p in ps)),
                               s0, s1, atol=atol, rtol=rtol,
                               singular=singular, best_effort=True)
-        vals[sl] = res.value.real
-        errs[sl] = res.error
+        vals[:, sl] = res.value.real.reshape(chans, -1)
+        errs[:, sl] = res.error.reshape(chans, -1)
         if counter is not None:
             counter["s_evals"] = counter.get("s_evals", 0) + res.n_evals
-    return vals, errs
+    return vals.T, errs.T
 
 
-def _leaf_integrals(fol, cols, rtol: float, counter):
-    """(*ps) -> (values, errors): the leaf-direction integrals of the
-    nonnegative column evaluator cols(x, *pc) at paired parameter
-    arrays.  Singular endpoints and dead p-axes are probed once, here.
-    Masses and energies run at 0.01 tol, so their leaf noise never looks
-    like structure to the p refinement."""
+def _leaf_integrals(fol, cols, rtol: float, counter, chans: int = 1):
+    """(*ps) -> (values, errors), shape (pairs, chans): leaf integrals of
+    the nonnegative column evaluator cols(x, *pc), its singular endpoints
+    and dead p-axes probed once, here.  Masses and energies run at 0.01
+    tol, so their leaf noise never looks like structure to p refinement."""
     sing = _probe_singular(cols, fol)
     dep = _axis_dependence(cols, fol)
 
     def raw(*ps):
         return _s_batched(fol, cols, ps, rtol=rtol, atol=_ATOL,
-                          counter=counter, singular=sing)
+                          counter=counter, singular=sing, chans=chans)
 
     return lambda *ps: _dedup_pairs(raw, ps, dep)
+
+
+def _speed_cols_fn(q, fol):
+    """sqrt|q(Phi)| |d_s Phi1|, the q-length element, in (s, pairs)."""
+    speed = leaf_speed_fn(q, fol)
+    return lambda x, *pc: speed(column_binding(fol, x, pc))
 
 
 def _mass_cols_fn(q, fol):
@@ -406,14 +370,15 @@ def _mass_cols_fn(q, fol):
 
 
 def _ratio_fn(g_of, l_of, n: int):
-    """p-stage integrand of a modulus or an energy: channels (g / l^n, g)
-    and their error bounds, from leaf integrals g_of and lengths l_of."""
+    """p-stage integrand of a modulus or of k energies: channels
+    [g_k / l_k^n ..., g_k ...] and their error bounds, from (pairs, k)
+    leaf integrals g_of and lengths l_of (one length column serves all)."""
     def pair_fn(*ps):
         g, ge = g_of(*ps)
-        lv, le = l_of(*ps)
+        lv, le = (np.reshape(a, (len(g), -1)) for a in l_of(*ps))
         lin = 1.0 / lv ** n
-        vals = np.stack((g * lin, g), axis=1)
-        errs = np.stack((ge * lin + n * g * lin * (le / lv), ge), axis=1)
+        vals = np.column_stack((g * lin, g))
+        errs = np.column_stack((ge * lin + n * g * lin * (le / lv), ge))
         return vals, errs
     return pair_fn
 
@@ -424,15 +389,9 @@ def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
 
 
 def _q_mass(q, fol, tol: float, counter):
-    """(mass, error) of the whole family: the one-channel p-integral of
-    the leaf masses."""
+    """(mass, error) of the family: the p-integral of the leaf masses."""
     g_of = _leaf_integrals(fol, _mass_cols_fn(q, fol), 0.01 * tol, counter)
-
-    def pair_fn(*ps):
-        v, e = g_of(*ps)
-        return v[:, None], e[:, None]
-
-    vals, errs = _nested_p_integral(fol, pair_fn, 1, rtol=0.5 * tol,
+    vals, errs = _nested_p_integral(fol, g_of, 1, rtol=0.5 * tol,
                                     counter=counter)
     return float(vals[0]), float(errs[0])
 
@@ -448,7 +407,6 @@ def family_modulus(q, fol, tol: float, residual: float,
                    t0: float) -> ModulusReport:
     """M_n = int l(p)^-n int |q o Phi|^(n/2) |J| ds dp for a family that
     already passed its entry point's gates; n is the chart's exponent.
-
     `residual` is the entry point's diagnostic for residual_stats and t0
     its start time.  The report carries the q-mass in meta under
     ``q_volume`` and, when leaf lengths are constant, the gap against the
@@ -461,7 +419,8 @@ def family_modulus(q, fol, tol: float, residual: float,
     vals, errs = _nested_p_integral(fol, _ratio_fn(g_of, field.eval, n), 2,
                                     rtol=0.5 * tol, counter=counter)
     mod, vol = float(vals[0]), float(vals[1])
-    gap = abs(mod - vol / field.value ** n) if field.constant else None
+    gap = (abs(mod - vol / field.value ** n) if field.mode == "constant"
+           else None)
     meta = {"q_volume": vol, "q_volume_error": float(errs[1]),
             "field_mode": field.mode, "tol": tol,
             "elapsed": perf_counter() - t0, **counter}
@@ -469,23 +428,27 @@ def family_modulus(q, fol, tol: float, residual: float,
                          meta)
 
 
-def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
-               override_b2_check: bool = False) -> ModulusReport:
-    """Fourth-power modulus of the horizontal family carved out by q.
-
-    The foliation must be legendrian with a Jacobian that does not
-    vanish on the whole sample grid, its leaves horizontal for q, and q
-    must pass a B2-kernel spot check (`override_b2_check` downgrades a
-    failure to a warning; the modulus formula is only exact on the
-    kernel).  The report carries the q-volume in meta and, when leaf
-    lengths are constant, the gap against the constant-length shortcut.
-    """
-    t0 = perf_counter()
+def _m4_gates(q, fol):
+    """Entry gates of both 4-modulus routes: a valid legendrian chart, its
+    Jacobian not zero on the whole sample grid, its leaves horizontal."""
     fol.validate()
     if (np.abs(E.eval_array(fol.jac_a_expr, fol.grid(8))) < Q_FLOOR).all():
         raise InversionFailure("the chart's Jacobian vanishes on the whole "
                                "sample grid: its leaves sweep no volume")
     check_horizontal(q, fol, *_interior_pairs(fol, 7))
+
+
+def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
+               override_b2_check: bool = False) -> ModulusReport:
+    """Fourth-power modulus of the horizontal family carved out by q.
+
+    Past `_m4_gates`, q must pass a B2-kernel spot check
+    (`override_b2_check` downgrades a failure to a warning; the modulus
+    formula is only exact on the kernel).  The report carries the q-volume in meta and, when leaf
+    lengths are constant, the gap against the constant-length shortcut.
+    """
+    t0 = perf_counter()
+    _m4_gates(q, fol)
     b2max = _b2_spot_max(q, fol)
     if b2max > B2_GATE_TOL:
         msg = (f"max |B2 q| = {b2max:.3e} exceeds {B2_GATE_TOL:.1e} on the "
@@ -500,8 +463,7 @@ def modulus_constant_length(q: QuadDiff, fol: Foliation,
                             tol: float = 1e-8) -> ModulusReport:
     """q_volume / l^4 shortcut, valid only for constant leaf lengths."""
     t0 = perf_counter()
-    fol.validate()
-    check_horizontal(q, fol, *_interior_pairs(fol, 7))
+    _m4_gates(q, fol)
     field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
     if field.spread_rel > CONSTANT_LENGTH_RTOL:
         raise ConstantLengthViolated(
@@ -525,9 +487,8 @@ class Density:
 
     L_w = int w sqrt|q(Phi)| |d_s Phi1| ds is the leaf's w-weighted
     q-length, so every leaf integral of rho is 1.  The modifier g is an
-    expression in s and the chart's p-variables; with none (or eps = 0),
-    L_w is the field's length l and rho the extremal rho0.  Parameter
-    arguments come one array per p-axis.
+    expression in s and the chart's p-variables; unless `weighted`, L_w
+    is the field's length l and rho the extremal rho0.
     """
 
     q: QuadDiff
@@ -545,37 +506,23 @@ class Density:
                     f"modifier uses variables {sorted(extra)}; only "
                     f"({', '.join(names)}) are allowed")
 
+    @property
+    def weighted(self) -> bool:
+        return self.modifier is not None and self.eps != 0.0
+
     def _factor(self, binding, shape):
-        if self.modifier is None or self.eps == 0.0:
+        if not self.weighted:
             return np.ones(shape)
         v = E.eval_array(self.modifier, binding)
         return _full_shape(1.0 + self.eps * np.real(v), shape)
 
-    def _speed_integrals(self, tol):
-        """(*ps) -> int w sqrt|q(Phi)| |d_s Phi1| ds per leaf, at 0.1 tol."""
-        fol, speed = self.foliation, leaf_speed_fn(self.q, self.foliation)
-
-        def cols(x, *pc):
-            b = column_binding(fol, x, pc)
-            return speed(b) * self._factor(b, (x.size, pc[0].size))
-        return _leaf_integrals(fol, cols, 0.1 * tol, None)
-
     def leaf_lengths(self, tol: float = 1e-10):
         """(*ps) -> (L_w, error bounds): the field's lengths when w = 1,
-        else the weighted leaf integrals at 0.1 tol, which must not
-        collapse.  Its probes run once, here: build it once per use."""
-        if self.modifier is None or self.eps == 0.0:
+        else the weighted leaf integrals of `_weighted_lengths`."""
+        if not self.weighted:
             return self.length_field.eval
-        raw = self._speed_integrals(tol)
-
-        def lengths(*ps):
-            vals, errs = raw(*ps)
-            if vals.min() <= math.sqrt(Q_FLOOR) * self.length_field.value:
-                raise NonAdmissibleAfterRenormalization(
-                    f"a weighted leaf length collapsed to {vals.min():.3e};"
-                    " the perturbed density cannot be renormalized")
-            return vals, errs
-        return lengths
+        lengths = _weighted_lengths([self], tol)
+        return lambda *ps: tuple(a[:, 0] for a in lengths(*ps))
 
     def pullback(self, s, *ps):
         """Density values rho(Phi(s, *ps)) at broadcastable arrays."""
@@ -593,6 +540,48 @@ def extremal_density(q, fol) -> Density:
     return Density(q, fol, LeafLengthField(q, fol))
 
 
+def _weighted_cols(base, rhos, n: int):
+    """Column evaluator base(x, *pc) * w_k^n for k densities,
+    channel-major: base runs once per s-node batch and each channel is
+    written in place into one complex (nodes, k*pairs) array, the type
+    integrate_batch works in, so it makes no converted copy."""
+    def cols(x, *pc):
+        m, b = pc[0].size, column_binding(rhos[0].foliation, x, pc)
+        v, out = base(x, *pc), np.empty((x.size, len(rhos) * m), complex)
+        for j, rho in enumerate(rhos):
+            np.multiply(v, rho._factor(b, (x.size, m)) ** n,
+                        out=out[:, j * m:(j + 1) * m])
+        return out
+    return cols
+
+
+def _weighted_lengths(rhos, tol: float):
+    """(*ps) -> (L_w, error bounds) per pair and density: the field's
+    lengths where w = 1, else int w sqrt|q(Phi)| |d_s Phi1| ds, one
+    stacked s-stage at 0.1 tol, which must not collapse.  Its probes run
+    once, here: build it once per use."""
+    rho, field = rhos[0], rhos[0].length_field
+    wtd = [j for j, r in enumerate(rhos) if r.weighted]
+    if wtd:
+        speed = _speed_cols_fn(rho.q, rho.foliation)
+        raw = _leaf_integrals(rho.foliation, _weighted_cols(
+            speed, [rhos[j] for j in wtd], 1), 0.1 * tol, None, len(wtd))
+
+    def lengths(*ps):
+        out = np.empty((2, ps[0].size, len(rhos)))
+        if len(wtd) < len(rhos):
+            out[:] = np.asarray(field.eval(*ps))[:, :, None]
+        if wtd:
+            out[:, :, wtd] = raw(*ps)
+            low = out[0][:, wtd].min()
+            if low <= math.sqrt(Q_FLOOR) * field.value:
+                raise NonAdmissibleAfterRenormalization(
+                    f"a weighted leaf length collapsed to {low:.3e}; the "
+                    "perturbed density cannot be renormalized")
+        return out[0], out[1]
+    return lengths
+
+
 def admissibility_check(rho: Density, leaf_sample_count: int = 64,
                         tol: float = 1e-10):
     """Per-leaf line integrals of rho; admissible iff the min is >= 1.
@@ -604,52 +593,63 @@ def admissibility_check(rho: Density, leaf_sample_count: int = 64,
     fol = rho.foliation
     n = max(2, math.ceil(leaf_sample_count ** (1.0 / len(fol.p_box))))
     ps = _interior_pairs(fol, n)
-    v, ve = rho._speed_integrals(tol)(*ps)
-    lv, le = rho.leaf_lengths(tol)(*ps)
+    if rho.weighted:        # the numerator is L_w: integrate it once
+        v, ve = lv, le = rho.leaf_lengths(tol)(*ps)
+    else:
+        v, ve = (a[:, 0] for a in _leaf_integrals(
+            fol, _speed_cols_fn(rho.q, fol), 0.1 * tol, None)(*ps))
+        lv, le = rho.length_field.eval(*ps)
     vals = v / lv
     errs = ve / lv + np.abs(v) * le / lv ** 2
     table = np.column_stack((*ps, vals, errs))
     return float(vals.min()), table
 
 
-def density_energy(rho: Density, tol: float = 1e-8) -> float:
-    """Energy int (rho o Phi)^n |J| over the family, n the chart's
-    exponent: the modulus integral with w^n in the mass and L_w for l,
-    so the modulus itself, bit for bit, when rho is extremal."""
-    fol = rho.foliation
+def density_energies(rhos, tol: float = 1e-8) -> list:
+    """Energies int (rho_k o Phi)^n |J| of k densities that share q,
+    foliation and length field, n the chart's exponent: one stacked mass
+    s-stage, one stacked weighted-length s-stage and one p-stage over
+    the 2k channels of `_ratio_fn` (see the module docstring)."""
+    rho, fol = rhos[0], rhos[0].foliation
+    if len({(id(r.q), id(r.foliation), id(r.length_field))
+            for r in rhos}) > 1:
+        raise ValueError("densities of one batch must share q, foliation "
+                         "and length field")
     fol.validate()
-    n = fol.exponent
-    counter: dict = {}
-    mass = _mass_cols_fn(rho.q, fol)
-
-    def cols(x, *pc):
-        b = column_binding(fol, x, pc)
-        return mass(x, *pc) * rho._factor(b, (x.size, pc[0].size)) ** n
-
-    g_of = _leaf_integrals(fol, cols, 0.01 * tol, counter)
-    l_of = rho.leaf_lengths(min(1e-10, 0.02 * tol))
-    vals, _ = _nested_p_integral(fol, _ratio_fn(g_of, l_of, n), 2,
+    n, k, counter = fol.exponent, len(rhos), {}
+    mass = _weighted_cols(_mass_cols_fn(rho.q, fol), rhos, n)
+    g_of = _leaf_integrals(fol, mass, 0.01 * tol, counter, k)
+    l_of = _weighted_lengths(rhos, min(1e-10, 0.02 * tol))
+    vals, _ = _nested_p_integral(fol, _ratio_fn(g_of, l_of, n), 2 * k,
                                  rtol=0.5 * tol, counter=counter)
-    return float(vals[0])
+    return [float(v) for v in vals[:k]]
 
 
-def perturbation_probe(rho: Density, g, eps: float,
-                       tol: float = 1e-8) -> float:
-    """Energy of the renormalized perturbation of the extremal density
-    rho: (1+eps*g) sqrt|q| over its leaf's (1+eps*g)-weighted q-length.
+def density_energy(rho: Density, tol: float = 1e-8) -> float:
+    """`density_energies` of one density: the modulus, bit for bit,
+    when rho is extremal."""
+    return density_energies([rho], tol)[0]
 
-    Extremality of rho means the energy can never undercut the modulus
-    (beyond quadrature noise); the caller compares the two.  g must be
-    real and keep 1 + eps*g positive on the whole box.
-    """
+
+def perturbed_density(rho: Density, g, eps: float) -> Density:
+    """The renormalized perturbation of rho: (1+eps*g) sqrt|q| over its
+    leaf's (1+eps*g)-weighted q-length.  g, an expression or its text,
+    must be real and keep 1 + eps*g positive on the whole box."""
     g = E.parse(g) if isinstance(g, str) else g
-    rho = replace(rho, modifier=g, eps=float(eps))
     gv = E.eval_array(g, rho.foliation.grid(8))
     if np.abs(gv.imag).max() > 1e-9 * (1.0 + np.abs(gv.real).max()):
         raise ValueError("perturbation g must be real-valued")
-    low = 1.0 + eps * gv.real.min() if eps >= 0 else 1.0 + eps * gv.real.max()
+    low = 1.0 + eps * (gv.real.min() if eps >= 0 else gv.real.max())
     if low <= 0.0:
         raise ValueError(
             f"1 + eps*g reaches {low:.3g} on the box; the perturbed "
             "density would not be nonnegative")
-    return density_energy(rho, tol)
+    return replace(rho, modifier=g, eps=float(eps))
+
+
+def perturbation_probe(rho: Density, g, eps: float,
+                       tol: float = 1e-8) -> float:
+    """Energy of the `perturbed_density` of the extremal density rho,
+    which by extremality can never undercut the modulus (beyond
+    quadrature noise); the caller compares the two."""
+    return density_energies([perturbed_density(rho, g, eps)], tol)[0]

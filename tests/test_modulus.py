@@ -23,17 +23,20 @@ from heismod.errors import (
     VariableMismatch,
     ZeroLeafLength,
 )
+from heismod import modulus
 from heismod.foliation import Foliation
 from heismod.modulus import (
     Density,
     LeafLengthField,
     ModulusReport,
     admissibility_check,
+    density_energies,
     density_energy,
     extremal_density,
     modulus_constant_length,
     modulus_m4,
     perturbation_probe,
+    perturbed_density,
     q_volume,
 )
 from heismod.planar import PlanarFoliation, PlanarQD, modulus_m2
@@ -316,6 +319,14 @@ def test_m4_gate_rejects_collapsed_chart():
         modulus_m4(q_one(), fol)
 
 
+def test_constant_length_gate_rejects_collapsed_chart():
+    # the shortcut route shares modulus_m4's entry gates
+    fol = Foliation.from_strings("s + i*p1", "2*p1*s", (0.0, 1.0),
+                                 ((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(InversionFailure):
+        modulus_constant_length(q_one(), fol)
+
+
 # ---------------------------------------------------------------------------
 # metamorphic invariance under the conformal maps of the group
 #
@@ -465,6 +476,22 @@ def test_pullback_refuses_collapsed_weight():
                                     np.array([0.3]))
 
 
+def test_admissibility_integrates_weighted_columns_once(monkeypatch):
+    rho = replace(extremal_density(q0(), arc_foliation()),
+                  modifier=E.parse("cos(s) + p1"), eps=0.2)
+    calls = []
+    real = modulus._s_batched
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["chans"])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(modulus, "_s_batched", counted)
+    _, table = admissibility_check(rho, leaf_sample_count=9)
+    # the numerator is L_w itself: one batch, and every ratio exactly 1
+    assert calls == [1]
+    assert (table[:, 2] == 1.0).all()
+
+
 def test_perturbed_density_is_admissible():
     rho = replace(extremal_density(q0(), arc_foliation()),
                   modifier=E.parse("cos(s) + p1"), eps=0.2)
@@ -579,6 +606,77 @@ def test_probe_random_perturbations_never_beat_extremal():
         g = f"{c0:.6f} + {cs:.6f}*sin(s) + {c1:.6f}*p1 + {c2:.6f}*cos(p2)"
         energy = perturbation_probe(rho, g, 0.15, tol=1e-7)
         assert energy >= ref * (1 - 1e-9)
+
+
+def arc_batch():
+    rho = extremal_density(q0(), arc_foliation())
+    return [rho, perturbed_density(rho, "cos(s) + p1", 0.1),
+            perturbed_density(rho, "0.3 - sin(s) + 0.2*cos(p2)", -0.2)]
+
+
+def test_batched_energies_are_one_integral_within_each_estimate(
+        monkeypatch):
+    rhos = arc_batch()
+    p_stages, mass_batches, stacked_batches = [], [], []
+    real_p, real_mass = modulus._nested_p_integral, modulus._mass_cols_fn
+    real_weighted = modulus._weighted_cols
+
+    def spy_p(*args, **kwargs):
+        out = real_p(*args, **kwargs)
+        p_stages.append(out)
+        return out
+
+    def spy_mass(q, fol):
+        cols = real_mass(q, fol)
+
+        def counted(x, *pc):
+            mass_batches.append(pc[0].size)
+            return cols(x, *pc)
+        counted.is_mass = True
+        return counted
+
+    def spy_weighted(base, rhos, n):
+        cols = real_weighted(base, rhos, n)
+        if not getattr(base, "is_mass", False):
+            return cols
+
+        def counted(x, *pc):
+            out = cols(x, *pc)
+            stacked_batches.append(out.shape[1] // pc[0].size)
+            return out
+        return counted
+
+    monkeypatch.setattr(modulus, "_nested_p_integral", spy_p)
+    monkeypatch.setattr(modulus, "_mass_cols_fn", spy_mass)
+    monkeypatch.setattr(modulus, "_weighted_cols", spy_weighted)
+    energies = density_energies(rhos, tol=1e-6)
+    # one p-stage over the 2k channels [g_k/L_k^4 ..., g_k ...]
+    assert len(p_stages) == 1
+    vals, errs = p_stages[0]
+    assert vals.shape == (6,) and list(vals[:3]) == energies
+    # the mass expression runs once per s-node batch, shared by 3 channels
+    assert len(mass_batches) == len(stacked_batches) > 0
+    assert set(stacked_batches) == {3}
+    monkeypatch.undo()
+
+    for rho, energy, err in zip(rhos, energies, errs[:3]):
+        alone = density_energy(rho, tol=1e-6)
+        assert abs(energy - alone) <= err
+    assert energies[0] < min(energies[1:])
+
+
+def test_batched_energies_refuse_a_collapsed_channel():
+    rhos = arc_batch()
+    rhos.insert(1, replace(rhos[0], modifier=E.parse("1"), eps=-1.0))
+    with pytest.raises(NonAdmissibleAfterRenormalization):
+        density_energies(rhos, tol=1e-6)
+
+
+def test_batched_energies_need_one_family():
+    rho = extremal_density(q_one(), shear_foliation())
+    other = extremal_density(q_one(), shear_foliation())
+    with pytest.raises(ValueError):
+        density_energies([rho, other])
 
 
 def test_probe_rejects_complex_modifier():

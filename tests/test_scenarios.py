@@ -194,6 +194,15 @@ def test_run_density_checks_share_the_ladder():
     assert 1.0 < rows["perturbation"]["value"] < 1.1
 
 
+def test_annulus_horizontal_perturbation_row_is_pinned():
+    # the five probes run as one batched energy integral; its bits are
+    # those of five separate probe energies
+    rep = run_scenario(load_scenario("annulus-horizontal"))
+    rows = {r["name"]: r for r in rep.checks}
+    assert rows["perturbation"]["pass"]
+    assert rows["perturbation"]["value"] == 1.0006321061409058
+
+
 def test_run_skips_modulus_when_unneeded():
     rep = run_scenario(load_scenario("triple-kernel-residuals"))
     assert rep.passed
