@@ -52,7 +52,8 @@ class ZeroVelocity(HeismodError):
 
 
 class InversionFailure(HeismodError):
-    """Newton inversion of a parametrization did not converge."""
+    """A chart is collapsed (its Jacobian vanishes on the whole sample
+    grid) or fails the injectivity spot check."""
 
 
 class NonConvergent(HeismodError):

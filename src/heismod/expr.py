@@ -378,6 +378,10 @@ abs2 = _unary_ctor(Abs2, "abs2")
 # ---------------------------------------------------------------------------
 # parser
 
+# ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -394,26 +398,28 @@ class _Tokenizer:
         c = self.text[self.pos]
         if c in "+-*/^()":
             return ("op", c, self.pos)
-        if c.isdigit() or c == ".":
+        if c in _DIGITS or c == ".":
             j = self.pos
             n = len(self.text)
-            while j < n and self.text[j].isdigit():
+            while j < n and self.text[j] in _DIGITS:
                 j += 1
             if j < n and self.text[j] == ".":
                 j += 1
-                while j < n and self.text[j].isdigit():
+                while j < n and self.text[j] in _DIGITS:
                     j += 1
             if j < n and self.text[j] in "eE":
                 k = j + 1
                 if k < n and self.text[k] in "+-":
                     k += 1
-                if k < n and self.text[k].isdigit():
+                if k < n and self.text[k] in _DIGITS:
                     j = k
-                    while j < n and self.text[j].isdigit():
+                    while j < n and self.text[j] in _DIGITS:
                         j += 1
             tok = self.text[self.pos:j]
             if tok == ".":
                 raise ExprSyntaxError("bad number", self.pos)
+            if math.isinf(float(tok)):
+                raise ExprSyntaxError("number overflows float64", self.pos)
             return ("num", tok, self.pos)
         if c.isalpha() or c == "_":
             j = self.pos
@@ -434,14 +440,19 @@ def parse(text: str) -> Expr:
     Raises
     ------
     ExprSyntaxError
-        On malformed input; the exception carries the byte offset.
+        On malformed input, a numeric literal that overflows float64 or
+        nesting beyond the interpreter's recursion limit; the exception
+        carries the byte offset.
     UnknownIdentifier
         For identifiers outside the variable and function vocabulary.
     NonLiteralExponent
         When the right operand of ``^`` is not a real literal.
     """
     tz = _Tokenizer(text)
-    e = _parse_expr(tz)
+    try:
+        e = _parse_expr(tz)
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply", tz.pos) from None
     kind, tok, off = tz.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing {tok!r}", off)
@@ -1293,7 +1304,7 @@ def apply_field(e: Expr, field: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# scalar compilation for hot loops (ODE tracing, Newton inversion)
+# scalar compilation for the hot loop of ODE tracing
 
 _COMPILED_FUNCS = {Sqrt: "_sqrt", Exp: "_exp", Log: "_log", Sin: "_sin",
                    Cos: "_cos"}

@@ -8,9 +8,10 @@ element, the per-leaf constancy field lambda, and an ODE tracer that
 follows horizontal trajectories of a differential directly from q.
 
 The leaf functions (horizontality check, line element, leaf lengths,
-lambda) read a chart only through its family interface -- `s_range`,
-`p_box`, `p_vars`, `exponent`, `d_s1`, `jac_a_expr` and `compose` -- so
-they serve the planar charts of :mod:`heismod.planar` unchanged.
+lambda, Jacobian gate) read a chart only through its family interface
+-- `s_range`, `p_box`, `p_vars`, `exponent`, `d_s1`, `jac_a_expr`,
+`grid` and `compose` -- so they serve the planar charts of
+:mod:`heismod.planar` unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import expr as E
 from .errors import (
+    InversionFailure,
     LeftDomain,
     NegativeQ,
     NotHorizontal,
@@ -143,23 +145,22 @@ class Foliation:
         return HPoint(E.evaluate(self.phi1, b),
                       E.evaluate(self.phi2, b).real)
 
-    def grid(self, n: int, margin: float = 0.0) -> dict:
+    def grid(self, n: int) -> dict:
         (s0, s1) = self.s_range
         (a0, a1), (b0, b1) = self.p_box
-        fr = np.linspace(margin, 1.0 - margin, n) if margin else \
-            np.linspace(0.0, 1.0, n + 2)[1:-1]
+        fr = np.linspace(0.0, 1.0, n + 2)[1:-1]
         s, p1, p2 = np.meshgrid(s0 + (s1 - s0) * fr, a0 + (a1 - a0) * fr,
                                 b0 + (b1 - b0) * fr, indexing="ij")
         return {"s": s.ravel(), "p1": p1.ravel(), "p2": p2.ravel()}
 
-    def validate(self, tol: float = 1e-8, grid_n: int = 8):
+    def validate(self):
         """Enforce the construction invariants on an interior grid."""
-        g = self.grid(grid_n)
+        g = self.grid(8)
         res = E.eval_array(self.legendrian_expr, g)
         worst = float(np.abs(res).max())
-        if worst > tol:
-            raise NotLegendrian(
-                f"legendrian residual reaches {worst:.3e} (tol {tol:.1e})")
+        if worst > HORIZONTAL_TOL:
+            raise NotLegendrian(f"legendrian residual reaches {worst:.3e} "
+                                f"(tol {HORIZONTAL_TOL:.1e})")
         speed = np.abs(E.eval_array(self.d_s1, g))
         if speed.min() < Q_FLOOR:
             raise ZeroVelocity("d_s Phi1 vanishes on the parameter box")
@@ -189,22 +190,28 @@ def _binding_shape(binding):
     return np.broadcast(*binding.values()).shape
 
 
-def check_horizontal(q, fol, *ps, n_s: int = 5,
-                     tol: float = HORIZONTAL_TOL):
+def check_horizontal(q, fol, *ps):
     """Spot-check that the leaves through the parameter columns ps (one
-    array per p-axis) are horizontal."""
+    array per p-axis) are horizontal, at five interior s-nodes."""
     (s0, s1) = fol.s_range
-    svals = s0 + (s1 - s0) * np.linspace(0.0, 1.0, n_s + 2)[1:-1]
+    svals = s0 + (s1 - s0) * np.linspace(0.0, 1.0, 7)[1:-1]
     mu2 = E.eval_array(mu_squared_expr(q, fol),
                        column_binding(fol, svals, ps))
     scale = np.abs(mu2)
-    bad_imag = np.abs(mu2.imag) > tol * (scale + 1.0)
+    bad_imag = np.abs(mu2.imag) > HORIZONTAL_TOL * (scale + 1.0)
     bad_sign = mu2.real <= 0.0
     if bad_imag.any() or bad_sign.any():
         k = int(np.argmax(bad_imag | bad_sign))
         raise NotHorizontal(
             f"(q o Phi)(d_s Phi1)^2 = {mu2.ravel()[k]:.6g} is not "
             "real-positive; leaves are not horizontal for this q")
+
+
+def check_jacobian(fol):
+    """Refuse a chart whose Jacobian vanishes on the whole sample grid."""
+    if (np.abs(E.eval_array(fol.jac_a_expr, fol.grid(8))) < Q_FLOOR).all():
+        raise InversionFailure("the chart's Jacobian vanishes on the whole "
+                               "sample grid: its leaves sweep no volume")
 
 
 def leaf_speed_fn(q, fol):
@@ -238,14 +245,7 @@ def leaf_length_batch(q, fol, *ps, tol: float = 1e-10):
     return res.value.real, res.error
 
 
-def leaf_length(q, fol, p, tol: float = 1e-10):
-    """q-length of the single leaf through the parameter point p."""
-    vals, errs = leaf_length_batch(q, fol, *([v] for v in p), tol=tol)
-    return float(vals[0]), float(errs[0])
-
-
-def lambda_field_array(q, fol, binding: dict,
-                       tol: float = HORIZONTAL_TOL) -> np.ndarray:
+def lambda_field_array(q, fol, binding: dict) -> np.ndarray:
     """lambda = mu^(n-1) J / |d_s Phi1|^n over a parameter binding (a
     broadcasting dict), mu the positive leaf q-speed, n the chart's
     exponent.  Constant in s (per leaf) whenever q has vanishing B2
@@ -253,7 +253,7 @@ def lambda_field_array(q, fol, binding: dict,
     horizontal; that constancy is the tested conclusion."""
     mu2 = E.eval_array(mu_squared_expr(q, fol), binding)
     if (mu2.real <= 0.0).any() or \
-            (np.abs(mu2.imag) > tol * (np.abs(mu2) + 1.0)).any():
+            (np.abs(mu2.imag) > HORIZONTAL_TOL * (np.abs(mu2) + 1.0)).any():
         raise NegativeQ("mu^2 is not real-positive across the grid")
     mu = np.sqrt(mu2.real)
     jac = E.eval_array(fol.jac_a_expr, binding).real
@@ -278,9 +278,6 @@ class LegendrianPath:
     samples: tuple
     rk_tol: float
     stop_reason: str
-
-    def points(self):
-        return [p for _, p, _ in self.samples]
 
     def params(self):
         return np.array([s for s, _, _ in self.samples])

@@ -36,7 +36,6 @@ import numpy as np
 from . import expr as E
 from .errors import (
     ConstantLengthViolated,
-    InversionFailure,
     KernelResidualHigh,
     NonAdmissibleAfterRenormalization,
     NonConvergent,
@@ -47,6 +46,7 @@ from .foliation import (
     Foliation,
     _full_shape,
     check_horizontal,
+    check_jacobian,
     column_binding,
     leaf_speed_fn,
 )
@@ -432,9 +432,7 @@ def _m4_gates(q, fol):
     """Entry gates of both 4-modulus routes: a valid legendrian chart, its
     Jacobian not zero on the whole sample grid, its leaves horizontal."""
     fol.validate()
-    if (np.abs(E.eval_array(fol.jac_a_expr, fol.grid(8))) < Q_FLOOR).all():
-        raise InversionFailure("the chart's Jacobian vanishes on the whole "
-                               "sample grid: its leaves sweep no volume")
+    check_jacobian(fol)
     check_horizontal(q, fol, *_interior_pairs(fol, 7))
 
 

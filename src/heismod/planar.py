@@ -24,6 +24,7 @@ import numpy as np
 
 from . import expr as E
 from .errors import InversionFailure, VariableMismatch, ZeroVelocity
+from .foliation import check_jacobian
 from .modulus import ModulusReport, family_modulus
 from .qdiff import Q_FLOOR
 
@@ -124,15 +125,15 @@ class PlanarFoliation:
         return {"s": np.repeat(s0 + (s1 - s0) * fr, n),
                 "p": np.tile(p0 + (p1 - p0) * fr, n)}
 
-    def validate(self, grid_n: int = 7):
+    def validate(self):
         """Spot-check d_s Phi != 0 and injectivity on an interior grid.
 
-        grid_n = 7 puts nodes at k/8 of each range, so parameter pairs a
+        The 7x7 grid puts nodes at k/8 of each range, so parameter pairs a
         half-period apart land on common points of k-fold covers; like
         any spot check this certifies nothing, it only catches the
         natural mistakes.
         """
-        g = self.grid(grid_n)
+        g = self.grid(7)
         speed = np.abs(E.eval_array(self.d_s1, g))
         if speed.min() < Q_FLOOR:
             raise ZeroVelocity("d_s Phi vanishes on the parameter box")
@@ -156,11 +157,13 @@ def modulus_m2(q: PlanarQD, fol: PlanarFoliation,
     the worst holomorphy residual |d_wb q| seen on the chart (purely
     diagnostic, not a gate: the length/area decomposition only needs
     horizontality, which is checked, while holomorphy is what makes the
-    computed value extremal).  Horizontality is checked by the leaf-length
-    field, on its initial grid of leaves.
+    computed value extremal).  Like `modulus_m4`, it refuses a chart
+    whose Jacobian vanishes on the whole sample grid.  Horizontality is
+    checked by the leaf-length field, on its initial grid of leaves.
     """
     t0 = perf_counter()
     fol.validate()
+    check_jacobian(fol)
     w = E.eval_array(fol.phi1, fol.grid(7))
     resid = float(np.max(np.abs(
         E.eval_array(q.d_wb, {"w": w, "wb": np.conj(w)}))))

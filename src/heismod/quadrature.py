@@ -72,16 +72,6 @@ class QuadResult:
     n_evals: int
 
 
-def integrate_1d(f, a, b, **kwargs):
-    """Integrate a vectorized scalar integrand, returning (value, error).
-
-    `f` maps an (n,) array of positions to (n,) values.  All keyword
-    arguments of `integrate_batch` are accepted.
-    """
-    res = integrate_batch(lambda x: np.asarray(f(x))[:, None], a, b, **kwargs)
-    return complex(res.value[0]), float(res.error[0])
-
-
 class _Panels:
     """Panel bookkeeping.  Offsets are measured from an anchor endpoint
     (0 -> a + off, 1 -> b - off) so ladder nodes never lose precision to

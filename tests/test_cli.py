@@ -197,13 +197,23 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _collapsed_planar_chart():
+    # Phi = s + sqrt(2) p moves both parameters along one line: the chart
+    # passes the injectivity spot check, yet it sweeps no area
+    return {"name": "collapsed-planar-chart", "space": "plane", "q": "1",
+            "foliation": {"phi1": "s + 1.4142135623730951*p",
+                          "s_range": [0, 1], "p_ranges": [[0, 1]]},
+            "expected": _gate(1.0, 1e-6)}
+
+
 def test_collapsed_chart_modulus_exits_1_without_traceback(tmp_path, capsys):
     path = tmp_path / "scn.json"
-    path.write_text(json.dumps(_collapsed_chart()))
-    assert run_cli("run", str(path)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: InversionFailure")
-    assert "Traceback" not in err
+    for raw in (_collapsed_chart(), _collapsed_planar_chart()):
+        path.write_text(json.dumps(raw))
+        assert run_cli("run", str(path)) == 1, raw["name"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: InversionFailure"), err
+        assert "Traceback" not in err
 
 
 def test_lambda_spread_on_collapsed_chart_is_strict_json(tmp_path):

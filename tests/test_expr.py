@@ -6,7 +6,7 @@ from typing import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heismod import expr as E
@@ -83,6 +83,37 @@ def test_parse_errors_carry_offsets():
         E.parse("(z")
     with pytest.raises(ExprSyntaxError):
         E.parse("z^2^3")  # no chained exponents in the grammar
+
+
+def test_parse_takes_only_ascii_digits_and_finite_literals():
+    # str.isdigit accepts superscripts and other scripts' digits
+    for text, offset in [("\u00b9", 0), ("\u00b2z", 0), ("\u0663", 0),
+                         ("z + 3.\u0663", 6), ("1e999", 0), ("z^1e999", 2),
+                         ("(" * 5000 + "z", None)]:
+        with pytest.raises(ExprSyntaxError) as err:
+            E.parse(text)
+        assert offset is None or err.value.offset == offset, text
+
+
+# grammar tokens mixed with arbitrary characters, so that the text
+# reaches past the tokenizer often enough to exercise the parser
+_PARSE_TOKENS = st.sampled_from(
+    ["z", "zb", "t", "i", "w", "s", "p1", "1", "2.5", ".", "e", "E", "1e3",
+     "+", "-", "*", "/", "^", "(", ")", " ", "sqrt(", "conj(", "exp(",
+     "log(", "sin(", "\u00b2", "\u0663", "1e999"])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_PARSE_TOKENS, st.characters()),
+                max_size=24).map("".join))
+@example("\u00b9")
+def test_parse_any_text_returns_expr_or_syntax_error(text):
+    try:
+        e = E.parse(text)
+    except ExprSyntaxError as err:
+        assert 0 <= err.offset <= len(text)
+    else:
+        assert isinstance(e, Expr)
 
 
 def test_nested_conj():

@@ -23,7 +23,6 @@ from heismod.foliation import (
     LegendrianPath,
     check_horizontal,
     lambda_field_array,
-    leaf_length,
     leaf_length_batch,
     trace_trajectory,
 )
@@ -155,14 +154,15 @@ def test_jacobian_gap_on_coupled_nonlegendrian_chart():
 # leaf lengths
 
 def test_leaf_length_shear():
-    v, err = leaf_length(QuadDiff.from_string("1"), shear_foliation(2.0),
-                         (0.5, 0.5))
+    (v,), (err,) = leaf_length_batch(QuadDiff.from_string("1"),
+                                     shear_foliation(2.0), [0.5], [0.5])
     assert v == pytest.approx(2.0, rel=1e-12)
     assert err < 1e-10
 
 
 def test_leaf_length_arc_is_C():
-    v, err = leaf_length(q0(), arc_foliation(), (0.5, 2.0), tol=1e-10)
+    (v,), (err,) = leaf_length_batch(q0(), arc_foliation(), [0.5], [2.0],
+                                     tol=1e-10)
     assert v == pytest.approx(C_REF, rel=5e-10)
 
 
@@ -177,15 +177,15 @@ def test_leaf_lengths_constant_across_arc_leaves():
 
 def test_leaf_length_radius_formula():
     for y in (0.4, 1.1, 2.3):
-        v, _ = leaf_length(neg_q0(), radius_foliation(), (y, 1.0),
-                           tol=1e-10)
+        (v,), _ = leaf_length_batch(neg_q0(), radius_foliation(), [y],
+                                    [1.0], tol=1e-10)
         assert v == pytest.approx(math.log(2.0) / math.sin(y) ** (2 / 3),
                                   rel=1e-9)
 
 
 def test_leaf_length_rejects_vertical_leaves():
     with pytest.raises(NotHorizontal):
-        leaf_length(neg_q0(), arc_foliation(), (0.5, 1.0))
+        leaf_length_batch(neg_q0(), arc_foliation(), [0.5], [1.0])
     with pytest.raises(NotHorizontal):
         check_horizontal(q0(), radius_foliation(), [0.5], [1.0])
 

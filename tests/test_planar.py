@@ -30,6 +30,7 @@ from heismod.planar import (
     holomorphy_residual,
     modulus_m2,
 )
+from heismod.scenarios import load_scenario
 
 R = 2.0
 
@@ -285,3 +286,46 @@ def test_m2_varying_lengths_no_gap():
     assert rep.meta["field_mode"] == "exact"
     lo, hi, mean = rep.leaf_length_stats
     assert lo < hi
+
+
+# Moebius maps w -> m(w) carry the pair (q, Phi) to (q o m^-1 *
+# ((m^-1)')^2, m o Phi); M2 is conformally invariant
+W, WB = E.var("w"), E.var("wb")
+
+
+def _moved(q, fol, pull, factor, phi1):
+    """(factor * q o pull, chart phi1 on fol's parameter box)."""
+    coeff = E.mul(factor, E.substitute(q.coeff, pull))
+    return PlanarQD(coeff), PlanarFoliation(phi1, fol.s_range, fol.p_box)
+
+
+def inverted(q, fol):
+    # q' = q(1/w) w^-4 on the chart 1/Phi
+    one = E.const(1.0)
+    return _moved(q, fol, {"w": E.div(one, W), "wb": E.div(one, WB)},
+                  E.powr(W, -4.0), E.div(one, fol.phi1))
+
+
+def dilated(q, fol, r=1.7):
+    # q' = r^-2 q(w/r) on the chart r Phi
+    pull = {"w": E.mul(E.const(1 / r), W), "wb": E.mul(E.const(1 / r), WB)}
+    return _moved(q, fol, pull, E.const(r ** -2), E.mul(E.const(r), fol.phi1))
+
+
+def rotated(q, fol, theta=0.7):
+    # q' = e^(-2 i theta) q(e^(-i theta) w) on the chart e^(i theta) Phi
+    u = complex(math.cos(theta), math.sin(theta))
+    pull = {"w": E.mul(E.const(u.conjugate()), W), "wb": E.mul(E.const(u), WB)}
+    return _moved(q, fol, pull, E.const(u.conjugate() ** 2),
+                  E.mul(E.const(u), fol.phi1))
+
+
+@pytest.mark.parametrize("move", [inverted, dilated, rotated])
+@pytest.mark.parametrize("name", ["plane-annulus-radial",
+                                  "plane-annulus-circular"])
+def test_m2_invariant_under_moebius_maps(name, move):
+    scn = load_scenario(name)
+    base = modulus_m2(scn.q, scn.foliation)
+    rep = modulus_m2(*move(scn.q, scn.foliation))
+    assert abs(rep.modulus - base.modulus) <= \
+        rep.error_estimate + base.error_estimate

@@ -1,7 +1,6 @@
 """Quadratic differential evaluation and the three kernel operators."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,23 +8,17 @@ import pytest
 from heismod import expr as E
 from heismod.errors import (
     DivisionNearZero,
-    NegativeQ,
     NonLegendrianTangent,
     VariableMismatch,
-    ZeroVelocity,
 )
 from heismod.foliation import Foliation
 from heismod.heis import HPoint, HTangent
 from heismod.qdiff import (
-    PullbackField,
     QuadDiff,
     b2_residual,
     d2doubleprime_residual,
     d2prime_residual,
     eval_q,
-    eval_q_array,
-    invert_foliation,
-    q_from_foliation,
     q_on_tangent,
 )
 
@@ -39,21 +32,9 @@ RAD_PHI1 = "sqrt(exp(s)*sin(p1)) * exp(i*(p2 - (s/2)*cos(p1)/sin(p1)))"
 RAD_PHI2 = "exp(s)*cos(p1)"
 
 
-@dataclass(frozen=True)
-class Box:
-    """The parts of a Foliation that the qdiff helpers read."""
-
-    phi1: object
-    phi2: object
-    s_range: tuple
-    p_box: tuple
-
-    grid = Foliation.grid
-
-
 def arc_foliation(r=2.0):
-    return Box(E.parse(ARC_PHI1), E.parse(ARC_PHI2),
-               (0.0, math.pi), ((0.0, 2 * math.log(r)), (0.0, 2 * math.pi)))
+    return Foliation(E.parse(ARC_PHI1), E.parse(ARC_PHI2), (0.0, math.pi),
+                     ((0.0, 2 * math.log(r)), (0.0, 2 * math.pi)))
 
 
 def annulus_points(rng, n, r=2.0):
@@ -82,7 +63,7 @@ def test_eval_q0_matches_hand_form():
     q = QuadDiff.from_string(Q0_TEXT)
     rng = np.random.default_rng(21)
     z, t = annulus_points(rng, 40)
-    got = eval_q_array(q, z, t)
+    got = E.eval_array(q.coeff, {"z": z, "zb": z.conj(), "t": t})
     want = (np.conj(z) ** 2 * (t ** 2 + np.abs(z) ** 4) ** (2 / 3)
             / (np.abs(z) ** (8 / 3) * (t + 1j * np.abs(z) ** 2) ** 2))
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
@@ -261,75 +242,3 @@ def test_residuals_match_finite_differences():
     d2pp_fd = 2 * qv(z0, t0) * Zb(lambda z, t: Zb(qv, z, t), z0, t0) \
         - Zb(qv, z0, t0) ** 2
     assert d2doubleprime_residual(q, p) == pytest.approx(d2pp_fd, rel=2e-4)
-
-
-# ---------------------------------------------------------------------------
-# pullback construction
-
-def shear_foliation(a=2.0, b1=1.0, b2=1.0):
-    return Box(E.parse("s + i*p1"), E.parse("p2 + 2*p1*s"),
-               (0.0, a), ((0.0, b1), (0.0, b2)))
-
-
-def test_q_from_foliation_shear():
-    field = q_from_foliation(shear_foliation(), E.parse("1"))
-    assert isinstance(field, PullbackField)
-    for s, p1, p2 in [(0.5, 0.2, 0.9), (1.7, 0.9, 0.1)]:
-        assert field.at(s, p1, p2) == pytest.approx(1.0)
-
-
-def test_q_from_foliation_matches_annulus_pullback():
-    # f = q0 on arc tangents; the pullback field must equal q0 at Phi
-    fol = arc_foliation()
-    f = E.parse("1/(4*sin(s)^(4/3))")
-    field = q_from_foliation(fol, f)
-    q0 = QuadDiff.from_string(Q0_TEXT)
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        b = {"s": rng.uniform(0.3, math.pi - 0.3),
-             "p1": rng.uniform(0.1, 1.2), "p2": rng.uniform(0.0, 6.0)}
-        u = (b["s"], b["p1"], b["p2"])
-        p = HPoint(E.evaluate(fol.phi1, b), E.evaluate(fol.phi2, b).real)
-        assert field.at(*u) == pytest.approx(eval_q(q0, p), rel=1e-10)
-
-
-def test_q_from_foliation_rejects_bad_data():
-    fol = shear_foliation()
-    with pytest.raises(NegativeQ):
-        q_from_foliation(fol, E.parse("s - 10"))
-    with pytest.raises(NegativeQ):
-        q_from_foliation(fol, E.parse("i + s"))
-    flat = Box(E.parse("p1 + i*p2"), E.parse("0*s"),
-               (0.0, 1.0), ((0.1, 1.0), (0.1, 1.0)))
-    with pytest.raises(ZeroVelocity):
-        q_from_foliation(flat, E.parse("1"))
-
-
-def test_invert_foliation_round_trip():
-    fol = shear_foliation()
-    u0 = (0.31, 0.74, 0.25)
-    b = dict(zip(("s", "p1", "p2"), u0))
-    target = HPoint(E.evaluate(fol.phi1, b), E.evaluate(fol.phi2, b).real)
-    u = invert_foliation(fol, target)
-    assert np.allclose(u, u0, atol=1e-9)
-
-    fol2 = arc_foliation()
-    u0 = (1.1, 0.8, 2.3)
-    b = dict(zip(("s", "p1", "p2"), u0))
-    target = HPoint(E.evaluate(fol2.phi1, b), E.evaluate(fol2.phi2, b).real)
-    u = invert_foliation(fol2, target)
-    assert np.allclose(u, u0, atol=1e-8)
-
-
-def test_invert_foliation_failure_outside_image():
-    from heismod.errors import InversionFailure
-    with pytest.raises(InversionFailure):
-        invert_foliation(shear_foliation(), HPoint(50 + 50j, 1e4))
-
-
-def test_pullback_at_point():
-    fol = shear_foliation()
-    field = q_from_foliation(fol, E.parse("1 + s"))
-    b = {"s": 0.6, "p1": 0.4, "p2": 0.8}
-    p = HPoint(E.evaluate(fol.phi1, b), E.evaluate(fol.phi2, b).real)
-    assert field.at_point(p) == pytest.approx(1.6, rel=1e-9)

@@ -19,9 +19,14 @@ from heismod.quadrature import (
     _WK,
     QuadResult,
     _tail_limits,
-    integrate_1d,
     integrate_batch,
 )
+
+
+def integrate_1d(f, a, b, **kwargs):
+    """(value, error) of one vectorized scalar integrand."""
+    res = integrate_batch(lambda x: np.asarray(f(x))[:, None], a, b, **kwargs)
+    return complex(res.value[0]), float(res.error[0])
 
 
 def test_gauss_kronrod_constants_solve_moment_equations():
