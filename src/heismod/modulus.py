@@ -254,6 +254,14 @@ def _probe_p_edges(pair_fn, fol):
                  for k, (lo, hi) in enumerate(fol.p_box))
 
 
+def _carried(res, start):
+    """Integrated error channels, columns `start` on, of a QuadResult:
+    a channel whose own quadrature error is not finite (some node bound
+    was inf, and its panel was zeroed) carries an infinite bound."""
+    return np.where(np.isfinite(res.error[start:]), res.value[start:],
+                    np.inf)
+
+
 def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
                        counter: dict):
     """Integrate pointwise channels over the parameter box.
@@ -289,8 +297,8 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
                               singular=sing[1], initial_panels=4,
                               aux_cols=blk, best_effort=True)
         counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
-        v = res.value[:blk].real.reshape(n1, n_chan)
-        pe = res.value[blk:].real.reshape(n1, n_chan)
+        v = res.value[:blk].reshape(n1, n_chan)
+        pe = _carried(res, blk).reshape(n1, n_chan)
         qe = res.error[:blk].reshape(n1, n_chan)
         return np.hstack((v, pe + qe))
 
@@ -298,8 +306,8 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
                           singular=sing[0], initial_panels=4,
                           aux_cols=n_chan)
     counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
-    vals = res.value[:n_chan].real
-    errs = res.error[:n_chan] + res.value[n_chan:].real
+    vals = res.value[:n_chan]
+    errs = res.error[:n_chan] + _carried(res, n_chan)
     # the outer quadrature enforced its own budget; the aggregated
     # pointwise channels must stay commensurate or the result is junk
     bad = errs > 8.0 * (_ATOL + 2.0 * rtol * np.abs(vals))
@@ -328,7 +336,7 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular,
         res = integrate_batch(lambda x: cols_fn(x, *(p[sl] for p in ps)),
                               s0, s1, atol=atol, rtol=rtol,
                               singular=singular, best_effort=True)
-        vals[:, sl] = res.value.real.reshape(chans, -1)
+        vals[:, sl] = res.value.reshape(chans, -1)
         errs[:, sl] = res.error.reshape(chans, -1)
         if counter is not None:
             counter["s_evals"] = counter.get("s_evals", 0) + res.n_evals
@@ -541,11 +549,11 @@ def extremal_density(q, fol) -> Density:
 def _weighted_cols(base, rhos, n: int):
     """Column evaluator base(x, *pc) * w_k^n for k densities,
     channel-major: base runs once per s-node batch and each channel is
-    written in place into one complex (nodes, k*pairs) array, the type
-    integrate_batch works in, so it makes no converted copy."""
+    written in place into one float64 (nodes, k*pairs) array, which
+    integrate_batch takes as it is."""
     def cols(x, *pc):
         m, b = pc[0].size, column_binding(rhos[0].foliation, x, pc)
-        v, out = base(x, *pc), np.empty((x.size, len(rhos) * m), complex)
+        v, out = base(x, *pc), np.empty((x.size, len(rhos) * m))
         for j, rho in enumerate(rhos):
             np.multiply(v, rho._factor(b, (x.size, m)) ** n,
                         out=out[:, j * m:(j + 1) * m])

@@ -22,6 +22,8 @@ Batch calls share one panel subdivision across all integrand columns;
 refinement is driven by whichever column is furthest from its own
 tolerance.  Node positions inside a ladder are computed as exact dyadic
 offsets from the endpoint, never by subtracting nearly equal floats.
+The arithmetic follows the integrand's dtype: real columns stay float64
+from the nodes to the result, complex ones run in complex128.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ _MAX_ROUNDS = 48
 class QuadResult:
     """Integral values per column with absolute error estimates."""
 
-    value: np.ndarray      # (m,) complex128
+    value: np.ndarray      # (m,) float64 or complex128, as the integrand
     error: np.ndarray      # (m,) float64
     n_evals: int
 
@@ -84,7 +86,7 @@ class _Panels:
         self.anc = np.empty(0, np.int8)
         self.side = np.empty(0, np.int8)    # -1 left ladder, 0 mid, 1 right
         self.cell = np.empty(0, np.int32)
-        self.vals = None                    # (n, m) complex
+        self.vals = None                    # (n, m) integrand dtype
         self.errs = None                    # (n, m) float
 
     def positions(self, olo, ohi, anc):
@@ -97,23 +99,29 @@ class _Panels:
 def _panel_rule(fx, hw):
     """Kronrod value and scaled error estimate per panel and column.
 
-    fx: (n, 15, m) complex at the nodes; hw: (n,) half-widths.
+    fx: (n, 15, m) float64 or complex128 at the nodes, whose dtype the
+    values keep; hw: (n,) half-widths.  One node-sized float64 scratch
+    array (a real fx's own deviation) holds |fx - mean| for resasc, then
+    |fx| for resabs and the finiteness mask.  A panel holding inf or nan
+    is zeroed with an infinite error, silently.
     """
-    i15 = np.einsum("pnc,n->pc", fx, _WK) * hw[:, None]
-    i7 = np.einsum("pnc,n->pc", fx, _WG15) * hw[:, None]
-    fabs = np.abs(fx)
-    resasc = np.einsum("pnc,n->pc",
-                       np.abs(fx - (i15 / (2.0 * hw[:, None]))[:, None, :]),
-                       _WK) * hw[:, None]
-    diff = np.abs(i15 - i7)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        i15 = np.einsum("pnc,n->pc", fx, _WK) * hw[:, None]
+        i7 = np.einsum("pnc,n->pc", fx, _WG15) * hw[:, None]
+        # the mean as i15 times 1/(2 hw), rounded as numpy's complex by
+        # real division rounds it: real columns keep complex bits
+        dev = fx - (i15 * (1.0 / (2.0 * hw))[:, None])[:, None, :]
+        mag = np.abs(dev, out=dev if dev.dtype == np.float64 else None)
+        del dev
+        resasc = np.einsum("pnc,n->pc", mag, _WK) * hw[:, None]
+        diff = np.abs(i15 - i7)
         scaled = resasc * np.minimum(
             1.0, (200.0 * diff / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
-    err = np.where(resasc > 0, scaled, diff)
-    # QUADPACK's roundoff floor: the 15-term sum is no better than this
-    resabs = np.einsum("pnc,n->pc", fabs, _WK) * hw[:, None]
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    ok = np.isfinite(fabs).all(axis=1)
+        err = np.where(resasc > 0, scaled, diff)
+        # QUADPACK's roundoff floor: the 15-term sum is no better than this
+        resabs = np.einsum("pnc,n->pc", np.abs(fx, out=mag), _WK) * hw[:, None]
+        err = np.maximum(err, 50.0 * _EPS * resabs)
+        ok = np.isfinite(mag).all(axis=1)
     i15 = np.where(ok, i15, 0.0)
     err = np.where(ok, err, np.inf)
     return i15, err
@@ -159,18 +167,18 @@ def _tail_limits(cells, noise, aux, strict=True):
     every column from per-cell sums.  Returns (partial sum, limit,
     uncertainty) per column.
 
-    cells: (m, levels) complex, C-contiguous, one row per integrand
-    column, ordered outermost cell first; noise: (m,) floors below which
-    the innermost cell is taken as resolved; aux: (m,) bool marks
-    columns that never raise and fall back to (partial sum, 0) when
-    their tail cannot be resolved.
+    cells: (m, levels) float64 or complex128, C-contiguous, one row per
+    integrand column, ordered outermost cell first; noise: (m,) floors
+    below which the innermost cell is taken as resolved; aux: (m,) bool
+    marks columns that never raise and fall back to (partial sum, 0)
+    when their tail cannot be resolved.
 
     Pure power behavior makes the running sums a geometric sequence, which
     one Aitken pass resolves exactly; corrections to the leading power add
     further transients that extra passes absorb.  The uncertainty combines
     the final pass spread with the limit's sensitivity to dropping the two
     oldest input terms.  Magnitudes of single values use hypot, matching
-    the scalar complex abs bit for bit.
+    the scalar complex abs bit for bit, and |x| itself on real cells.
     """
     total = cells.sum(axis=1)
     limit = total.copy()
@@ -215,7 +223,7 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
     Parameters
     ----------
     f : callable mapping (n,) positions to (n, m) values (or (n,) for a
-        single column).
+        single column), real or complex; `value` has the same kind.
     singular : pair of bools; flag an endpoint to enable its geometric
         ladder and tail extrapolation.  Unflagged endpoints are handled
         by ordinary bisection, which assumes the integrand is smooth
@@ -296,11 +304,12 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
             fx = np.asarray(f(pos.ravel()))
         if fx.ndim == 0:
             # constant integrand: expand to one full column
-            fx = np.full(pos.size, complex(fx))
+            fx = np.full(pos.size, fx)
         if fx.ndim == 1:
             fx = fx[:, None]
         m = fx.shape[-1]
-        fx = fx.astype(np.complex128, copy=False).reshape(len(olo), 15, m)
+        kind = np.complex128 if np.iscomplexobj(fx) else np.float64
+        fx = fx.astype(kind, copy=False).reshape(len(olo), 15, m)
         vals, errs = _panel_rule(fx, 0.5 * (ohi - olo))
         ps.olo = np.concatenate((ps.olo, olo))
         ps.ohi = np.concatenate((ps.ohi, ohi))
@@ -385,15 +394,14 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
 
     def finalize():
         value, tgt = targets()
-        value = value.astype(np.complex128, copy=True)
-        error = ps.errs.sum(axis=0).astype(float)
+        error = ps.errs.sum(axis=0)
         m = ps.vals.shape[1]
         aux = np.arange(m) >= m - aux_cols
         for sd, flag in ((-1, sing_l), (1, sing_r)):
             if not flag:
                 continue
             mask = ps.side == sd
-            cells = np.zeros((_LADDER_LEVELS, m), np.complex128)
+            cells = np.zeros((_LADDER_LEVELS, m), ps.vals.dtype)
             np.add.at(cells, ps.cell[mask], ps.vals[mask])
             # one contiguous row per column, so a row sum is the same
             # pairwise sum as a sum over that column alone

@@ -143,6 +143,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise
     except (HeismodError, ValueError, KeyError) as exc:
         raise _fail(f"{name}: {exc}") from exc
+    except RecursionError:
+        raise _fail(f"{name}: expression too deep") from None
 
     tol_raw = _optional(raw, "tolerances", dict, name)
     tolerances = {"quad_tol": 1e-8, "rk_tol": 1e-9, "residual_tol": 1e-9}

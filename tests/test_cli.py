@@ -150,6 +150,12 @@ def _chart(**over):
                  id="rtol-negative"),
     pytest.param({"expected": _gate(0.125, False)}, "rtol > 0",
                  id="rtol-bool"),
+    pytest.param({"q": "+".join(["z*0.001"] * 3000)}, "too deep",
+                 id="heisenberg-long-sum"),
+    pytest.param({"space": "plane", "q": "+".join(["w*0.001"] * 3000),
+                  "foliation": {"phi1": "s + i*p", "s_range": [0, 1],
+                                "p_ranges": [[0, 1]]}, "checks": []},
+                 "too deep", id="plane-long-sum"),
 ])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, capsys,
                                                       over, fragment):
@@ -214,6 +220,20 @@ def test_collapsed_chart_modulus_exits_1_without_traceback(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: InversionFailure"), err
         assert "Traceback" not in err
+
+
+def test_divergent_leaf_lengths_exit_1_without_traceback(tmp_path, capsys):
+    # leaf lengths int_0^1 ds/s diverge: no modulus to report
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({
+        "name": "radial-log", "space": "plane", "q": "w^(-2)",
+        "foliation": {"phi1": "s*exp(i*p)", "s_range": [0, 1],
+                      "p_ranges": [[0, 1]]},
+        "expected": _gate(1.0, 1e-6)}))
+    assert run_cli("run", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonConvergent"), err
+    assert "Traceback" not in err
 
 
 def test_lambda_spread_on_collapsed_chart_is_strict_json(tmp_path):

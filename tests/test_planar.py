@@ -14,6 +14,7 @@ from heismod import expr as E
 from heismod.errors import (
     InversionFailure,
     NegativeQ,
+    NonConvergent,
     NotHorizontal,
     VariableMismatch,
     ZeroVelocity,
@@ -269,6 +270,16 @@ def test_m2_circular_annulus_and_product():
                                          rel=1e-8)
     rad = modulus_m2(q_radial(), radial_annulus(), tol=1e-9)
     assert rad.modulus * circ.modulus == pytest.approx(1.0, rel=1e-8)
+
+
+def test_m2_divergent_leaf_lengths_raise():
+    # radii from the origin under q = 1/w^2: every leaf length
+    # int_0^1 ds/s diverges.  Its infinite error bound must survive the
+    # p-stage rather than leave a confident modulus of the truncated sum.
+    fol = PlanarFoliation.from_strings("s*exp(i*p)", (0.0, 1.0), (0.0, 1.0))
+    for tol in (1e-4, 1e-8):
+        with pytest.raises(NonConvergent, match="aggregated error inf"):
+            modulus_m2(PlanarQD.from_string("w^(-2)"), fol, tol=tol)
 
 
 def test_m2_rejects_wrong_sign_differential():

@@ -1,6 +1,7 @@
 """Quadrature oracles: gamma-function identities and guard behavior."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,6 +102,61 @@ def test_batch_columns_and_complex():
     assert abs(res.value[2] - (math.sin(1) + 1j * (1 - math.cos(1)))) < 1e-11
     assert res.n_evals > 0
     assert (res.error <= 1e-12 + 1e-10 * np.abs(res.value) + 1e-300).all()
+
+
+def _mixed_columns(x):
+    # real columns with endpoint blowups of both sides and a smooth one
+    return np.stack([x ** -0.5, (1.0 - x) ** -0.7, np.cos(3.0 * x)], axis=1)
+
+
+def test_real_columns_stay_real_and_agree_with_their_complex_cast():
+    real = integrate_batch(_mixed_columns, 0.0, 1.0, atol=1e-12, rtol=1e-10)
+    cplx = integrate_batch(lambda x: _mixed_columns(x).astype(complex),
+                           0.0, 1.0, atol=1e-12, rtol=1e-10)
+    assert real.value.dtype == np.float64
+    assert cplx.value.dtype == np.complex128
+    assert real.error.dtype == cplx.error.dtype == np.float64
+    assert real.n_evals == cplx.n_evals
+    assert (cplx.value.imag == 0.0).all()
+    assert (np.abs(real.value - cplx.value.real)
+            <= real.error + cplx.error).all()
+
+
+def test_constant_integrand_keeps_its_dtype():
+    assert integrate_batch(lambda x: 2.0, 0.0, 1.0).value.dtype == np.float64
+    res = integrate_batch(lambda x: 2.0 + 1.0j, 0.0, 1.0)
+    assert res.value.dtype == np.complex128
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_infinite_node_raises_no_runtime_warning(kind):
+    def f(x):
+        return np.where(x > 0.5, np.inf, 1.0).astype(kind)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = integrate_batch(f, 0.0, 1.0, singular=(False, False),
+                              best_effort=True)
+    assert not np.isfinite(res.error[0])
+
+
+def test_real_batch_peak_memory_is_a_few_node_batches():
+    # 2,048 real columns of sin(s)^(-2/3) k_j on [0, pi]: the first node
+    # batch, 68 panels (two 30-cell ladders and 8 interior) x 15 nodes,
+    # is the largest array of the call.  The integrand's own array, one
+    # scratch array in the panel rule and per-panel results fit in three
+    # of it; casting the columns to complex128 took more than six.
+    k = np.linspace(1.0, 2.0, 2048)
+    batch = 68 * 15 * k.size * 8
+    tracemalloc.start()
+    try:
+        res = integrate_batch(lambda s: (np.sin(s) ** (-2 / 3))[:, None] * k,
+                              0.0, math.pi, rtol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_evals == 68 * 15
+    assert peak < 3.0 * batch
 
 
 def test_reversed_bounds_negate():

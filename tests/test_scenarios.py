@@ -200,7 +200,7 @@ def test_annulus_horizontal_perturbation_row_is_pinned():
     rep = run_scenario(load_scenario("annulus-horizontal"))
     rows = {r["name"]: r for r in rep.checks}
     assert rows["perturbation"]["pass"]
-    assert rows["perturbation"]["value"] == 1.0006321061409058
+    assert rows["perturbation"]["value"] == 1.0006321061409065
 
 
 def test_run_skips_modulus_when_unneeded():
