@@ -238,8 +238,8 @@ def leaf_length_batch(q, fol, *ps, tol: float = 1e-10):
     speed = leaf_speed_fn(q, fol)
     (s0, s1) = fol.s_range
 
-    def integrand(x):
-        return speed(column_binding(fol, x, ps))
+    def integrand(x, cols):
+        return speed(column_binding(fol, x, ps))[:, cols]
 
     res = integrate_batch(integrand, s0, s1, atol=tol * 1e-2, rtol=tol)
     return res.value.real, res.error

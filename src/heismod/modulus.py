@@ -279,7 +279,7 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
     sing = _probe_p_edges(pair_fn, fol)
     (a0, a1) = fol.p_box[0]
 
-    def outer(x1):
+    def outer(x1, cols):
         x1 = np.asarray(x1, dtype=float)
         if len(fol.p_box) == 1:
             return np.hstack(pair_fn(x1))
@@ -287,7 +287,7 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
         n1 = x1.size
         blk = n1 * n_chan
 
-        def inner(x2):
+        def inner(x2, cols):
             x2 = np.asarray(x2, dtype=float)
             vals, perr = pair_fn(np.tile(x1, x2.size), np.repeat(x2, n1))
             return np.hstack((vals.reshape(x2.size, blk),
@@ -323,7 +323,10 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular,
                chans=1):
     """Leaf-direction integrals of cols_fn, shape (pairs, chans), its
     channels channel-major, at most `_CHUNK` columns per integrate_batch
-    call.  Best-effort: pairs pinned against a degenerate box edge return
+    call.  Once columns converge, integrate_batch asks for the live ones
+    only: channel-major column c of a chunk of n pairs is pair c % n, so
+    each call evaluates the live pairs once and picks its channels.
+    Best-effort: pairs pinned against a degenerate box edge return
     honest oversized error bounds, which the p-stage weights, instead of
     aborting."""
     (s0, s1) = fol.s_range
@@ -332,14 +335,23 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular,
     vals = np.empty((chans, k))
     errs = np.empty((chans, k))
     for lo in range(0, k, step):
-        sl = slice(lo, min(lo + step, k))
-        res = integrate_batch(lambda x: cols_fn(x, *(p[sl] for p in ps)),
-                              s0, s1, atol=atol, rtol=rtol,
+        pc = [p[lo:lo + step] for p in ps]
+
+        def f(x, cols):
+            if isinstance(cols, slice):
+                return cols_fn(x, *pc)
+            chan, pair = np.divmod(cols, pc[0].size)
+            pairs, at = np.unique(pair, return_inverse=True)
+            v = cols_fn(x, *(p[pairs] for p in pc))
+            return v if chans == 1 else v[:, chan * pairs.size + at]
+
+        res = integrate_batch(f, s0, s1, atol=atol, rtol=rtol,
                               singular=singular, best_effort=True)
-        vals[:, sl] = res.value.reshape(chans, -1)
-        errs[:, sl] = res.error.reshape(chans, -1)
+        vals[:, lo:lo + step] = res.value.reshape(chans, -1)
+        errs[:, lo:lo + step] = res.error.reshape(chans, -1)
         if counter is not None:
             counter["s_evals"] = counter.get("s_evals", 0) + res.n_evals
+            counter["s_points"] = counter.get("s_points", 0) + res.n_points
     return vals.T, errs.T
 
 

@@ -19,9 +19,14 @@ mis-integrated (the cell-mass ratio guard), as is anything whose cell
 masses refuse to decay, e.g. 1/u.
 
 Batch calls share one panel subdivision across all integrand columns;
-refinement is driven by whichever column is furthest from its own
-tolerance.  Node positions inside a ladder are computed as exact dyadic
-offsets from the endpoint, never by subtracting nearly equal floats.
+only the columns that fail their tolerance score panels for splitting.
+A column whose panel error is already within a tenth of its tolerance
+when a split is due retires: its ladder tails are finalized then, and
+no later round evaluates it.  Retiring a column that does not fail
+leaves the split sequence as it was, so the columns still live keep
+their bits.  Node positions inside a ladder are computed as exact
+dyadic offsets from the endpoint, never by subtracting nearly equal
+floats.
 The arithmetic follows the integrand's dtype: real columns stay float64
 from the nodes to the result, complex ones run in complex128.
 """
@@ -71,7 +76,8 @@ class QuadResult:
 
     value: np.ndarray      # (m,) float64 or complex128, as the integrand
     error: np.ndarray      # (m,) float64
-    n_evals: int
+    n_evals: int           # nodes
+    n_points: int          # nodes times the columns evaluated there
 
 
 class _Panels:
@@ -222,8 +228,14 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
 
     Parameters
     ----------
-    f : callable mapping (n,) positions to (n, m) values (or (n,) for a
-        single column), real or complex; `value` has the same kind.
+    f : callable ``f(x, cols)`` mapping (n,) positions to the columns
+        `cols` of its (n, m) values (or (n,) for one column), real or
+        complex; `value` has the same kind.  `cols` is ``slice(None)`` on
+        the first call, then the ascending indices of the live columns,
+        so ``f(x)[:, cols]`` always answers.  When a split is due, every
+        column whose summed panel error is within 0.1 (atol +
+        rtol*|value|), the stricter budget, retires; a batch with
+        `aux_cols` retires none.  `n_evals` counts nodes.
     singular : pair of bools; flag an endpoint to enable its geometric
         ladder and tail extrapolation.  Unflagged endpoints are handled
         by ordinary bisection, which assumes the integrand is smooth
@@ -265,7 +277,8 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
     sing_l, sing_r = bool(singular[0]), bool(singular[1])
 
     ps = _Panels(a, b)
-    n_evals = 0
+    n_evals = n_points = 0
+    live = slice(None)          # the caller's columns still evaluated
 
     def build_initial():
         olo, ohi, anc, side, cell = [], [], [], [], []
@@ -297,11 +310,11 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
                 np.array(side, np.int8), np.array(cell, np.int32))
 
     def eval_and_append(olo, ohi, anc, side, cell):
-        nonlocal n_evals
+        nonlocal n_evals, n_points
         pos = ps.positions(olo, ohi, anc)
         n_evals += pos.size
         with np.errstate(all="ignore"):
-            fx = np.asarray(f(pos.ravel()))
+            fx = np.asarray(f(pos.ravel(), live))
         if fx.ndim == 0:
             # constant integrand: expand to one full column
             fx = np.full(pos.size, fx)
@@ -309,6 +322,7 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
             fx = fx[:, None]
         m = fx.shape[-1]
         kind = np.complex128 if np.iscomplexobj(fx) else np.float64
+        n_points += pos.size * m
         fx = fx.astype(kind, copy=False).reshape(len(olo), 15, m)
         vals, errs = _panel_rule(fx, 0.5 * (ohi - olo))
         ps.olo = np.concatenate((ps.olo, olo))
@@ -323,28 +337,38 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
             ps.errs = np.concatenate((ps.errs, errs))
 
     eval_and_append(*build_initial())
-    if aux_cols and ps.vals.shape[1] <= aux_cols:
+    m = ps.vals.shape[1]
+    if aux_cols and m <= aux_cols:
         raise ValueError("aux_cols must be fewer than the integrand columns")
+    value, error = np.empty(m, ps.vals.dtype), np.empty(m)
     width_floor = 32.0 * _EPS * max(1.0, abs(a), abs(b))
     rounds = 0
-
-    def targets():
-        value = ps.vals.sum(axis=0)
-        return value, atol + rtol * np.abs(value)
 
     def main_cols(arr):
         return arr[..., :arr.shape[-1] - aux_cols] if aux_cols else arr
 
+    def target():
+        return main_cols(atol + rtol * np.abs(ps.vals.sum(axis=0)))
+
     def refine_to(budget_frac):
-        nonlocal rounds
+        nonlocal rounds, live
         stall = 0
         prev_excess = None
         while rounds < _MAX_ROUNDS and len(ps.olo) < _MAX_PANELS:
-            value, tgt = (main_cols(x) for x in targets())
+            tgt = target()
             perr = main_cols(ps.errs.sum(axis=0))
             failing = perr > budget_frac * tgt
             if not failing.any():
                 return True
+            # a split is due: columns within the stricter budget retire
+            # with their tails, and no later round evaluates them
+            if not aux_cols and (done := perr <= 0.1 * tgt).any():
+                ids = np.arange(m)[live]
+                value[ids[done]], error[ids[done]] = finalize(done)
+                stay = ~done
+                live = ids[stay]
+                ps.vals, ps.errs = ps.vals[:, stay], ps.errs[:, stay]
+                perr, tgt, failing = perr[stay], tgt[stay], failing[stay]
             excess = float(np.minimum(
                 np.maximum(perr - budget_frac * tgt, 0.0), 1e300).sum())
             # splitting panels cannot beat an evaluation-noise floor;
@@ -389,20 +413,23 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
             ps.vals, ps.errs = ps.vals[keep_mask], ps.errs[keep_mask]
             eval_and_append(olo, ohi, anc, side, cell)
             rounds += 1
-        value, tgt = (main_cols(x) for x in targets())
+        tgt = target()
         return not (main_cols(ps.errs.sum(axis=0)) > budget_frac * tgt).any()
 
-    def finalize():
-        value, tgt = targets()
-        error = ps.errs.sum(axis=0)
-        m = ps.vals.shape[1]
-        aux = np.arange(m) >= m - aux_cols
+    def finalize(cols=slice(None)):
+        """Values and errors, ladder tails included, of live columns."""
+        vals = ps.vals[:, cols]
+        value = vals.sum(axis=0)
+        tgt = atol + rtol * np.abs(value)
+        error = ps.errs[:, cols].sum(axis=0)
+        k = vals.shape[1]
+        aux = np.arange(k) >= k - aux_cols
         for sd, flag in ((-1, sing_l), (1, sing_r)):
             if not flag:
                 continue
             mask = ps.side == sd
-            cells = np.zeros((_LADDER_LEVELS, m), ps.vals.dtype)
-            np.add.at(cells, ps.cell[mask], ps.vals[mask])
+            cells = np.zeros((_LADDER_LEVELS, k), vals.dtype)
+            np.add.at(cells, ps.cell[mask], vals[mask])
             # one contiguous row per column, so a row sum is the same
             # pairwise sum as a sum over that column alone
             total, lim, unc = _tail_limits(np.ascontiguousarray(cells.T),
@@ -414,12 +441,12 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
 
     for budget in (0.5, 0.1):
         refine_to(budget)
-        value, error = finalize()
+        value[live], error[live] = finalize()
         tgt = atol + rtol * np.abs(value)
         if not (main_cols(error) > main_cols(tgt)).any():
-            return QuadResult(sign * value, error, n_evals)
+            return QuadResult(sign * value, error, n_evals, n_points)
     if best_effort:
-        return QuadResult(sign * value, error, n_evals)
+        return QuadResult(sign * value, error, n_evals, n_points)
     ratio = main_cols(error) / np.maximum(main_cols(tgt), 1e-300)
     bad = int(np.argmax(ratio))
     raise NonConvergent(

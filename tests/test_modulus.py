@@ -9,6 +9,7 @@ the shear family, never this package's own quadrature).
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -297,6 +298,58 @@ def test_m4_refinement_is_consistent():
     tight = modulus_m4(q0(), arc_foliation(), tol=5e-7)
     gap = abs(loose.modulus - tight.modulus)
     assert gap <= loose.error_estimate + tight.error_estimate + 1e-12
+
+
+def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
+    # mass column-points (nodes x pairs) of one modulus_m4: 2,780,127 when
+    # every leaf of a batch ran on every node of the shared s-mesh
+    scn = load_scenario("annulus-vertical")
+    real, points = modulus._mass_cols_fn, [0]
+
+    def spy_mass(q, fol):
+        cols = real(q, fol)
+
+        def counted(x, *pc):
+            points[0] += x.size * pc[0].size
+            return cols(x, *pc)
+        return counted
+
+    monkeypatch.setattr(modulus, "_mass_cols_fn", spy_mass)
+    cost = {}
+    for tol in (1e-8, 1e-6):
+        points[0] = 0
+        rep = modulus_m4(scn.q, scn.foliation, tol=tol)
+        assert rep.modulus == 29.636257682862016
+        assert rep.meta["s_points"] <= points[0]
+        cost[tol] = points[0]
+    assert cost[1e-8] <= 2_780_127 // 2
+    assert cost[1e-6] < cost[1e-8]
+
+
+def test_s_stage_maps_live_columns_to_their_pairs_and_channels():
+    # channel-major columns [e^(px) ..., peak at p ...] of three pairs; the
+    # middle peak is wide, so only the narrow peaks of pairs 0 and 2 stay
+    # live: columns 3 and 5, channel 1 of pairs 0 and 2
+    p, width = np.array([0.3, 0.5, 0.7]), np.array([1e-4, 1.0, 1e-4])
+    asked = []
+
+    def cols_fn(x, pc):
+        asked.append(pc.tolist())
+        w = width[np.searchsorted(p, pc)]
+        return np.hstack((np.exp(x[:, None] * pc),
+                          1.0 / ((x[:, None] - pc) ** 2 + w)))
+
+    counter = {}
+    vals, errs = modulus._s_batched(
+        SimpleNamespace(s_range=(0.0, 1.0)), cols_fn, (p,), rtol=1e-10,
+        atol=1e-12, counter=counter, singular=(False, False), chans=2)
+    assert asked[0] == p.tolist() and len(asked) > 2
+    assert all(a == [0.3, 0.7] for a in asked[1:])
+    r = np.sqrt(width)
+    exact = np.column_stack((np.expm1(p) / p,
+                             (np.arctan((1 - p) / r) + np.arctan(p / r)) / r))
+    assert (np.abs(vals - exact) <= errs).all()
+    assert counter["s_points"] < 6 * counter["s_evals"]
 
 
 def test_m4_gate_rejects_non_kernel_differential():

@@ -26,7 +26,8 @@ from heismod.quadrature import (
 
 def integrate_1d(f, a, b, **kwargs):
     """(value, error) of one vectorized scalar integrand."""
-    res = integrate_batch(lambda x: np.asarray(f(x))[:, None], a, b, **kwargs)
+    res = integrate_batch(lambda x, cols: np.asarray(f(x))[:, None][:, cols],
+                          a, b, **kwargs)
     return complex(res.value[0]), float(res.error[0])
 
 
@@ -41,7 +42,8 @@ def test_gauss_kronrod_constants_solve_moment_equations():
 
 def test_monomials_on_unit_interval_to_two_ulps():
     k = np.arange(23)
-    res = integrate_batch(lambda x: x[:, None] ** k[None, :], 0.0, 1.0,
+    res = integrate_batch(lambda x, cols: x[:, None] ** k[None, cols],
+                          0.0, 1.0,
                           singular=(False, False), atol=0.0, rtol=1e-13)
     exact = 1.0 / (k + 1)
     assert np.all(np.abs(res.value.real - exact) <= 2 * np.spacing(exact))
@@ -94,7 +96,8 @@ def test_power_sweep_against_closed_form():
 
 def test_batch_columns_and_complex():
     res = integrate_batch(
-        lambda x: np.stack([x ** -0.5, x ** 2, np.exp(1j * x)], axis=1),
+        lambda x, cols: np.stack([x ** -0.5, x ** 2, np.exp(1j * x)],
+                                 axis=1)[:, cols],
         0.0, 1.0, atol=1e-12, rtol=1e-10)
     assert isinstance(res, QuadResult)
     assert abs(res.value[0] - 2.0) < 3e-11
@@ -104,14 +107,15 @@ def test_batch_columns_and_complex():
     assert (res.error <= 1e-12 + 1e-10 * np.abs(res.value) + 1e-300).all()
 
 
-def _mixed_columns(x):
+def _mixed_columns(x, cols):
     # real columns with endpoint blowups of both sides and a smooth one
-    return np.stack([x ** -0.5, (1.0 - x) ** -0.7, np.cos(3.0 * x)], axis=1)
+    return np.stack([x ** -0.5, (1.0 - x) ** -0.7, np.cos(3.0 * x)],
+                    axis=1)[:, cols]
 
 
 def test_real_columns_stay_real_and_agree_with_their_complex_cast():
     real = integrate_batch(_mixed_columns, 0.0, 1.0, atol=1e-12, rtol=1e-10)
-    cplx = integrate_batch(lambda x: _mixed_columns(x).astype(complex),
+    cplx = integrate_batch(lambda x, c: _mixed_columns(x, c).astype(complex),
                            0.0, 1.0, atol=1e-12, rtol=1e-10)
     assert real.value.dtype == np.float64
     assert cplx.value.dtype == np.complex128
@@ -123,15 +127,17 @@ def test_real_columns_stay_real_and_agree_with_their_complex_cast():
 
 
 def test_constant_integrand_keeps_its_dtype():
-    assert integrate_batch(lambda x: 2.0, 0.0, 1.0).value.dtype == np.float64
-    res = integrate_batch(lambda x: 2.0 + 1.0j, 0.0, 1.0)
+    # one column never retires, so a constant may ignore `cols`
+    assert integrate_batch(lambda x, cols: 2.0, 0.0,
+                           1.0).value.dtype == np.float64
+    res = integrate_batch(lambda x, cols: 2.0 + 1.0j, 0.0, 1.0)
     assert res.value.dtype == np.complex128
 
 
 @pytest.mark.parametrize("kind", [float, complex])
 def test_infinite_node_raises_no_runtime_warning(kind):
-    def f(x):
-        return np.where(x > 0.5, np.inf, 1.0).astype(kind)
+    def f(x, cols):
+        return np.where(x > 0.5, np.inf, 1.0).astype(kind)[:, None][:, cols]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -150,13 +156,59 @@ def test_real_batch_peak_memory_is_a_few_node_batches():
     batch = 68 * 15 * k.size * 8
     tracemalloc.start()
     try:
-        res = integrate_batch(lambda s: (np.sin(s) ** (-2 / 3))[:, None] * k,
+        res = integrate_batch(lambda s, cols: (np.sin(s) ** (-2 / 3))[:, None]
+                              * k[cols],
                               0.0, math.pi, rtol=1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.n_evals == 68 * 15
     assert peak < 3.0 * batch
+
+
+def _columns(fns, calls):
+    """Integrand over the columns fns, evaluating only those asked for
+    and logging each request."""
+    def f(x, cols):
+        calls.append(cols)
+        return np.stack([fns[i](x) for i in np.arange(len(fns))[cols]],
+                        axis=1)
+    return f
+
+
+def _peak(c):
+    return lambda x: 1.0 / ((x - c) ** 2 + 1e-4)
+
+
+def test_mixed_batch_retires_its_easy_columns():
+    # smooth e^(kx) beside two sharp peaks: the smooth columns meet their
+    # budget on the initial mesh and retire at the first split
+    k = np.array([0.5, 1.0, 1.5, 2.0])
+    easy, hard = [0, 1, 3, 5], [2, 4]
+    fns = [None] * 6
+    for j, kj in zip(easy, k):
+        fns[j] = lambda x, kj=kj: np.exp(kj * x)
+    fns[2], fns[4] = _peak(0.3), _peak(0.61)
+    calls = []
+    res = integrate_batch(_columns(fns, calls), 0.0, 1.0,
+                          atol=1e-12, rtol=1e-10)
+    assert calls[0] == slice(None) and len(calls) > 2
+    assert all(list(c) == hard for c in calls[1:])
+    assert (np.abs(res.value[easy] - np.expm1(k) / k)
+            <= res.error[easy]).all()
+    # two hard columns, as a one-column batch sums in another order
+    alone = integrate_batch(_columns([fns[j] for j in hard], []), 0.0, 1.0,
+                            atol=1e-12, rtol=1e-10)
+    assert res.value[hard].tobytes() == alone.value.tobytes()
+    assert res.error[hard].tobytes() == alone.error.tobytes()
+    # n_evals counts nodes; n_points adds the easy columns on the first
+    # node batch only: two 30-cell ladders and 8 panels of 15 nodes
+    assert res.n_evals == alone.n_evals
+    assert res.n_points == alone.n_points + len(easy) * 68 * 15
+    rng = np.random.default_rng(7)
+    fns[4] = lambda x: 1.0 + 1e-6 * rng.standard_normal(x.size)
+    with pytest.raises(NonConvergent, match=r"^column 4: "):
+        integrate_batch(_columns(fns, []), 0.0, 1.0, atol=1e-12, rtol=1e-10)
 
 
 def test_reversed_bounds_negate():
@@ -217,8 +269,8 @@ def test_error_estimate_not_wildly_optimistic():
 def test_best_effort_returns_honest_error_on_noise_floor():
     rng = np.random.default_rng(7)
 
-    def noisy(x):
-        return 1.0 + 1e-6 * rng.standard_normal(x.size)
+    def noisy(x, cols):
+        return (1.0 + 1e-6 * rng.standard_normal(x.size))[:, None][:, cols]
 
     res = integrate_batch(noisy, 0.0, 1.0, atol=0.0, rtol=1e-12,
                           singular=(False, False), best_effort=True)
@@ -229,8 +281,8 @@ def test_best_effort_returns_honest_error_on_noise_floor():
 def test_noise_floor_fails_fast_without_best_effort():
     rng = np.random.default_rng(7)
 
-    def noisy(x):
-        return 1.0 + 1e-6 * rng.standard_normal(x.size)
+    def noisy(x, cols):
+        return (1.0 + 1e-6 * rng.standard_normal(x.size))[:, None][:, cols]
 
     with pytest.raises(NonConvergent):
         integrate_batch(noisy, 0.0, 1.0, atol=0.0, rtol=1e-12,
@@ -243,14 +295,16 @@ def test_noise_floor_fails_fast_without_best_effort():
 
 
 def test_best_effort_flags_nonintegrable_tail_as_infinite():
-    res = integrate_batch(lambda s: s ** -1.5, 0.0, 1.0,
+    res = integrate_batch(lambda s, cols: (s ** -1.5)[:, None][:, cols],
+                          0.0, 1.0,
                           singular=(True, False), best_effort=True)
     assert not np.isfinite(res.error[0])
 
 
 def test_aux_column_keeps_partial_sum_of_unresolvable_tail():
     res = integrate_batch(
-        lambda s: np.stack([s ** -0.5, s ** -1.5], axis=1), 0.0, 1.0,
+        # an aux batch never retires: its integrand ignores `cols`
+        lambda s, cols: np.stack([s ** -0.5, s ** -1.5], axis=1), 0.0, 1.0,
         singular=(True, False), aux_cols=1, atol=1e-12, rtol=1e-10)
     assert abs(res.value[0] - 2.0) < 1e-9
     assert np.isfinite(res.error[1])
