@@ -30,8 +30,17 @@ fractional powers use principal branches.
 
 Nodes are immutable and hash-consed: structurally equal subtrees are the
 same object, which makes evaluation over the resulting DAG cache shared
-work automatically.  The intern table only grows; expressions are tiny, so
-this is a deliberate trade for fast repeated evaluation.
+work automatically.  The intern table ``_INTERN`` only grows; expressions
+are tiny, so this is a deliberate trade for fast repeated evaluation.
+Bounding it is a separate change, to be judged by the memory growth of a
+long-lived process (the family-sweep benchmark's ``rss_growth_mb``).
+
+The structural transforms (:func:`free_vars`, :func:`conj_expr`,
+:func:`substitute`, :func:`diff`) are loops over one iterative
+children-first walk, :func:`_topo`, and :func:`to_string` keeps its own
+stack, so a long sum, which the parser builds as a left-deep chain, never
+meets the recursion limit.  A node's free variables and structural
+conjugate are memoized on the node, in slots filled on first use.
 
 :func:`evaluate` is the checked evaluator at one point.
 :func:`eval_array` compiles each root once into a plan, kept in a bounded
@@ -76,8 +85,6 @@ VAR_NAMES = ("z", "zb", "t", "s", "p1", "p2", "w", "wb", "p")
 CONJUGATE_PAIRS = {"z": "zb", "zb": "z", "w": "wb", "wb": "w"}
 REAL_VARS = frozenset(v for v in VAR_NAMES if v not in CONJUGATE_PAIRS)
 
-_FUNCTION_NAMES = ("conj", "sqrt", "exp", "log", "sin", "cos", "re", "im", "abs2")
-
 #: Directional derivative fields on the Heisenberg group, in terms of the
 #: Wirtinger partials: Z = d_z + i*zb*d_t, Zbar = d_zb - i*z*d_t, T = d_t.
 FIELDS = ("Z", "Zbar", "T")
@@ -88,11 +95,27 @@ _DIV_FLOOR = 1e-300
 # ---------------------------------------------------------------------------
 # nodes
 
-class Expr:
-    """Base class of all expression nodes.  Instances are immutable."""
+_set = object.__setattr__
 
-    __slots__ = ()
+
+class Expr:
+    """Base class of all expression nodes.  Instances are immutable,
+    apart from the memo slots ``_conj`` (:func:`conj_expr`) and ``_free``
+    (:func:`free_vars`), each set once on first use.  A subclass lists its
+    constructor arguments in ``_fields``."""
+
+    __slots__ = ("_conj", "_free")
+    _fields: tuple = ()
     prec = 5  # printing precedence; atoms highest
+
+    def __init__(self, *args):
+        _set(self, "_conj", None)
+        _set(self, "_free", None)
+        for name, value in zip(self._fields, args):
+            _set(self, name, value)
+
+    def __setattr__(self, *a):  # pragma: no cover - defensive
+        raise AttributeError("expression nodes are immutable")
 
     def _children(self) -> tuple:
         return ()
@@ -136,47 +159,22 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: complex):
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
-        raise AttributeError("expression nodes are immutable")
+    __slots__ = _fields = ("value",)
 
 
 class Var(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
-        raise AttributeError("expression nodes are immutable")
+    __slots__ = _fields = ("name",)
 
 
 class _Unary(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
-        raise AttributeError("expression nodes are immutable")
+    __slots__ = _fields = ("arg",)
 
     def _children(self):
         return (self.arg,)
 
 
 class _Binary(Expr):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Expr, rhs: Expr):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
-        raise AttributeError("expression nodes are immutable")
+    __slots__ = _fields = ("lhs", "rhs")
 
     def _children(self):
         return (self.lhs, self.rhs)
@@ -210,15 +208,8 @@ class Neg(_Unary):
 class PowR(Expr):
     """Power with a real literal exponent (principal branch)."""
 
-    __slots__ = ("base", "expo")
+    __slots__ = _fields = ("base", "expo")
     prec = 4
-
-    def __init__(self, base: Expr, expo: float):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "expo", expo)
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
-        raise AttributeError("expression nodes are immutable")
 
     def _children(self):
         return (self.base,)
@@ -357,22 +348,47 @@ def powr(base: Expr, expo) -> Expr:
     return _interned(PowR, ("^", id(base), _fkey(expo)), base, expo)
 
 
-def _unary_ctor(cls, tag):
+#: The folding constructor of each operation node type.  Every transform
+#: rebuilds a node from new children through it (:func:`_rebuild`), and
+#: the printer and the parser take the function names from it.
+_CTORS: dict[type, Callable] = {Add: add, Sub: sub, Mul: mul, Div: div,
+                                Neg: neg}
+
+
+def _unary_ctor(cls):
+    tag = cls.__name__.lower()
+
     def ctor(arg: Expr) -> Expr:
         return _interned(cls, (tag, id(arg)), arg)
 
     ctor.__name__ = tag
+    _CTORS[cls] = ctor
     return ctor
 
 
-sqrt = _unary_ctor(Sqrt, "sqrt")
-exp = _unary_ctor(Exp, "exp")
-log = _unary_ctor(Log, "log")
-sin = _unary_ctor(Sin, "sin")
-cos = _unary_ctor(Cos, "cos")
-re_part = _unary_ctor(Re, "re")
-im_part = _unary_ctor(Im, "im")
-abs2 = _unary_ctor(Abs2, "abs2")
+sqrt = _unary_ctor(Sqrt)
+exp = _unary_ctor(Exp)
+log = _unary_ctor(Log)
+sin = _unary_ctor(Sin)
+cos = _unary_ctor(Cos)
+re_part = _unary_ctor(Re)
+im_part = _unary_ctor(Im)
+abs2 = _unary_ctor(Abs2)
+
+#: The function-call nodes of the text form and their names.
+_FUNC_LABEL = {cls: ctor.__name__ for cls, ctor in _CTORS.items()
+               if issubclass(cls, _Unary) and cls is not Neg}
+
+
+def _rebuild(n: Expr, image: Callable[[Expr], Expr]) -> Expr:
+    """The node of n's type and parameters over the images of its
+    children."""
+    t = type(n)
+    if t is PowR:
+        return powr(image(n.base), n.expo)
+    if isinstance(n, _Binary):
+        return _CTORS[t](image(n.lhs), image(n.rhs))
+    return _CTORS[t](image(n.arg))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +457,9 @@ def parse(text: str) -> Expr:
     ------
     ExprSyntaxError
         On malformed input, a numeric literal that overflows float64 or
-        nesting beyond the interpreter's recursion limit; the exception
-        carries the byte offset.
+        parentheses, function calls or unary minus nested beyond the
+        interpreter's recursion limit; the exception carries the byte
+        offset.  Sums and products of any length are parsed by a loop.
     UnknownIdentifier
         For identifiers outside the variable and function vocabulary.
     NonLiteralExponent
@@ -552,7 +569,7 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
             return const(1j)
         nkind, ntok, _ = tz.peek()
         if nkind == "op" and ntok == "(":
-            if tok not in _FUNCTION_NAMES:
+            if tok not in _FUNCTION_CTORS:
                 raise UnknownIdentifier(f"unknown function {tok!r}", off)
             tz.take()
             arg = _parse_expr(tz)
@@ -568,23 +585,11 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
 
 _FUNCTION_CTORS: dict[str, Callable[[Expr], Expr]] = {
     "conj": lambda e: conj_expr(e),
-    "sqrt": sqrt,
-    "exp": exp,
-    "log": log,
-    "sin": sin,
-    "cos": cos,
-    "re": re_part,
-    "im": im_part,
-    "abs2": abs2,
-}
+    **{label: _CTORS[cls] for cls, label in _FUNC_LABEL.items()}}
 
 
 # ---------------------------------------------------------------------------
 # printing
-
-_FUNC_LABEL = {Sqrt: "sqrt", Exp: "exp", Log: "log", Sin: "sin", Cos: "cos",
-               Re: "re", Im: "im", Abs2: "abs2"}
-
 
 def _fmt_real(x: float) -> str:
     return repr(float(x))
@@ -607,41 +612,48 @@ def to_string(e: Expr) -> str:
 
     Reparsing the output yields an expression that evaluates identically
     (grouping is preserved with explicit parentheses; floats are printed
-    with ``repr`` so they round-trip exactly).
+    with ``repr`` so they round-trip exactly).  A stack of pending nodes
+    and literal text drives the rendering, so any depth prints.
     """
-    if isinstance(e, Const):
-        return _fmt_const(e.value)[0]
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, (Add, Sub)):
-        op = " + " if isinstance(e, Add) else " - "
-        return _child(e.lhs, 1) + op + _child(e.rhs, 2)
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        return _child(e.lhs, 2) + op + _child(e.rhs, 3)
-    if isinstance(e, Neg):
-        # '^' would bind to the printed '-', so exponents need parens
-        inner = to_string(e.arg)
-        if _effective_prec(e.arg) < 3 or isinstance(e.arg, PowR):
-            inner = "(" + inner + ")"
-        return "-" + inner
-    if isinstance(e, PowR):
-        base = to_string(e.base)
-        if _effective_prec(e.base) < 3 or isinstance(e.base, PowR):
-            base = "(" + base + ")"
-        ex = e.expo
-        if ex >= 0:
-            return f"{base}^{_fmt_real(ex)}"
-        return f"{base}^(-{_fmt_real(-ex)})"
-    label = _FUNC_LABEL[type(e)]
-    return f"{label}({to_string(e.arg)})"
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        n = stack.pop()
+        t = type(n)
+        if t is str:
+            out.append(n)
+        elif t is Const:
+            out.append(_fmt_const(n.value)[0])
+        elif t is Var:
+            out.append(n.name)
+        elif t in _INFIX:
+            op, lmin, rmin = _INFIX[t]
+            stack += _group(n.rhs, rmin)
+            stack.append(op)
+            stack += _group(n.lhs, lmin)
+        elif t is Neg or t is PowR:
+            if t is PowR:
+                ex = n.expo
+                stack.append(f"^{_fmt_real(ex)}" if ex >= 0
+                             else f"^(-{_fmt_real(-ex)})")
+            # '^' would bind to the printed '-', so exponents need parens
+            c = n._children()[0]
+            stack += (")", c, "(") if type(c) is PowR else _group(c, 3)
+            if t is Neg:
+                stack.append("-")
+        else:
+            stack += (")", n.arg, _FUNC_LABEL[t] + "(")
+    return "".join(out)
 
 
-def _child(e: Expr, min_prec: int) -> str:
-    text = to_string(e)
-    if _effective_prec(e) < min_prec:
-        return "(" + text + ")"
-    return text
+#: Operator text and the least precedence of each operand printed bare.
+_INFIX = {Add: (" + ", 1, 2), Sub: (" - ", 1, 2), Mul: ("*", 2, 3),
+          Div: ("/", 2, 3)}
+
+
+def _group(e: Expr, min_prec: int) -> tuple:
+    """e as pending stack items, parenthesized below ``min_prec``."""
+    return (")", e, "(") if _effective_prec(e) < min_prec else (e,)
 
 
 def _effective_prec(e: Expr) -> int:
@@ -653,28 +665,28 @@ def _effective_prec(e: Expr) -> int:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _topo(e: Expr) -> list[Expr]:
+def _topo(e: Expr, deps: Callable[[Expr], tuple] =
+          operator.methodcaller("_children")) -> list[Expr]:
     """The nodes of the DAG under ``e``, each once, children first.
 
-    This one linearization drives every evaluator: the checked
+    This one linearization drives every evaluator (the checked
     :func:`evaluate`, the array plans of :func:`eval_array` and the code
-    that :func:`compile_scalar` generates.
+    that :func:`compile_scalar` generates) and every structural
+    transform.  ``deps(n)`` lists the nodes that n's result is made from:
+    its children by default; a transform returns fewer where it stops
+    early and more where a rule reads another node as well.
     """
     order: list[Expr] = []
-    seen: set[int] = set()
-    stack = [e]
+    seen: set[Expr] = set()
+    stack: list = [e]
     while stack:
-        node = stack[-1]
-        if id(node) in seen:
-            stack.pop()
-            continue
-        pending = [c for c in node._children() if id(c) not in seen]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        seen.add(id(node))
-        order.append(node)
+        node = stack.pop()
+        if node is None:    # every dep of the node beneath is in order
+            order.append(stack.pop())
+        elif node not in seen:
+            seen.add(node)
+            stack += (node, None)
+            stack += deps(node)
     return order
 
 
@@ -877,8 +889,7 @@ def _kinds(order: list, real_vars: frozenset, promoted: frozenset):
         else:
             r = all(real[id(c)] for c in n._children())
             if t is Mul and n not in promoted and n.lhs is not n.rhs \
-                    and (_CONJ_CACHE.get(id(n.lhs)) is n.rhs
-                         or _CONJ_CACHE.get(id(n.rhs)) is n.lhs):
+                    and (n.lhs._conj is n.rhs or n.rhs._conj is n.lhs):
                 guards = _mirror_guards(n.lhs, real)
                 if guards is not None:
                     squares[id(n)] = guards
@@ -998,7 +1009,7 @@ def _compile_plan(e: Expr, real_vars: frozenset, reuse: bool,
     if reuse:
         pos = {id(n): k for k, n in enumerate(order)}
         for n in order:
-            p = _CONJ_CACHE.get(id(n))
+            p = n._conj
             if p is None or p is n or id(p) not in pos:
                 continue
             m, c = (n, p) if pos[id(n)] < pos[id(p)] else (p, n)
@@ -1125,21 +1136,26 @@ def _run_blocked(plan: _Plan, vals: dict, shape: tuple,
 # structural transforms
 
 def free_vars(e: Expr) -> frozenset[str]:
-    cache = _FREE_CACHE
-    out = cache.get(id(e))
-    if out is not None:
-        return out
-    if isinstance(e, Var):
-        out = frozenset((e.name,))
-    elif isinstance(e, Const):
-        out = frozenset()
-    else:
-        out = frozenset().union(*(free_vars(c) for c in e._children()))
-    cache[id(e)] = out
-    return out
-
-
-_FREE_CACHE: dict[int, frozenset] = {}
+    """The names of the variables in ``e``, memoized on every node."""
+    if e._free is None:
+        for n in _topo(e, lambda n: n._children() if n._free is None
+                       else ()):
+            if n._free is not None:
+                continue
+            t = type(n)
+            if t is Var:
+                out = frozenset((n.name,))
+            elif t is Const:
+                out = frozenset()
+            elif isinstance(n, _Binary):
+                # a child's own set when the union adds nothing, so the
+                # sets are shared up the tree rather than copied
+                a, b = n.lhs._free, n.rhs._free
+                out = a if b <= a else b if a <= b else a | b
+            else:
+                out = n._children()[0]._free
+            _set(n, "_free", out)
+    return e._free
 
 
 def conj_expr(e: Expr) -> Expr:
@@ -1149,36 +1165,29 @@ def conj_expr(e: Expr) -> Expr:
     Evaluating the result equals conjugating the evaluation whenever the
     binding is consistent (real variables real, ``zb = conj(z)``) and no
     argument of ``log``/``sqrt``/fractional powers sits on a branch cut.
+    The conjugate of each node visited is memoized on it.
     """
-    out = _CONJ_CACHE.get(id(e))
-    if out is not None:
-        return out
-    if isinstance(e, Const):
-        out = const(e.value.conjugate())
-    elif isinstance(e, Var):
-        out = var(CONJUGATE_PAIRS.get(e.name, e.name))
-    elif isinstance(e, (Re, Im, Abs2)):
-        out = e  # real-valued
-    elif isinstance(e, Add):
-        out = add(conj_expr(e.lhs), conj_expr(e.rhs))
-    elif isinstance(e, Sub):
-        out = sub(conj_expr(e.lhs), conj_expr(e.rhs))
-    elif isinstance(e, Mul):
-        out = mul(conj_expr(e.lhs), conj_expr(e.rhs))
-    elif isinstance(e, Div):
-        out = div(conj_expr(e.lhs), conj_expr(e.rhs))
-    elif isinstance(e, Neg):
-        out = neg(conj_expr(e.arg))
-    elif isinstance(e, PowR):
-        out = powr(conj_expr(e.base), e.expo)
-    else:
-        ctor = {Sqrt: sqrt, Exp: exp, Log: log, Sin: sin, Cos: cos}[type(e)]
-        out = ctor(conj_expr(e.arg))
-    _CONJ_CACHE[id(e)] = out
-    return out
+    if e._conj is None:
+        for n in _topo(e, lambda n: () if n._conj is not None
+                       or type(n) in _REAL_OPS else n._children()):
+            if n._conj is not None:
+                continue
+            t = type(n)
+            if t is Const:
+                out = const(n.value.conjugate())
+            elif t is Var:
+                out = var(CONJUGATE_PAIRS.get(n.name, n.name))
+            elif t in _REAL_OPS:
+                out = n
+            else:
+                out = _rebuild(n, _conj_of)
+            _set(n, "_conj", out)
+    return e._conj
 
 
-_CONJ_CACHE: dict[int, Expr] = {}
+#: Operations whose value is real, so that they are their own conjugate.
+_REAL_OPS = (Re, Im, Abs2)
+_conj_of = operator.attrgetter("_conj")
 
 
 def diff(e: Expr, v: str) -> Expr:
@@ -1190,61 +1199,62 @@ def diff(e: Expr, v: str) -> Expr:
     """
     if v not in VAR_NAMES:
         raise VariableMismatch(f"unknown variable {v!r}")
-    return _diff(e, v, {})
+    partner = CONJUGATE_PAIRS.get(v)
+    d: dict[Expr, Expr] = {}
 
-
-def _diff(e: Expr, v: str, memo: dict) -> Expr:
-    out = memo.get(id(e))
-    if out is not None:
-        return out
-    if isinstance(e, Const):
-        out = ZERO
-    elif isinstance(e, Var):
-        out = ONE if e.name == v else ZERO
-    elif v not in free_vars(e) and CONJUGATE_PAIRS.get(v) not in free_vars(e):
+    def deps(n):
+        names = free_vars(n)
         # The partner variable matters: re/im/abs2 subtrees differentiate
-        # through the structural conjugate, which swaps the pair.
-        out = ZERO
-    elif isinstance(e, Add):
-        out = add(_diff(e.lhs, v, memo), _diff(e.rhs, v, memo))
-    elif isinstance(e, Sub):
-        out = sub(_diff(e.lhs, v, memo), _diff(e.rhs, v, memo))
-    elif isinstance(e, Mul):
-        out = add(mul(_diff(e.lhs, v, memo), e.rhs),
-                  mul(e.lhs, _diff(e.rhs, v, memo)))
-    elif isinstance(e, Div):
-        num = sub(mul(_diff(e.lhs, v, memo), e.rhs),
-                  mul(e.lhs, _diff(e.rhs, v, memo)))
-        out = div(num, mul(e.rhs, e.rhs))
-    elif isinstance(e, Neg):
-        out = neg(_diff(e.arg, v, memo))
-    elif isinstance(e, PowR):
-        out = mul(mul(const(e.expo), powr(e.base, e.expo - 1.0)),
-                  _diff(e.base, v, memo))
-    elif isinstance(e, Sqrt):
-        out = div(_diff(e.arg, v, memo), mul(const(2.0), sqrt(e.arg)))
-    elif isinstance(e, Exp):
-        out = mul(_diff(e.arg, v, memo), e)
-    elif isinstance(e, Log):
-        out = div(_diff(e.arg, v, memo), e.arg)
-    elif isinstance(e, Sin):
-        out = mul(_diff(e.arg, v, memo), cos(e.arg))
-    elif isinstance(e, Cos):
-        out = neg(mul(_diff(e.arg, v, memo), sin(e.arg)))
-    elif isinstance(e, Re):
-        cj = conj_expr(e.arg)
-        out = div(add(_diff(e.arg, v, memo), _diff(cj, v, memo)), const(2.0))
-    elif isinstance(e, Im):
-        cj = conj_expr(e.arg)
-        out = div(sub(_diff(e.arg, v, memo), _diff(cj, v, memo)), const(2j))
-    elif isinstance(e, Abs2):
-        cj = conj_expr(e.arg)
-        out = add(mul(_diff(e.arg, v, memo), cj),
-                  mul(e.arg, _diff(cj, v, memo)))
-    else:  # pragma: no cover
-        raise TypeError(f"unhandled node {type(e).__name__}")
-    memo[id(e)] = out
-    return out
+        # through the structural conjugate of their argument, which swaps
+        # the pair; conj_expr leaves it on the argument's _conj.
+        if v not in names and partner not in names:
+            d[n] = ZERO
+            return ()
+        if type(n) in _REAL_OPS:
+            return (n.arg, conj_expr(n.arg))
+        return n._children()
+
+    for n in _topo(e, deps):
+        if n in d:
+            continue
+        t = type(n)
+        if t is Var:
+            out = ONE if n.name == v else ZERO
+        elif t is Add:
+            out = add(d[n.lhs], d[n.rhs])
+        elif t is Sub:
+            out = sub(d[n.lhs], d[n.rhs])
+        elif t is Mul:
+            out = add(mul(d[n.lhs], n.rhs), mul(n.lhs, d[n.rhs]))
+        elif t is Div:
+            num = sub(mul(d[n.lhs], n.rhs), mul(n.lhs, d[n.rhs]))
+            out = div(num, mul(n.rhs, n.rhs))
+        elif t is Neg:
+            out = neg(d[n.arg])
+        elif t is PowR:
+            out = mul(mul(const(n.expo), powr(n.base, n.expo - 1.0)),
+                      d[n.base])
+        elif t is Sqrt:
+            out = div(d[n.arg], mul(const(2.0), sqrt(n.arg)))
+        elif t is Exp:
+            out = mul(d[n.arg], n)
+        elif t is Log:
+            out = div(d[n.arg], n.arg)
+        elif t is Sin:
+            out = mul(d[n.arg], cos(n.arg))
+        elif t is Cos:
+            out = neg(mul(d[n.arg], sin(n.arg)))
+        elif t is Re:
+            out = div(add(d[n.arg], d[n.arg._conj]), const(2.0))
+        elif t is Im:
+            out = div(sub(d[n.arg], d[n.arg._conj]), const(2j))
+        elif t is Abs2:
+            cj = n.arg._conj
+            out = add(mul(d[n.arg], cj), mul(n.arg, d[cj]))
+        else:  # pragma: no cover
+            raise TypeError(f"unhandled node {t.__name__}")
+        d[n] = out
+    return d[e]
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -1252,35 +1262,16 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     for name in mapping:
         if name not in VAR_NAMES:
             raise VariableMismatch(f"unknown variable {name!r}")
-    return _subst(e, dict(mapping), {})
-
-
-def _subst(e: Expr, mapping: dict, memo: dict) -> Expr:
-    out = memo.get(id(e))
-    if out is not None:
-        return out
-    if isinstance(e, Var):
-        out = mapping.get(e.name, e)
-    elif isinstance(e, Const):
-        out = e
-    elif isinstance(e, Add):
-        out = add(_subst(e.lhs, mapping, memo), _subst(e.rhs, mapping, memo))
-    elif isinstance(e, Sub):
-        out = sub(_subst(e.lhs, mapping, memo), _subst(e.rhs, mapping, memo))
-    elif isinstance(e, Mul):
-        out = mul(_subst(e.lhs, mapping, memo), _subst(e.rhs, mapping, memo))
-    elif isinstance(e, Div):
-        out = div(_subst(e.lhs, mapping, memo), _subst(e.rhs, mapping, memo))
-    elif isinstance(e, Neg):
-        out = neg(_subst(e.arg, mapping, memo))
-    elif isinstance(e, PowR):
-        out = powr(_subst(e.base, mapping, memo), e.expo)
-    else:
-        ctor = {Sqrt: sqrt, Exp: exp, Log: log, Sin: sin, Cos: cos,
-                Re: re_part, Im: im_part, Abs2: abs2}[type(e)]
-        out = ctor(_subst(e.arg, mapping, memo))
-    memo[id(e)] = out
-    return out
+    new: dict[Expr, Expr] = {}
+    for n in _topo(e):
+        t = type(n)
+        if t is Var:
+            new[n] = mapping.get(n.name, n)
+        elif t is Const:
+            new[n] = n
+        else:
+            new[n] = _rebuild(n, new.__getitem__)
+    return new[e]
 
 
 def apply_field(e: Expr, field: str) -> Expr:

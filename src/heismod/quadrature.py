@@ -81,25 +81,24 @@ class QuadResult:
 
 
 class _Panels:
-    """Panel bookkeeping.  Offsets are measured from an anchor endpoint
-    (0 -> a + off, 1 -> b - off) so ladder nodes never lose precision to
-    cancellation; widths stay exact under halving."""
+    """Panel bookkeeping.  Offsets are measured from a (a + off), and on
+    the right ladder (side 1) back from b (b - off), so ladder nodes never
+    lose precision to cancellation; widths stay exact under halving."""
 
     def __init__(self, a, b):
         self.a, self.b = a, b
         self.olo = np.empty(0)
         self.ohi = np.empty(0)
-        self.anc = np.empty(0, np.int8)
         self.side = np.empty(0, np.int8)    # -1 left ladder, 0 mid, 1 right
         self.cell = np.empty(0, np.int32)
         self.vals = None                    # (n, m) integrand dtype
         self.errs = None                    # (n, m) float
 
-    def positions(self, olo, ohi, anc):
+    def positions(self, olo, ohi, side):
         mid = 0.5 * (olo + ohi)
         hw = 0.5 * (ohi - olo)
         off = mid[:, None] + hw[:, None] * _NODES[None, :]
-        return np.where(anc[:, None] == 0, self.a + off, self.b - off)
+        return np.where(side[:, None] == 1, self.b - off, self.a + off)
 
 
 def _panel_rule(fx, hw):
@@ -281,11 +280,10 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
     live = slice(None)          # the caller's columns still evaluated
 
     def build_initial():
-        olo, ohi, anc, side, cell = [], [], [], [], []
+        olo, ohi, side, cell = [], [], [], []
         ll = span * _LADDER_FRAC if sing_l else 0.0
         lr = span * _LADDER_FRAC if sing_r else 0.0
-        for flag, width, anchor, sd in ((sing_l, ll, 0, -1),
-                                        (sing_r, lr, 1, 1)):
+        for flag, width, sd in ((sing_l, ll, -1), (sing_r, lr, 1)):
             if not flag:
                 continue
             hi = width
@@ -293,7 +291,6 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
                 lo = hi * 0.5
                 olo.append(lo)
                 ohi.append(hi)
-                anc.append(anchor)
                 side.append(sd)
                 cell.append(k)
                 hi = lo
@@ -303,15 +300,14 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
             olo.append(ll + j * step)
             ohi.append(ll + (j + 1) * step if j < initial_panels - 1
                        else span - lr)
-            anc.append(0)
             side.append(0)
             cell.append(-1)
-        return (np.array(olo), np.array(ohi), np.array(anc, np.int8),
-                np.array(side, np.int8), np.array(cell, np.int32))
+        return (np.array(olo), np.array(ohi), np.array(side, np.int8),
+                np.array(cell, np.int32))
 
-    def eval_and_append(olo, ohi, anc, side, cell):
+    def eval_and_append(olo, ohi, side, cell):
         nonlocal n_evals, n_points
-        pos = ps.positions(olo, ohi, anc)
+        pos = ps.positions(olo, ohi, side)
         n_evals += pos.size
         with np.errstate(all="ignore"):
             fx = np.asarray(f(pos.ravel(), live))
@@ -327,7 +323,6 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
         vals, errs = _panel_rule(fx, 0.5 * (ohi - olo))
         ps.olo = np.concatenate((ps.olo, olo))
         ps.ohi = np.concatenate((ps.ohi, ohi))
-        ps.anc = np.concatenate((ps.anc, anc))
         ps.side = np.concatenate((ps.side, side))
         ps.cell = np.concatenate((ps.cell, cell))
         if ps.vals is None:
@@ -403,15 +398,13 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
             mid = 0.5 * (lo + hi)
             olo = np.concatenate((lo, mid))
             ohi = np.concatenate((mid, hi))
-            anc = np.tile(ps.anc[idx], 2)
             side = np.tile(ps.side[idx], 2)
             cell = np.tile(ps.cell[idx], 2)
             keep_mask = ~pick
             ps.olo, ps.ohi = ps.olo[keep_mask], ps.ohi[keep_mask]
-            ps.anc, ps.side = ps.anc[keep_mask], ps.side[keep_mask]
-            ps.cell = ps.cell[keep_mask]
+            ps.side, ps.cell = ps.side[keep_mask], ps.cell[keep_mask]
             ps.vals, ps.errs = ps.vals[keep_mask], ps.errs[keep_mask]
-            eval_and_append(olo, ohi, anc, side, cell)
+            eval_and_append(olo, ohi, side, cell)
             rounds += 1
         tgt = target()
         return not (main_cols(ps.errs.sum(axis=0)) > budget_frac * tgt).any()

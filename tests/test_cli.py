@@ -9,7 +9,9 @@ import warnings
 
 import pytest
 
+from heismod import expr as E
 from heismod.cli import main
+from heismod.scenarios import scenario_from_dict
 
 Q0_TEXT = ("conj(z)^2 * (t^2 + (z*conj(z))^2)^(2/3)"
            " / ((z*conj(z))^(4/3) * (t + i*z*conj(z))^2)")
@@ -118,6 +120,20 @@ def _shear_scenario(**over):
     return raw
 
 
+def _plane_scenario(q):
+    return {"space": "plane", "q": q,
+            "foliation": {"phi1": "s + i*p", "s_range": [0, 1],
+                          "p_ranges": [[0, 1]]}}
+
+
+def _nested(atom, depth=5000):
+    return "(" * depth + atom + ")" * depth
+
+
+def _long_sum(term, n=3000):
+    return "+".join([term] * n)
+
+
 def _gate(value, rtol):
     return {"modulus": {"value": value, "rtol": rtol}}
 
@@ -150,12 +166,10 @@ def _chart(**over):
                  id="rtol-negative"),
     pytest.param({"expected": _gate(0.125, False)}, "rtol > 0",
                  id="rtol-bool"),
-    pytest.param({"q": "+".join(["z*0.001"] * 3000)}, "too deep",
-                 id="heisenberg-long-sum"),
-    pytest.param({"space": "plane", "q": "+".join(["w*0.001"] * 3000),
-                  "foliation": {"phi1": "s + i*p", "s_range": [0, 1],
-                                "p_ranges": [[0, 1]]}, "checks": []},
-                 "too deep", id="plane-long-sum"),
+    pytest.param({"q": _nested("z")}, "nests too deeply",
+                 id="heisenberg-deep-parens"),
+    pytest.param({**_plane_scenario(_nested("w")), "checks": []},
+                 "nests too deeply", id="plane-deep-parens"),
 ])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, capsys,
                                                       over, fragment):
@@ -167,6 +181,35 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, capsys,
     assert err.startswith("error:")
     assert fragment in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("over, point", [
+    pytest.param({"q": _long_sum("z*0.001")}, {"z": 1.0, "zb": 1.0},
+                 id="heisenberg"),
+    pytest.param({**_plane_scenario(_long_sum("w*0.001")), "checks": []},
+                 {"w": 1.0, "wb": 1.0}, id="plane"),
+])
+def test_long_sum_scenario_is_accepted(over, point):
+    # the parser builds the sum as a left-deep chain 3,000 nodes deep,
+    # which every symbolic transform walks without recursing
+    scn = scenario_from_dict(_shear_scenario(**over))
+    assert E.evaluate(scn.q.coeff, point) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_long_sum_residual_run_completes(tmp_path, capsys):
+    # the terms cancel in pairs, so every derivative of q folds to an
+    # exact zero and the B2 residual row passes
+    q = "1" + " + z*0.001 - z*0.001" * 1500
+    raw = _shear_scenario(q=q, checks=["b2", "legendrian"])
+    del raw["expected"]
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    report = tmp_path / "report.json"
+    assert run_cli("run", str(path), "--report", str(report)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(report.read_text())["checks"]
+    assert [r["name"] for r in rows] == ["b2", "legendrian"]
+    assert all(r["pass"] for r in rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,6 +325,16 @@ def test_trace_error_paths(capsys):
     assert "ZeroOfQ" in capsys.readouterr().err
     assert run_cli("trace", "--q", "1", "--start", "1,2") == 2
     assert run_cli("trace", "--q", "while(z)", "--start", "0,0,0") == 2
+
+
+def test_trace_long_sum(capsys):
+    q = _long_sum("z*0.001")
+    assert run_cli("trace", "--q", q, "--start", "0.5,0,0") == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert rows[0] == ["s", "re_z", "im_z", "t", "leg_residual"]
+    assert len(rows) > 2
 
 
 def test_console_script_entry_point():

@@ -361,6 +361,37 @@ def test_substitute():
     assert v == pytest.approx((1 + 2j) ** 2 + 3)
 
 
+def test_transforms_walk_a_100000_term_sum():
+    n = 100_000
+    term = E.parse("z*re(z)")
+
+    def chain(x):
+        # the left-deep sum x + x + ... + x that the parser builds
+        out = x
+        for _ in range(n - 1):
+            out = E.add(out, x)
+        return out
+
+    long = chain(term)
+    text = E.to_string(long)
+    assert text == " + ".join([E.to_string(term)] * n)
+    assert E.parse(text) is long
+    assert E.free_vars(long) == {"z"}
+    assert E.conj_expr(long) is chain(E.conj_expr(term))
+    for v in ("z", "zb"):
+        assert E.diff(long, v) is chain(E.diff(term, v))
+    assert E.diff(long, "t") is E.ZERO
+    m = {"z": E.parse("s + i*p1"), "zb": E.parse("s - i*p1")}
+    assert E.substitute(long, m) is chain(E.substitute(term, m))
+
+    z = np.array([0.3 + 0.2j, -0.7 + 0.1j, 1.1 - 0.4j])
+    b = {"z": z, "zb": np.conj(z)}
+    short = E.mul(E.const(float(n)), term)
+    assert np.allclose(E.eval_array(long, b), E.eval_array(short, b),
+                       rtol=n * np.finfo(float).eps, atol=0.0)
+    E._PLANS.clear()    # the long chain's plan is large
+
+
 def test_interning_shares_structure():
     assert E.parse("z*conj(z)") is E.parse("z*zb")
     assert E.parse("z + 0") is E.parse("z")
