@@ -399,15 +399,30 @@ _DIGITS = frozenset("0123456789")
 
 
 class _Tokenizer:
+    """Tokens of `text` from `pos` on.  The token at `pos` is scanned
+    once and kept until :meth:`take` moves past it."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._next = None
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
     def peek(self):
+        if self._next is None:
+            self._next = self._scan()
+        return self._next
+
+    def take(self):
+        kind, tok, off = self.peek()
+        self._next = None
+        self.pos = off + len(tok)
+        return kind, tok, off
+
+    def _scan(self):
         self._skip_ws()
         if self.pos >= len(self.text):
             return ("end", "", self.pos)
@@ -443,11 +458,6 @@ class _Tokenizer:
                 j += 1
             return ("ident", self.text[self.pos:j], self.pos)
         raise ExprSyntaxError(f"unexpected character {c!r}", self.pos)
-
-    def take(self):
-        kind, tok, off = self.peek()
-        self.pos = off + len(tok)
-        return kind, tok, off
 
 
 def parse(text: str) -> Expr:

@@ -3,9 +3,17 @@
 A foliation Phi(s, p1, p2) = (Phi1, Phi2) maps a parameter box into the
 group; s runs along leaves, (p1, p2) indexes them.  Everything downstream
 (lengths, volumes, moduli) is integrated in these coordinates, so this
-module carries the two independent Jacobian routes, the leaf line
-element, the per-leaf constancy field lambda, and an ODE tracer that
-follows horizontal trajectories of a differential directly from q.
+module carries the Jacobian, the leaf line element, the per-leaf
+constancy field lambda, and an ODE tracer that follows horizontal
+trajectories of a differential directly from q.
+
+The Jacobian that volumes use, `jac_a_expr`, is built from (|z|^2,
+theta, t) when Phi1 = sqrt(X)*exp(i*theta): dx dy = 1/2 d|z|^2 dtheta
+keeps every entry real, so a phase that grows steeply near an edge of
+the box (annulus-vertical's theta = p2 - (s/2) cot p1) never enters a
+cancelling product.  Other charts take the A route, which uses the
+legendrian identity.  `jac_det_expr`, the Cartesian 3x3 determinant,
+checks either.
 
 The leaf functions (horizontality check, line element, leaf lengths,
 lambda, Jacobian gate) read a chart only through its family interface
@@ -111,11 +119,34 @@ class Foliation:
             E.im_part(E.mul(E.conj_expr(self.phi1), self.d_s1))))
 
     @cached_property
+    def polar_parts(self):
+        """(X, Theta) when Phi1 is written sqrt(X)*exp(i*Theta), in either
+        factor order, with X positive and Theta real on the interior
+        grid; None for any other chart."""
+        parts = _polar_parts(self.phi1)
+        if parts is None:
+            return None
+        g = self.grid(8)
+        x, theta = (E.eval_array(e, g) for e in parts)
+        if (x.imag != 0.0).any() or (theta.imag != 0.0).any() \
+                or not (x.real > 0.0).all():
+            return None
+        return parts
+
+    @cached_property
     def jac_a_expr(self):
-        """-Im(conj(d_s Phi1) A) where A couples the transverse partials;
-        equals the honest 3x3 determinant exactly when the foliation is
+        """The Jacobian that every volume integral uses.
+
+        On a polar chart (`polar_parts`) it is the honest determinant
+        1/2 det d(X, Theta, Phi2)/d(s, p1, p2), from dx dy = 1/2 d|z|^2
+        dTheta: every entry is real, and a steep phase never enters a
+        cancelling product.  Any other chart takes the A route,
+        -Im(conj(d_s Phi1) A) where A couples the transverse partials;
+        it equals the honest determinant exactly when the foliation is
         legendrian, and misses it by residual * Im(conj(d_p1 Phi1)
         d_p2 Phi1) otherwise."""
+        if self.polar_parts is not None:
+            return E.mul(E.const(0.5), _det3((*self.polar_parts, self.phi2)))
         a = E.add(
             E.sub(E.mul(self.d_p1_2, self.d_p2_1),
                   E.mul(self.d_p2_2, self.d_p1_1)),
@@ -126,14 +157,8 @@ class Foliation:
     @cached_property
     def jac_det_expr(self):
         """3x3 determinant of d(Re Phi1, Im Phi1, Phi2)/d(s, p1, p2)."""
-        rows = [[E.diff(comp, v) for v in ("s", "p1", "p2")]
-                for comp in (E.re_part(self.phi1), E.im_part(self.phi1),
-                             self.phi2)]
-        (a, b, c), (d, e_, f), (g, h, i) = rows
-        return E.add(
-            E.sub(E.mul(a, E.sub(E.mul(e_, i), E.mul(f, h))),
-                  E.mul(b, E.sub(E.mul(d, i), E.mul(f, g)))),
-            E.mul(c, E.sub(E.mul(d, h), E.mul(e_, g))))
+        return _det3((E.re_part(self.phi1), E.im_part(self.phi1),
+                      self.phi2))
 
     def compose(self, heis_expr: E.Expr) -> E.Expr:
         """Pull an expression in (z, zb, t) back to parameter space."""
@@ -165,6 +190,32 @@ class Foliation:
         if speed.min() < Q_FLOOR:
             raise ZeroVelocity("d_s Phi1 vanishes on the parameter box")
         return worst
+
+
+def _polar_parts(phi1):
+    """(X, Theta) when phi1 is the node sqrt(X)*exp(i*Theta), in either
+    factor order of both products, else None."""
+    if type(phi1) is not E.Mul:
+        return None
+    for root, wave in ((phi1.lhs, phi1.rhs), (phi1.rhs, phi1.lhs)):
+        if type(root) is E.Sqrt and type(wave) is E.Exp \
+                and type(wave.arg) is E.Mul:
+            m = wave.arg
+            for unit, theta in ((m.lhs, m.rhs), (m.rhs, m.lhs)):
+                if type(unit) is E.Const and unit.value == 1j:
+                    return root.arg, theta
+    return None
+
+
+def _det3(comps) -> E.Expr:
+    """3x3 determinant of d(comps)/d(s, p1, p2), by cofactors of the
+    first row."""
+    (a, b, c), (d, e_, f), (g, h, i) = (
+        [E.diff(comp, v) for v in ("s", "p1", "p2")] for comp in comps)
+    return E.add(
+        E.sub(E.mul(a, E.sub(E.mul(e_, i), E.mul(f, h))),
+              E.mul(b, E.sub(E.mul(d, i), E.mul(f, g)))),
+        E.mul(c, E.sub(E.mul(d, h), E.mul(e_, g))))
 
 
 def mu_squared_expr(q, fol) -> E.Expr:

@@ -28,6 +28,7 @@ from heismod.foliation import (
 )
 from heismod.heis import HPoint, legendrian_residual
 from heismod.qdiff import QuadDiff
+from heismod.scenarios import load_scenario
 
 Q0_TEXT = ("conj(z)^2 * (t^2 + (z*conj(z))^2)^(2/3)"
            " / ((z*conj(z))^(4/3) * (t + i*z*conj(z))^2)")
@@ -102,8 +103,14 @@ def test_residual_of_decoupled_chart():
 # Jacobian routes
 
 def test_jacobians_agree_on_legendrian_charts():
+    # jac_a_expr is 1/2 det d(|z|^2, theta, t) on the three polar charts
+    # and the A route on shear; the Cartesian determinant checks both
     rng = np.random.default_rng(31)
-    for fol in (arc_foliation(), radius_foliation(), shear_foliation()):
+    polar = (arc_foliation(), radius_foliation(),
+             load_scenario("triple-kernel-residuals").foliation)
+    assert all(fol.polar_parts is not None for fol in polar)
+    assert shear_foliation().polar_parts is None
+    for fol in (*polar, shear_foliation()):
         (s0, s1) = fol.s_range
         (a0, a1), (b0, b1) = fol.p_box
         for _ in range(25):
@@ -148,6 +155,42 @@ def test_jacobian_gap_on_coupled_nonlegendrian_chart():
         u = (0.5, p1, 0.3)
         assert at(fol.jac_det_expr, u) - at(fol.jac_a_expr, u) == \
             pytest.approx(2 * p1, rel=1e-12)
+
+
+def test_polar_jacobian_survives_a_steep_phase():
+    # theta = p2 - (s/2) cot(p1) grows like s/p1 near p1 = 0; the closed
+    # form is J = e^(2s)/2, which the Cartesian partials lose to
+    # cancellation
+    fol = radius_foliation()
+    s = np.linspace(0.0, LOG_R, 2001)[1:-1]
+    want = 0.5 * np.exp(2 * s)
+    for p1 in (1e-4, 1e-6, 1e-8):
+        b = {"s": s, "p1": p1, "p2": 0.7}
+        polar = E.eval_array(fol.jac_a_expr, b).real
+        assert np.abs(polar / want - 1.0).max() <= 1e-14
+    cartesian = E.eval_array(fol.jac_det_expr, b).real
+    assert np.abs(cartesian / want - 1.0).max() > 1e-9
+
+
+def test_polar_route_needs_the_polar_form_and_positive_x():
+    # a chart that is not legendrian tells the routes apart: the polar
+    # route is the honest determinant, the A route misses it by
+    # residual * Im(conj(d_p1 Phi1) d_p2 Phi1) = 1 * X_p1 / 2
+    box = ((0.1, 1.0), (0.0, 1.0))
+    u = (0.5, 0.7, 0.3)
+    for phi1 in ("sqrt(p1*sin(s)) * exp(i*p2)",
+                 "exp(p2*i) * sqrt(p1*sin(s))"):
+        fol = Foliation.from_strings(phi1, "s", (0.0, math.pi), box)
+        assert fol.polar_parts is not None
+        assert at(fol.jac_a_expr, u) == pytest.approx(0.5 * math.sin(0.5))
+        assert at(fol.jac_a_expr, u) == \
+            pytest.approx(at(fol.jac_det_expr, u), rel=1e-14)
+    # X = p1 cos(s) is negative for s > pi/2: the A route again
+    mixed = Foliation.from_strings("sqrt(p1*cos(s)) * exp(i*p2)", "s",
+                                   (0.0, math.pi), box)
+    assert mixed.polar_parts is None
+    assert at(mixed.jac_det_expr, u) - at(mixed.jac_a_expr, u) == \
+        pytest.approx(0.5 * math.cos(0.5), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from heismod.modulus import (
 )
 from heismod.planar import PlanarFoliation, PlanarQD, modulus_m2
 from heismod.qdiff import QuadDiff
+from heismod.quadrature import integrate_batch
 from heismod.scenarios import list_scenarios, load_scenario
 
 LOG_R = math.log(2.0)
@@ -302,7 +303,9 @@ def test_m4_refinement_is_consistent():
 
 def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
     # mass column-points (nodes x pairs) of one modulus_m4: 2,780,127 when
-    # every leaf of a batch ran on every node of the shared s-mesh
+    # every leaf of a batch ran on every node of the shared s-mesh.  With
+    # the polar Jacobian no leaf refines evaluation noise, so tol does not
+    # set this family's cost
     scn = load_scenario("annulus-vertical")
     real, points = modulus._mass_cols_fn, [0]
 
@@ -315,15 +318,31 @@ def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
         return counted
 
     monkeypatch.setattr(modulus, "_mass_cols_fn", spy_mass)
+    rep = modulus_m4(scn.q, scn.foliation, tol=1e-8)
+    assert rep.modulus == 29.636257682862016
+    assert rep.meta["s_points"] <= points[0] <= 2_780_127 // 10
+
+    # where tol does set the refinement, a loose tol costs less: sharp
+    # peaks 1/((x - c)^2 + w) beside smooth columns that retire early
+    c = np.array([0.23, 0.41, 0.67, 0.88])
+    w = np.array([1e-6, 1e-5, 1e-4, 1e-3])
+    k = np.array([0.5, 1.5])
+
+    def cols(x, live):
+        x = x[:, None]
+        return np.hstack((1.0 / ((x - c) ** 2 + w), np.exp(k * x)))[:, live]
+
+    exact = np.concatenate((
+        (np.arctan((1 - c) / np.sqrt(w)) + np.arctan(c / np.sqrt(w)))
+        / np.sqrt(w), np.expm1(k) / k))
     cost = {}
-    for tol in (1e-8, 1e-6):
-        points[0] = 0
-        rep = modulus_m4(scn.q, scn.foliation, tol=tol)
-        assert rep.modulus == 29.636257682862016
-        assert rep.meta["s_points"] <= points[0]
-        cost[tol] = points[0]
-    assert cost[1e-8] <= 2_780_127 // 2
-    assert cost[1e-6] < cost[1e-8]
+    for rtol in (1e-10, 1e-6):
+        res = integrate_batch(cols, 0.0, 1.0, atol=0.0, rtol=rtol,
+                              singular=(False, False))
+        assert (np.abs(res.value - exact) <= res.error).all()
+        assert res.n_points < res.n_evals * exact.size
+        cost[rtol] = res.n_points
+    assert cost[1e-6] < cost[1e-10]
 
 
 def test_s_stage_maps_live_columns_to_their_pairs_and_channels():
