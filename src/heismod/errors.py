@@ -96,8 +96,9 @@ class ZeroLeafLength(HeismodError):
     """A leaf has vanishing length, so no extremal density exists."""
 
 
-class NonAdmissibleAfterRenormalization(HeismodError):
-    """A renormalized density still fails the admissibility check."""
+class NonAdmissibleAfterRenormalization(HeismodError, ValueError):
+    """A perturbed density is no admissible density: its weight 1 + eps*g
+    is not positive on the box, or a weighted leaf length collapses."""
 
 
 class ScenarioError(HeismodError):

@@ -17,11 +17,11 @@ aggregates the s-stage, leaf-length and p-stage errors.
 
 A density rho = w sqrt|q|/L_w, w = 1 + eps*g and L_w the leaf's
 w-weighted q-length, has as energy the same ratio integral with w^n in
-the mass and L_w for l.  `density_energies` takes k densities as one
-integral: the mass and speed columns are evaluated once per s-node
-batch and weighted per channel, and one p-stage integrates the 2k
-channels [g_k/L_k^n ..., g_k ...].  The extremal energy (w = 1) is the
-modulus bit for bit.
+the mass and L_w for l.  `_energies` takes k densities as one integral:
+one s-stage over the channels of one column evaluator (`_columns`: k
+masses, and the lengths of the weighted densities), one p-stage over
+[E_k ..., g_k ...].  The modulus is its member w = 1, so the extremal
+energy is the modulus bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .foliation import (
     check_horizontal,
     check_jacobian,
     column_binding,
-    leaf_speed_fn,
 )
 from .qdiff import Q_FLOOR, QuadDiff
 from .quadrature import integrate_batch
@@ -62,6 +61,7 @@ _ATOL = 1e-14               # absolute tolerance of _leaf_integrals, p-stages
 _SETTLED_RTOL = 1e-3        # relative spread of a settled probe tail
 _DEAD_AXIS_RTOL = 1e-12     # relative variation below which an axis is dead
 _EDGE_OFFS = 10.0 ** -np.arange(2.0, 11.0)  # probe offsets, box fractions
+MASS, SPEED = "mass", "speed"   # the two bases of a `_columns` channel
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,10 @@ class LeafLengthField:
                 "q vanishes identically on the box; leaves have no length")
         pairs = _tensor_pairs(axes)
         check_horizontal(q, fol, *pairs)
-        self._speed_cols = _speed_cols_fn(q, fol)
-        self._sing = _probe_singular(self._speed_cols, fol)
-        self._dep = _axis_dependence(self._speed_cols, fol)
+        # best effort: queries at the box edge carry honest enlarged errors
+        self._leaf = _leaf_integrals(
+            fol, q, [(SPEED, None)], self.length_tol, None,
+            atol=0.01 * self.length_tol, log=self._computed)
         vals, errs = self.exact(*pairs)
         if vals.min() <= 0.0 or not np.isfinite(vals).all():
             raise ZeroLeafLength("a sampled leaf has no q-length")
@@ -125,17 +126,7 @@ class LeafLengthField:
     def exact(self, *ps):
         """Exact leaf integrals and error bounds at paired parameter
         arrays, whatever the mode, each distinct leaf of a query once."""
-        return _dedup_pairs(self._integrate, ps, self._dep)
-
-    def _integrate(self, *ps):
-        # best effort: queries at the box edge carry honest enlarged errors
-        vals, errs = (a[:, 0] for a in _s_batched(
-            self.fol, self._speed_cols, ps, rtol=self.length_tol,
-            atol=0.01 * self.length_tol, counter=None, singular=self._sing))
-        keys = np.column_stack([p if d else np.zeros(p.size)
-                                for p, d in zip(ps, self._dep)])
-        self._computed.append((keys, vals))
-        return vals, errs
+        return tuple(a[:, 0] for a in self._leaf(*ps))
 
     def eval(self, *ps):
         """Lengths and error bounds at paired parameter arrays, one per
@@ -323,14 +314,14 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular,
                chans=1):
     """Leaf-direction integrals of cols_fn, shape (pairs, chans), its
     channels channel-major, at most `_CHUNK` columns per integrate_batch
-    call.  Once columns converge, integrate_batch asks for the live ones
-    only: channel-major column c of a chunk of n pairs is pair c % n, so
-    each call evaluates the live pairs once and picks its channels.
-    Best-effort: pairs pinned against a degenerate box edge return
-    honest oversized error bounds, which the p-stage weights, instead of
-    aborting."""
+    call; rtol is one value or one per channel.  Once columns converge,
+    integrate_batch asks for the live ones only: channel-major column c
+    of a chunk of n pairs is pair c % n, so each call evaluates the live
+    pairs once and picks its channels.  Best-effort: pairs pinned
+    against a degenerate box edge return honest oversized error bounds,
+    which the p-stage weights, instead of aborting."""
     (s0, s1) = fol.s_range
-    k = ps[0].size
+    k, rtol = ps[0].size, np.asarray(rtol, dtype=float)
     step = max(1, _CHUNK // chans)
     vals = np.empty((chans, k))
     errs = np.empty((chans, k))
@@ -345,8 +336,9 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular,
             v = cols_fn(x, *(p[pairs] for p in pc))
             return v if chans == 1 else v[:, chan * pairs.size + at]
 
-        res = integrate_batch(f, s0, s1, atol=atol, rtol=rtol,
-                              singular=singular, best_effort=True)
+        res = integrate_batch(
+            f, s0, s1, atol=atol, singular=singular, best_effort=True,
+            rtol=rtol if rtol.ndim == 0 else np.repeat(rtol, pc[0].size))
         vals[:, lo:lo + step] = res.value.reshape(chans, -1)
         errs[:, lo:lo + step] = res.error.reshape(chans, -1)
         if counter is not None:
@@ -355,52 +347,105 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular,
     return vals.T, errs.T
 
 
-def _leaf_integrals(fol, cols, rtol: float, counter, chans: int = 1):
-    """(*ps) -> (values, errors), shape (pairs, chans): leaf integrals of
-    the nonnegative column evaluator cols(x, *pc), its singular endpoints
-    and dead p-axes probed once, here.  Masses and energies run at 0.01
-    tol, so their leaf noise never looks like structure to p refinement."""
-    sing = _probe_singular(cols, fol)
-    dep = _axis_dependence(cols, fol)
-
-    def raw(*ps):
-        return _s_batched(fol, cols, ps, rtol=rtol, atol=_ATOL,
-                          counter=counter, singular=sing, chans=chans)
-
-    return lambda *ps: _dedup_pairs(raw, ps, dep)
-
-
-def _speed_cols_fn(q, fol):
-    """sqrt|q(Phi)| |d_s Phi1|, the q-length element, in (s, pairs)."""
-    speed = leaf_speed_fn(q, fol)
-    return lambda x, *pc: speed(column_binding(fol, x, pc))
-
-
-def _mass_cols_fn(q, fol):
-    """|q(Phi)|^(n/2) |J| as a column evaluator in (s, pairs): |q|^2 |J|
-    for the group's n = 4, |q| |J| for the plane's n = 2."""
-    qabs = fol.compose(q.coeff if fol.exponent == 2 else E.abs2(q.coeff))
-    jac = fol.jac_a_expr
+def _columns(q, fol, chans):
+    """Column evaluator (x, *pc) -> (nodes, len(chans) * pairs) of the
+    leaf integrands, channel-major.  A channel (base, rho) is the mass
+    |q(Phi)|^(n/2) |J| (base MASS) or the q-speed sqrt|q(Phi)| |d_s Phi1|
+    (SPEED) times the density rho's weight w^n or w, n the chart's
+    exponent, w = 1 for rho None.  Per s-node batch q o Phi runs once,
+    and so does each weight."""
+    qc, n = fol.compose(q.coeff), fol.exponent
+    kinds = {kind for kind, _ in chans}
+    groups: dict = {}       # id of a density -> (density, its channels)
+    for j, (kind, rho) in enumerate(chans):
+        groups.setdefault(id(rho), (rho, []))[1].append((j, kind))
 
     def cols(x, *pc):
-        b = column_binding(fol, x, pc)
-        v = np.abs(E.eval_array(qabs, b)) * np.abs(E.eval_array(jac, b))
-        return _full_shape(v, (x.size, pc[0].size))
+        shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
+        qv, base = E.eval_array(qc, b), {}
+        if MASS in kinds and n == 4:    # rounds as abs2(q o Phi) would
+            qm = qv.real * qv.real + qv.imag * qv.imag
+        qv = np.abs(qv) if n == 2 or SPEED in kinds else None
+        if MASS in kinds:
+            base[MASS] = _full_shape((qm if n == 4 else qv) * np.abs(
+                E.eval_array(fol.jac_a_expr, b)), shape)
+        if SPEED in kinds:  # |d_s Phi1| first: one array fewer waits
+            base[SPEED] = _full_shape(
+                np.abs(E.eval_array(fol.d_s1, b)) * np.sqrt(qv), shape)
+        if len(chans) == 1 and chans[0][1] is None:
+            return base[chans[0][0]]
+        out = np.empty((x.size, len(chans) * shape[1]))
+        for rho, chs in groups.values():
+            w = 1.0 if rho is None else rho._factor(b, shape)
+            for j, kind in chs:
+                np.multiply(base[kind], w if kind == SPEED else w ** n,
+                            out=out[:, j * shape[1]:(j + 1) * shape[1]])
+        return out
     return cols
 
 
-def _ratio_fn(g_of, l_of, n: int):
-    """p-stage integrand of a modulus or of k energies: channels
-    [g_k / l_k^n ..., g_k ...] and their error bounds, from (pairs, k)
-    leaf integrals g_of and lengths l_of (one length column serves all)."""
+def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL, log=None):
+    """(*ps) -> (values, errors), shape (pairs, len(chans)): leaf
+    integrals of the `_columns` channels at rtol (one, or one per
+    channel), singular endpoints and dead p-axes probed once, here.
+    Masses and energies run at 0.01 tol, so their leaf noise never looks
+    like structure to p refinement.  Weighted lengths must not collapse;
+    `log` collects (leaf keys, first channel) per batch of distinct leaves."""
+    cols = _columns(q, fol, chans)
+    sing = _probe_singular(cols, fol)
+    dep = _axis_dependence(cols, fol)
+    wl = [j for j, (kind, rho) in enumerate(chans)
+          if kind == SPEED and rho is not None]
+
+    def raw(*ps):
+        v, e = _s_batched(fol, cols, ps, rtol=rtol, atol=atol,
+                          counter=counter, singular=sing, chans=len(chans))
+        if log is not None:
+            log.append((np.column_stack([p if d else np.zeros(p.size)
+                                         for p, d in zip(ps, dep)]), v[:, 0]))
+        return v, e
+
+    def leaf(*ps):
+        v, e = _dedup_pairs(raw, ps, dep)
+        if wl and (low := v[:, wl].min()) <= math.sqrt(Q_FLOOR) * \
+                chans[wl[0]][1].length_field.value:
+            raise NonAdmissibleAfterRenormalization(
+                f"a weighted leaf length collapsed to {low:.3e}; the "
+                "perturbed density cannot be renormalized")
+        return v, e
+    return leaf
+
+
+def _energies(q, fol, field, rhos, tol: float, counter: dict):
+    """(values, errors) of [E_k ..., g_k ...] over the p-box for k
+    densities (None: w = 1), E_k = int g_k / L_k^n dp.  One s-stage
+    integrates the masses g_k = int w_k^n |q|^(n/2) |J| ds at 0.01 tol
+    and the weighted lengths L_k = int w_k sqrt|q| |d_s Phi1| ds at
+    0.1 min(1e-10, 0.02 tol); an unweighted L_k is the field's l."""
+    n, k = fol.exponent, len(rhos)
+    wtd = [j for j, r in enumerate(rhos) if r is not None and r.weighted]
+    chans = [(MASS, r) for r in rhos] + [(SPEED, rhos[j]) for j in wtd]
+    rtol = [0.01 * tol] * k + [0.1 * min(1e-10, 0.02 * tol)] * len(wtd)
+    leaf = _leaf_integrals(fol, q, chans, rtol, counter)
+    at = [1 + wtd.index(j) if j in wtd else 0 for j in range(k)]
+
     def pair_fn(*ps):
-        g, ge = g_of(*ps)
-        lv, le = (np.reshape(a, (len(g), -1)) for a in l_of(*ps))
+        v, e = leaf(*ps)
+        g, ge = v[:, :k], e[:, :k]
+        if not wtd:     # views, no copies: the modulus's memory stays low
+            lv, le = (a[:, None] for a in field.eval(*ps))
+        elif len(wtd) == k:
+            lv, le = v[:, k:], e[:, k:]
+        else:   # channel j's length is column at[j] of [l, L_w ...]
+            lv, le = (np.column_stack((f, a[:, k:]))[:, at]
+                      for f, a in zip(field.eval(*ps), (v, e)))
         lin = 1.0 / lv ** n
         vals = np.column_stack((g * lin, g))
         errs = np.column_stack((ge * lin + n * g * lin * (le / lv), ge))
         return vals, errs
-    return pair_fn
+
+    return _nested_p_integral(fol, pair_fn, 2 * k, rtol=0.5 * tol,
+                              counter=counter)
 
 
 def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
@@ -410,7 +455,7 @@ def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
 
 def _q_mass(q, fol, tol: float, counter):
     """(mass, error) of the family: the p-integral of the leaf masses."""
-    g_of = _leaf_integrals(fol, _mass_cols_fn(q, fol), 0.01 * tol, counter)
+    g_of = _leaf_integrals(fol, q, [(MASS, None)], 0.01 * tol, counter)
     vals, errs = _nested_p_integral(fol, g_of, 1, rtol=0.5 * tol,
                                     counter=counter)
     return float(vals[0]), float(errs[0])
@@ -432,15 +477,12 @@ def family_modulus(q, fol, tol: float, residual: float,
     ``q_volume`` and, when leaf lengths are constant, the gap against the
     constant-length shortcut mass / l^n.
     """
-    n = fol.exponent
     field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
     counter: dict = {}
-    g_of = _leaf_integrals(fol, _mass_cols_fn(q, fol), 0.01 * tol, counter)
-    vals, errs = _nested_p_integral(fol, _ratio_fn(g_of, field.eval, n), 2,
-                                    rtol=0.5 * tol, counter=counter)
+    vals, errs = _energies(q, fol, field, [None], tol, counter)
     mod, vol = float(vals[0]), float(vals[1])
-    gap = (abs(mod - vol / field.value ** n) if field.mode == "constant"
-           else None)
+    gap = (abs(mod - vol / field.value ** fol.exponent)
+           if field.mode == "constant" else None)
     meta = {"q_volume": vol, "q_volume_error": float(errs[1]),
             "field_mode": field.mode, "tol": tol,
             "elapsed": perf_counter() - t0, **counter}
@@ -536,11 +578,13 @@ class Density:
 
     def leaf_lengths(self, tol: float = 1e-10):
         """(*ps) -> (L_w, error bounds): the field's lengths when w = 1,
-        else the weighted leaf integrals of `_weighted_lengths`."""
+        else the weighted leaf integrals at 0.1 tol, which must not
+        collapse.  Its probes run once, here: build it once per use."""
         if not self.weighted:
             return self.length_field.eval
-        lengths = _weighted_lengths([self], tol)
-        return lambda *ps: tuple(a[:, 0] for a in lengths(*ps))
+        raw = _leaf_integrals(self.foliation, self.q, [(SPEED, self)],
+                              0.1 * tol, None)
+        return lambda *ps: tuple(a[:, 0] for a in raw(*ps))
 
     def pullback(self, s, *ps):
         """Density values rho(Phi(s, *ps)) at broadcastable arrays."""
@@ -558,48 +602,6 @@ def extremal_density(q, fol) -> Density:
     return Density(q, fol, LeafLengthField(q, fol))
 
 
-def _weighted_cols(base, rhos, n: int):
-    """Column evaluator base(x, *pc) * w_k^n for k densities,
-    channel-major: base runs once per s-node batch and each channel is
-    written in place into one float64 (nodes, k*pairs) array, which
-    integrate_batch takes as it is."""
-    def cols(x, *pc):
-        m, b = pc[0].size, column_binding(rhos[0].foliation, x, pc)
-        v, out = base(x, *pc), np.empty((x.size, len(rhos) * m))
-        for j, rho in enumerate(rhos):
-            np.multiply(v, rho._factor(b, (x.size, m)) ** n,
-                        out=out[:, j * m:(j + 1) * m])
-        return out
-    return cols
-
-
-def _weighted_lengths(rhos, tol: float):
-    """(*ps) -> (L_w, error bounds) per pair and density: the field's
-    lengths where w = 1, else int w sqrt|q(Phi)| |d_s Phi1| ds, one
-    stacked s-stage at 0.1 tol, which must not collapse.  Its probes run
-    once, here: build it once per use."""
-    rho, field = rhos[0], rhos[0].length_field
-    wtd = [j for j, r in enumerate(rhos) if r.weighted]
-    if wtd:
-        speed = _speed_cols_fn(rho.q, rho.foliation)
-        raw = _leaf_integrals(rho.foliation, _weighted_cols(
-            speed, [rhos[j] for j in wtd], 1), 0.1 * tol, None, len(wtd))
-
-    def lengths(*ps):
-        out = np.empty((2, ps[0].size, len(rhos)))
-        if len(wtd) < len(rhos):
-            out[:] = np.asarray(field.eval(*ps))[:, :, None]
-        if wtd:
-            out[:, :, wtd] = raw(*ps)
-            low = out[0][:, wtd].min()
-            if low <= math.sqrt(Q_FLOOR) * field.value:
-                raise NonAdmissibleAfterRenormalization(
-                    f"a weighted leaf length collapsed to {low:.3e}; the "
-                    "perturbed density cannot be renormalized")
-        return out[0], out[1]
-    return lengths
-
-
 def admissibility_check(rho: Density, leaf_sample_count: int = 64,
                         tol: float = 1e-10):
     """Per-leaf line integrals of rho; admissible iff the min is >= 1.
@@ -611,12 +613,10 @@ def admissibility_check(rho: Density, leaf_sample_count: int = 64,
     fol = rho.foliation
     n = max(2, math.ceil(leaf_sample_count ** (1.0 / len(fol.p_box))))
     ps = _interior_pairs(fol, n)
-    if rho.weighted:        # the numerator is L_w: integrate it once
-        v, ve = lv, le = rho.leaf_lengths(tol)(*ps)
-    else:
-        v, ve = (a[:, 0] for a in _leaf_integrals(
-            fol, _speed_cols_fn(rho.q, fol), 0.1 * tol, None)(*ps))
-        lv, le = rho.length_field.eval(*ps)
+    # the numerator; when rho is weighted it is L_w, integrated once
+    v, ve = (a[:, 0] for a in _leaf_integrals(
+        fol, rho.q, [(SPEED, rho)], 0.1 * tol, None)(*ps))
+    lv, le = (v, ve) if rho.weighted else rho.length_field.eval(*ps)
     vals = v / lv
     errs = ve / lv + np.abs(v) * le / lv ** 2
     table = np.column_stack((*ps, vals, errs))
@@ -625,22 +625,17 @@ def admissibility_check(rho: Density, leaf_sample_count: int = 64,
 
 def density_energies(rhos, tol: float = 1e-8) -> list:
     """Energies int (rho_k o Phi)^n |J| of k densities that share q,
-    foliation and length field, n the chart's exponent: one stacked mass
-    s-stage, one stacked weighted-length s-stage and one p-stage over
-    the 2k channels of `_ratio_fn` (see the module docstring)."""
+    foliation and length field, n the chart's exponent: one s-stage over
+    the k masses and the weighted densities' lengths, and one p-stage
+    over the 2k channels of `_energies` (see the module docstring)."""
     rho, fol = rhos[0], rhos[0].foliation
     if len({(id(r.q), id(r.foliation), id(r.length_field))
             for r in rhos}) > 1:
         raise ValueError("densities of one batch must share q, foliation "
                          "and length field")
     fol.validate()
-    n, k, counter = fol.exponent, len(rhos), {}
-    mass = _weighted_cols(_mass_cols_fn(rho.q, fol), rhos, n)
-    g_of = _leaf_integrals(fol, mass, 0.01 * tol, counter, k)
-    l_of = _weighted_lengths(rhos, min(1e-10, 0.02 * tol))
-    vals, _ = _nested_p_integral(fol, _ratio_fn(g_of, l_of, n), 2 * k,
-                                 rtol=0.5 * tol, counter=counter)
-    return [float(v) for v in vals[:k]]
+    vals, _ = _energies(rho.q, fol, rho.length_field, rhos, tol, {})
+    return [float(v) for v in vals[:len(rhos)]]
 
 
 def density_energy(rho: Density, tol: float = 1e-8) -> float:
@@ -659,7 +654,7 @@ def perturbed_density(rho: Density, g, eps: float) -> Density:
         raise ValueError("perturbation g must be real-valued")
     low = 1.0 + eps * (gv.real.min() if eps >= 0 else gv.real.max())
     if low <= 0.0:
-        raise ValueError(
+        raise NonAdmissibleAfterRenormalization(
             f"1 + eps*g reaches {low:.3g} on the box; the perturbed "
             "density would not be nonnegative")
     return replace(rho, modifier=g, eps=float(eps))

@@ -239,7 +239,8 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
         ladder and tail extrapolation.  Unflagged endpoints are handled
         by ordinary bisection, which assumes the integrand is smooth
         enough there.
-    atol, rtol : per-column convergence is err <= atol + rtol*|value|.
+    atol, rtol : per-column convergence is err <= atol + rtol*|value|,
+        with rtol one value or one per column.
     aux_cols : the last `aux_cols` columns ride along on the shared mesh
         (useful for error-propagation channels) but are excluded from
         the convergence test and from refinement scoring.
@@ -335,6 +336,7 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
     m = ps.vals.shape[1]
     if aux_cols and m <= aux_cols:
         raise ValueError("aux_cols must be fewer than the integrand columns")
+    rtol = np.full(m, rtol, dtype=float)
     value, error = np.empty(m, ps.vals.dtype), np.empty(m)
     width_floor = 32.0 * _EPS * max(1.0, abs(a), abs(b))
     rounds = 0
@@ -343,7 +345,7 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
         return arr[..., :arr.shape[-1] - aux_cols] if aux_cols else arr
 
     def target():
-        return main_cols(atol + rtol * np.abs(ps.vals.sum(axis=0)))
+        return main_cols(atol + rtol[live] * np.abs(ps.vals.sum(axis=0)))
 
     def refine_to(budget_frac):
         nonlocal rounds, live
@@ -413,7 +415,7 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
         """Values and errors, ladder tails included, of live columns."""
         vals = ps.vals[:, cols]
         value = vals.sum(axis=0)
-        tgt = atol + rtol * np.abs(value)
+        tgt = atol + rtol[live][cols] * np.abs(value)
         error = ps.errs[:, cols].sum(axis=0)
         k = vals.shape[1]
         aux = np.arange(k) >= k - aux_cols

@@ -279,6 +279,24 @@ def test_divergent_leaf_lengths_exit_1_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_sign_breaking_probe_exits_1_without_traceback(tmp_path, capsys):
+    # on the shear family stretched to p1 in [0, 40] a row probe's weight
+    # 1 + 0.1*g goes negative: no density to compare with the modulus
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({
+        "name": "shear-wide", "space": "heisenberg", "q": "1",
+        "foliation": {"phi1": "s + i*p1", "phi2": "p2 + 2*p1*s",
+                      "s_range": [0, 2], "p_ranges": [[0, 40], [0, 1]]},
+        "tolerances": {"quad_tol": 1e-9, "rk_tol": 1e-9,
+                       "residual_tol": 1e-12},
+        "checks": ["perturbation"], "expected": {}}))
+    assert run_cli("run", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonAdmissibleAfterRenormalization: "
+                          "1 + eps*g reaches -0.277"), err
+    assert "Traceback" not in err
+
+
 def test_lambda_spread_on_collapsed_chart_is_strict_json(tmp_path):
     path = tmp_path / "scn.json"
     report = tmp_path / "report.json"

@@ -25,7 +25,7 @@ from heismod.errors import (
     ZeroLeafLength,
 )
 from heismod import modulus
-from heismod.foliation import Foliation
+from heismod.foliation import Foliation, lambda_field_array
 from heismod.modulus import (
     Density,
     LeafLengthField,
@@ -307,17 +307,19 @@ def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
     # the polar Jacobian no leaf refines evaluation noise, so tol does not
     # set this family's cost
     scn = load_scenario("annulus-vertical")
-    real, points = modulus._mass_cols_fn, [0]
+    real, points = modulus._columns, [0]
 
-    def spy_mass(q, fol):
-        cols = real(q, fol)
+    def spy_mass(q, fol, chans):
+        cols = real(q, fol, chans)
+        if chans != [(modulus.MASS, None)]:
+            return cols
 
         def counted(x, *pc):
             points[0] += x.size * pc[0].size
             return cols(x, *pc)
         return counted
 
-    monkeypatch.setattr(modulus, "_mass_cols_fn", spy_mass)
+    monkeypatch.setattr(modulus, "_columns", spy_mass)
     rep = modulus_m4(scn.q, scn.foliation, tol=1e-8)
     assert rep.modulus == 29.636257682862016
     assert rep.meta["s_points"] <= points[0] <= 2_780_127 // 10
@@ -369,6 +371,13 @@ def test_s_stage_maps_live_columns_to_their_pairs_and_channels():
                              (np.arctan((1 - p) / r) + np.arctan(p / r)) / r))
     assert (np.abs(vals - exact) <= errs).all()
     assert counter["s_points"] < 6 * counter["s_evals"]
+    # one rtol per channel: the same value for both keeps the bits
+    again = modulus._s_batched(
+        SimpleNamespace(s_range=(0.0, 1.0)), cols_fn, (p,),
+        rtol=[1e-10, 1e-10], atol=1e-12, counter=None,
+        singular=(False, False), chans=2)
+    assert again[0].tobytes() == vals.tobytes()
+    assert again[1].tobytes() == errs.tobytes()
 
 
 def test_m4_gate_rejects_non_kernel_differential():
@@ -452,6 +461,20 @@ def test_m4_invariant_under_conformal_maps(name, move):
     rep = modulus_m4(*move(scn.q, scn.foliation))
     assert abs(rep.modulus - base.modulus) <= \
         rep.error_estimate + base.error_estimate
+
+
+@pytest.mark.parametrize("name, cut", [("annulus-vertical", 1.0),
+                                       ("annulus-horizontal", 0.5)])
+def test_m4_is_additive_over_a_split_box(name, cut):
+    # M = int l^-n mass dp: the two halves of the p-box sum to the whole
+    scn = load_scenario(name)
+    fol = scn.foliation
+    (a0, a1), other = fol.p_box
+    reps = [modulus_m4(scn.q, replace(fol, p_box=(rng, other)))
+            for rng in ((a0, a1), (a0, cut), (cut, a1))]
+    whole, lo, hi = reps
+    assert abs(lo.modulus + hi.modulus - whole.modulus) <= \
+        sum(r.error_estimate for r in reps)
 
 
 # ---------------------------------------------------------------------------
@@ -689,52 +712,98 @@ def arc_batch():
 def test_batched_energies_are_one_integral_within_each_estimate(
         monkeypatch):
     rhos = arc_batch()
-    p_stages, mass_batches, stacked_batches = [], [], []
-    real_p, real_mass = modulus._nested_p_integral, modulus._mass_cols_fn
-    real_weighted = modulus._weighted_cols
+    p_stages, stages, batches = [], [], []
+    real_p, real_cols, real_eval = (modulus._nested_p_integral,
+                                    modulus._columns, E.eval_array)
 
     def spy_p(*args, **kwargs):
         out = real_p(*args, **kwargs)
         p_stages.append(out)
         return out
 
-    def spy_mass(q, fol):
-        cols = real_mass(q, fol)
+    def spy_cols(q, fol, chans):
+        stages.append([kind for kind, _ in chans])
+        cols = real_cols(q, fol, chans)
 
         def counted(x, *pc):
-            mass_batches.append(pc[0].size)
-            return cols(x, *pc)
-        counted.is_mass = True
-        return counted
-
-    def spy_weighted(base, rhos, n):
-        cols = real_weighted(base, rhos, n)
-        if not getattr(base, "is_mass", False):
-            return cols
-
-        def counted(x, *pc):
+            batches.append([])
             out = cols(x, *pc)
-            stacked_batches.append(out.shape[1] // pc[0].size)
+            batches[-1].append(out.shape[1] // pc[0].size)
             return out
         return counted
 
+    def spy_eval(ex, binding):
+        if batches:
+            batches[-1].append(id(ex))
+        return real_eval(ex, binding)
+
     monkeypatch.setattr(modulus, "_nested_p_integral", spy_p)
-    monkeypatch.setattr(modulus, "_mass_cols_fn", spy_mass)
-    monkeypatch.setattr(modulus, "_weighted_cols", spy_weighted)
+    monkeypatch.setattr(modulus, "_columns", spy_cols)
+    monkeypatch.setattr(E, "eval_array", spy_eval)
+    rhos[0].foliation.jac_a_expr    # built, polar form probed, on first use
     energies = density_energies(rhos, tol=1e-6)
+    # one s-stage: the k = 3 masses and the lengths of the 2 weighted
+    # densities share one evaluator
+    assert stages == [["mass"] * 3 + ["speed"] * 2]
     # one p-stage over the 2k channels [g_k/L_k^4 ..., g_k ...]
     assert len(p_stages) == 1
     vals, errs = p_stages[0]
     assert vals.shape == (6,) and list(vals[:3]) == energies
-    # the mass expression runs once per s-node batch, shared by 3 channels
-    assert len(mass_batches) == len(stacked_batches) > 0
-    assert set(stacked_batches) == {3}
+    # per s-node batch q o Phi, |J|, |d_s Phi1| and the two g run once
+    # each, shared by the 5 channels
+    assert batches and all(len(set(b[:-1])) == len(b) - 1 == 5 and
+                           b[-1] == 5 for b in batches)
     monkeypatch.undo()
 
     for rho, energy, err in zip(rhos, energies, errs[:3]):
         alone = density_energy(rho, tol=1e-6)
         assert abs(energy - alone) <= err
     assert energies[0] < min(energies[1:])
+
+
+def test_perturbation_row_matches_leafwise_moments():
+    # on annulus-horizontal the lambda field is -1 and l is constant, so
+    # E_k / M = mean over the p-box of <w^4>_nu / <w>_nu^4, nu the
+    # normalised q-length measure sin^(-2/3)(s) ds: no Jacobian, no mass
+    scn = load_scenario("annulus-horizontal")
+    q, fol = scn.q, scn.foliation
+    (a0, a1), (b0, b1) = fol.p_box
+    s, p1, p2 = np.ix_(np.linspace(0.02, 3.12, 41), np.linspace(a0, a1, 9),
+                       np.linspace(b0, b1, 9))
+    lam = lambda_field_array(q, fol, {"s": s, "p1": p1, "p2": p2})
+    assert np.abs(lam + 1.0).max() <= 1e-13
+    rho = extremal_density(q, fol)
+    assert rho.length_field.mode == "constant"
+
+    rng = np.random.default_rng(0)      # the five probes of the row
+    coef, probes = [], []
+    for _ in range(5):
+        c0, c1, c2 = rng.uniform(-0.4, 0.4, 3)
+        cs = rng.uniform(0.3, 1.0)
+        g = (f"{c0:.6f} + {cs:.6f}*sin(s) + {c1:.6f}*p1"
+             f" + {c2:.6f}*cos(p2)")
+        coef.append([float(f"{c:.6f}") for c in (c0, cs, c1, c2)])
+        probes.append(perturbed_density(rho, g, 0.1))
+    *energies, mod = density_energies(probes + [rho], tol=1e-7)
+
+    def beta(a):            # int_0^pi sin^a(s) ds
+        return math.sqrt(math.pi) * math.gamma((a + 1) / 2) \
+            / math.gamma(a / 2 + 1)
+    mom = [beta(i - 2 / 3) / beta(-2 / 3) for i in range(5)]
+    x, wt = np.polynomial.legendre.leggauss(40)
+    u = a0 + (a1 - a0) * (x + 1) / 2
+    v = b0 + (b1 - b0) * (x + 1) / 2
+    for energy, (c0, cs, c1, c2) in zip(energies, coef):
+        # on a leaf w = a + b sin(s)
+        a = 1 + 0.1 * (c0 + c1 * u[:, None] + c2 * np.cos(v)[None, :])
+        b = 0.1 * cs
+
+        def moment(j):
+            return sum(math.comb(j, i) * a ** (j - i) * b ** i * mom[i]
+                       for i in range(j + 1))
+        ratio = moment(4) / moment(1) ** 4
+        oracle = wt @ ratio @ wt / 4
+        assert abs(energy / mod - oracle) <= 1e-9
 
 
 def test_batched_energies_refuse_a_collapsed_channel():

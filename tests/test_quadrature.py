@@ -211,6 +211,35 @@ def test_mixed_batch_retires_its_easy_columns():
         integrate_batch(_columns(fns, []), 0.0, 1.0, atol=1e-12, rtol=1e-10)
 
 
+def test_per_column_rtol():
+    # four equal peaks, two held to a loose budget: one shared mesh, each
+    # column within its own tolerance, the loose ones retiring first
+    c, w = np.array([0.3, 0.45, 0.61, 0.77]), 1e-4
+    fns = [_peak(cj) for cj in c]
+    exact = (np.arctan((1 - c) / math.sqrt(w))
+             + np.arctan(c / math.sqrt(w))) / math.sqrt(w)
+    one = integrate_batch(_columns(fns, []), 0.0, 1.0, atol=1e-12,
+                          rtol=1e-10, singular=(False, False))
+    full = integrate_batch(_columns(fns, []), 0.0, 1.0, atol=1e-12,
+                           rtol=np.full(4, 1e-10), singular=(False, False))
+    assert full.value.tobytes() == one.value.tobytes()
+    assert full.error.tobytes() == one.error.tobytes()
+    assert (full.n_evals, full.n_points) == (one.n_evals, one.n_points)
+
+    rtol = np.array([1e-5, 1e-10, 1e-5, 1e-10])
+    calls = []
+    res = integrate_batch(_columns(fns, calls), 0.0, 1.0, atol=1e-12,
+                          rtol=rtol, singular=(False, False))
+    assert (np.abs(res.value - exact) <= res.error).all()
+    assert (res.error <= 1e-12 + rtol * np.abs(res.value)).all()
+    assert (res.error[[0, 2]] > 1e-12 + 1e-10 * exact[[0, 2]]).all()
+    # a loose column is evaluated only while both tight ones still are
+    live = [set(np.arange(4)[cols].tolist()) for cols in calls]
+    assert all({1, 3} <= cols for cols in live if cols & {0, 2})
+    assert {1, 3} in live
+    assert res.n_points < one.n_points
+
+
 def test_reversed_bounds_negate():
     v1, _ = integrate_1d(np.exp, 0.0, 1.0)
     v2, _ = integrate_1d(np.exp, 1.0, 0.0)
