@@ -11,7 +11,10 @@ exponent, and `modulus_m4` here and `heismod.planar.modulus_m2` only
 add their family's gates.  Leaf lengths l(p) come from
 :class:`LeafLengthField`: one shared value when they are constant,
 exact leaf integrals otherwise.  Every leaf integral collapses dead
-p-axes through `_dedup_pairs`.  The p-integrals ride on the batch
+p-axes through `_dedup_pairs`, unless a density's weight makes every
+leaf distinct; such a batch still evaluates its chart factors once per
+distinct leaf of their own live axes, and only the weights on every
+pair (`_columns`).  The p-integrals ride on the batch
 quadrature with error channels (`aux_cols`), so ``error_estimate``
 aggregates the s-stage, leaf-length and p-stage errors.
 
@@ -215,13 +218,24 @@ def _axis_dependence(cols_fn, fol):
                        / scale > _DEAD_AXIS_RTOL).any()) for k in range(d))
 
 
-def _dedup_pairs(fn, ps, dep):
-    """Evaluate fn over parameter pairs, collapsing dead axes."""
+def _distinct_leaves(ps, dep):
+    """(first, inverse) of the distinct leaves among parameter pairs ps,
+    keyed on their live axes `dep`: ps[k][first] are the distinct leaves
+    and `inverse` maps each pair to its leaf.  None when every axis is
+    live, so every pair is its own leaf."""
     if all(dep):
-        return fn(*ps)
+        return None
     live = [p for p, d in zip(ps, dep) if d]
     key = live[0] if live else np.zeros_like(ps[0])
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return first, inv
+
+
+def _dedup_pairs(fn, ps, dep):
+    """Evaluate fn over parameter pairs, collapsing dead axes."""
+    if (leaves := _distinct_leaves(ps, dep)) is None:
+        return fn(*ps)
+    first, inv = leaves
     outs = fn(*(p[first] for p in ps))
     return tuple(np.asarray(o)[inv] for o in outs)
 
@@ -353,14 +367,18 @@ def _columns(q, fol, chans):
     |q(Phi)|^(n/2) |J| (base MASS) or the q-speed sqrt|q(Phi)| |d_s Phi1|
     (SPEED) times the density rho's weight w^n or w, n the chart's
     exponent, w = 1 for rho None.  Per s-node batch q o Phi runs once,
-    and so does each weight."""
+    and so does each weight.  Weights make every leaf distinct, so
+    `_leaf_integrals` cannot collapse a weighted batch's pairs; its chart
+    factors (q o Phi, |J|, |d_s Phi1|) then run on the distinct leaves
+    of their own live p-axes, probed here, and each weight on every
+    pair.  Unweighted channels leave the collapsing to `_dedup_pairs`."""
     qc, n = fol.compose(q.coeff), fol.exponent
     kinds = {kind for kind, _ in chans}
     groups: dict = {}       # id of a density -> (density, its channels)
     for j, (kind, rho) in enumerate(chans):
         groups.setdefault(id(rho), (rho, []))[1].append((j, kind))
 
-    def cols(x, *pc):
+    def chart(x, *pc):      # base -> (nodes, pairs) factors
         shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
         qv, base = E.eval_array(qc, b), {}
         if MASS in kinds and n == 4:    # rounds as abs2(q o Phi) would
@@ -372,8 +390,24 @@ def _columns(q, fol, chans):
         if SPEED in kinds:  # |d_s Phi1| first: one array fewer waits
             base[SPEED] = _full_shape(
                 np.abs(E.eval_array(fol.d_s1, b)) * np.sqrt(qv), shape)
+        return base
+
+    dep = (True,) * len(fol.p_box)
+    if any(rho is not None and rho.weighted for _, rho in chans):
+        dep = _axis_dependence(
+            lambda x, *pc: np.hstack(tuple(chart(x, *pc).values())), fol)
+
+    def cols(x, *pc):
+        if (leaves := _distinct_leaves(pc, dep)) is None:
+            base = chart(x, *pc)
+        else:   # one distinct leaf broadcasts as its (nodes, 1) column
+            first, inv = leaves
+            base = chart(x, *(p[first] for p in pc))
+            if first.size > 1:
+                base = {kind: v[:, inv] for kind, v in base.items()}
         if len(chans) == 1 and chans[0][1] is None:
             return base[chans[0][0]]
+        shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
         out = np.empty((x.size, len(chans) * shape[1]))
         for rho, chs in groups.values():
             w = 1.0 if rho is None else rho._factor(b, shape)
@@ -623,18 +657,22 @@ def admissibility_check(rho: Density, leaf_sample_count: int = 64,
     return float(vals.min()), table
 
 
-def density_energies(rhos, tol: float = 1e-8) -> list:
+def density_energies(rhos, tol: float = 1e-8,
+                     counter: dict | None = None) -> list:
     """Energies int (rho_k o Phi)^n |J| of k densities that share q,
     foliation and length field, n the chart's exponent: one s-stage over
     the k masses and the weighted densities' lengths, and one p-stage
-    over the 2k channels of `_energies` (see the module docstring)."""
+    over the 2k channels of `_energies` (see the module docstring).
+    `counter`, when given, accumulates the stages' work as a modulus
+    report's meta does: ``s_evals``, ``s_points`` and ``p_evals``."""
     rho, fol = rhos[0], rhos[0].foliation
     if len({(id(r.q), id(r.foliation), id(r.length_field))
             for r in rhos}) > 1:
         raise ValueError("densities of one batch must share q, foliation "
                          "and length field")
     fol.validate()
-    vals, _ = _energies(rho.q, fol, rho.length_field, rhos, tol, {})
+    vals, _ = _energies(rho.q, fol, rho.length_field, rhos, tol,
+                        {} if counter is None else counter)
     return [float(v) for v in vals[:len(rhos)]]
 
 

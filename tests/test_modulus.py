@@ -712,9 +712,10 @@ def arc_batch():
 def test_batched_energies_are_one_integral_within_each_estimate(
         monkeypatch):
     rhos = arc_batch()
-    p_stages, stages, batches = [], [], []
-    real_p, real_cols, real_eval = (modulus._nested_p_integral,
-                                    modulus._columns, E.eval_array)
+    p_stages, stages, batches, widths, probes = [], [], [], [], []
+    real_p, real_cols, real_eval, real_dep = (
+        modulus._nested_p_integral, modulus._columns, E.eval_array,
+        modulus._axis_dependence)
 
     def spy_p(*args, **kwargs):
         out = real_p(*args, **kwargs)
@@ -727,6 +728,7 @@ def test_batched_energies_are_one_integral_within_each_estimate(
 
         def counted(x, *pc):
             batches.append([])
+            widths.append((pc[0].size, []))
             out = cols(x, *pc)
             batches[-1].append(out.shape[1] // pc[0].size)
             return out
@@ -735,10 +737,17 @@ def test_batched_energies_are_one_integral_within_each_estimate(
     def spy_eval(ex, binding):
         if batches:
             batches[-1].append(id(ex))
+            widths[-1][1].append(
+                (id(ex), np.broadcast(*binding.values()).shape[-1]))
         return real_eval(ex, binding)
+
+    def spy_dep(cols_fn, fol):
+        probes.append(len(stages))
+        return real_dep(cols_fn, fol)
 
     monkeypatch.setattr(modulus, "_nested_p_integral", spy_p)
     monkeypatch.setattr(modulus, "_columns", spy_cols)
+    monkeypatch.setattr(modulus, "_axis_dependence", spy_dep)
     monkeypatch.setattr(E, "eval_array", spy_eval)
     rhos[0].foliation.jac_a_expr    # built, polar form probed, on first use
     energies = density_energies(rhos, tol=1e-6)
@@ -753,12 +762,67 @@ def test_batched_energies_are_one_integral_within_each_estimate(
     # each, shared by the 5 channels
     assert batches and all(len(set(b[:-1])) == len(b) - 1 == 5 and
                            b[-1] == 5 for b in batches)
+    # the arc chart has no live p-axis: q o Phi, |J| and |d_s Phi1| run
+    # on one column, each g on every pair of the batch
+    gs = {id(r.modifier) for r in rhos[1:]}
+    assert all(w == (pairs if ex in gs else 1)
+               for pairs, evals in widths for ex, w in evals)
+    assert max(pairs for pairs, _ in widths) > 1
+    # the chart's p-axes are probed once, beside the batch's own leaf
+    # dedup probe; unweighted evaluators never probe them
+    assert probes == [1, 1]
+    probes.clear()
+    stages.clear()
+    scn = load_scenario("annulus-vertical")
+    modulus_m4(scn.q, scn.foliation, tol=1e-8)
+    admissibility_check(extremal_density(scn.q, scn.foliation))
+    assert probes == list(range(1, len(stages) + 1))
     monkeypatch.undo()
 
     for rho, energy, err in zip(rhos, energies, errs[:3]):
         alone = density_energy(rho, tol=1e-6)
         assert abs(energy - alone) <= err
     assert energies[0] < min(energies[1:])
+
+
+def test_weighted_batch_evaluates_the_chart_once_per_distinct_leaf(
+        monkeypatch):
+    # on the radius chart p2 is a rotation, so q o Phi, |J| and
+    # |d_s Phi1| vary along p1 only; the weights g vary along both axes
+    scn = load_scenario("annulus-vertical")
+    rho = extremal_density(scn.q, scn.foliation)
+    probes = [perturbed_density(rho, g, 0.1) for g in
+              ("0.3*sin(s) + 0.2*cos(p2)", "0.1 + 0.2*s*sin(p1)")]
+    gs = {id(r.modifier) for r in probes}
+    calls, real_cols, real_eval = [], modulus._columns, E.eval_array
+
+    def spy_cols(q, fol, chans):
+        cols = real_cols(q, fol, chans)
+
+        def counted(x, *pc):
+            calls.append((pc[0], []))
+            return cols(x, *pc)
+        return counted
+
+    def spy_eval(ex, binding):
+        if calls:
+            calls[-1][1].append(
+                (id(ex), np.broadcast(*binding.values()).shape[-1]))
+        return real_eval(ex, binding)
+
+    monkeypatch.setattr(modulus, "_columns", spy_cols)
+    monkeypatch.setattr(E, "eval_array", spy_eval)
+    scn.foliation.jac_a_expr    # built, polar form probed, on first use
+    energies = density_energies(probes, tol=1e-6)
+    monkeypatch.undo()
+    # the bits of evaluating every factor on every pair
+    assert energies == [29.64983749547384, 29.644428488402088]
+    for p1, evals in calls:
+        chart = [w for ex, w in evals if ex not in gs]
+        assert len(chart) == 3 and len(evals) == 5
+        assert all(w == np.unique(p1).size for w in chart)
+        assert all(w == p1.size for ex, w in evals if ex in gs)
+    assert max(p1.size - np.unique(p1).size for p1, _ in calls) > 0
 
 
 def test_perturbation_row_matches_leafwise_moments():
