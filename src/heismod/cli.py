@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 from .errors import HeismodError, ScenarioError
@@ -36,9 +37,23 @@ def _out_of_range(opts) -> bool:
     return False
 
 
+def _unwritable(opts) -> bool:
+    """Report the first (flag, path) whose path is a directory or a file
+    this process may not create or write; True if there is one."""
+    for flag, path in opts:
+        folder = os.path.dirname(os.path.abspath(path or "."))
+        target = path if path and os.path.exists(path) else folder
+        if path and (os.path.isdir(path) or not os.path.isdir(folder)
+                     or not os.access(target, os.W_OK)):
+            print(f"error: cannot write {flag} {path}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_run(args) -> int:
     if _out_of_range((("--tol", args.tol, 0.0, 1.0),
-                      ("--rk-tol", args.rk_tol, 0.0, 1.0))):
+                      ("--rk-tol", args.rk_tol, 0.0, 1.0))) or _unwritable(
+                          (("--report", args.report), ("--csv", args.csv))):
         return 2
     try:
         scn = load_scenario(args.scenario)
@@ -88,7 +103,8 @@ def _parse_start(text: str) -> HPoint:
 
 def _cmd_trace(args) -> int:
     if _out_of_range((("--rk-tol", args.rk_tol, 0.0, 1.0),
-                      ("--max-length", args.max_length, 0.0, math.inf))):
+                      ("--max-length", args.max_length, 0.0, math.inf))) \
+            or _unwritable((("--csv", args.csv),)):
         return 2
     try:
         q = QuadDiff.from_string(args.q)

@@ -8,23 +8,23 @@ with n = 4 for a group family over two p-axes (M4) and n = 2 for a
 planar family over one p-axis (M2), so the leaf map Phi is never
 inverted.  One engine serves both: it reads the chart's p-axes and
 exponent, and `modulus_m4` here and `heismod.planar.modulus_m2` only
-add their family's gates.  Leaf lengths l(p) come from
-:class:`LeafLengthField`: one shared value when they are constant,
-exact leaf integrals otherwise.  Every leaf integral collapses dead
-p-axes through `_dedup_pairs`, unless a density's weight makes every
-leaf distinct; such a batch still evaluates its chart factors once per
+add their family's gates.  Every leaf integral collapses dead p-axes
+through `_dedup_pairs`, unless a density's weight makes every leaf
+distinct; such a batch still evaluates its chart factors once per
 distinct leaf of their own live axes, and only the weights on every
-pair (`_columns`).  The p-integrals ride on the batch
-quadrature with error channels (`aux_cols`), so ``error_estimate``
-aggregates the s-stage, leaf-length and p-stage errors.
+pair (`_columns`).  The p-integrals ride on the batch quadrature with
+error channels (`aux_cols`), so ``error_estimate`` aggregates the
+s-stage, leaf-length and p-stage errors.
 
 A density rho = w sqrt|q|/L_w, w = 1 + eps*g and L_w the leaf's
 w-weighted q-length, has as energy the same ratio integral with w^n in
 the mass and L_w for l.  `_energies` takes k densities as one integral:
 one s-stage over the channels of one column evaluator (`_columns`: k
-masses, and the lengths of the weighted densities), one p-stage over
-[E_k ..., g_k ...].  The modulus is its member w = 1, so the extremal
-energy is the modulus bit for bit.
+masses, each beside its density's own lengths), one p-stage over
+[E_k ..., g_k ...].  Only an unweighted density on a field constant over
+two or more p-axes takes the field's one value as l (`_own_lengths`).
+The modulus is the member w = 1, so the extremal energy is the modulus
+bit for bit (on such a field only at tol >= 1e-8: its length_tol).
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ MASS, SPEED = "mass", "speed"   # the two bases of a `_columns` channel
 class ModulusReport:
     """Outcome of a modulus computation with its error budget.
 
-    consistency_gap is |main formula - constant-length shortcut| when the
-    leaf lengths came out constant, else None; residual_stats is the max
-    |B2 q| on the sample grid; meta carries run diagnostics.
+    leaf_length_stats covers the field's grid leaves (`LeafLengthField`);
+    consistency_gap is |main formula - constant-length shortcut| when
+    they came out constant, else None; residual_stats is the max |B2 q|
+    on the sample grid; meta carries run diagnostics.
     """
 
     modulus: float
@@ -91,21 +92,17 @@ class ModulusReport:
 
 
 class LeafLengthField:
-    """Leaf q-lengths over the parameter box, with per-query error bounds.
-
-    Sampled first on a slightly inset tensor grid over the chart's
-    p-axes (quadrature ladders probe far closer to the box edge than any
-    grid, and some families' lengths blow up right at the edge), the
-    field is ``constant`` when the relative spread there is below
-    `_CONSTANT_RTOL` (queries are free and carry the spread in their
-    error bound) and ``exact`` otherwise (every query is a batched leaf
-    integral, as is every query of a one-axis field; see `eval`).
+    """Leaf q-lengths on a slightly inset grid of `_INIT_AXIS` leaves per
+    p-axis (quadrature ladders probe far closer to the box edge than any
+    grid, and some families' lengths blow up right at the edge): it is
+    ``constant`` when their relative spread is below `_CONSTANT_RTOL`,
+    else ``exact``; ``value`` is their mean, ``value_err`` carries the
+    spread, and `_own_lengths` says which densities take ``value`` as l.
     """
 
     def __init__(self, q, fol, length_tol: float = 1e-10):
         self.fol = fol
         self.length_tol = float(length_tol)
-        self._computed: list = []   # (leaf keys, lengths) per batch
         axes = [np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo),
                             _INIT_AXIS) for lo, hi in fol.p_box]
         qv = E.eval_array(fol.compose(q.coeff), fol.grid(5))
@@ -114,43 +111,31 @@ class LeafLengthField:
                 "q vanishes identically on the box; leaves have no length")
         pairs = _tensor_pairs(axes)
         check_horizontal(q, fol, *pairs)
-        # best effort: queries at the box edge carry honest enlarged errors
-        self._leaf = _leaf_integrals(
-            fol, q, [(SPEED, None)], self.length_tol, None,
-            atol=0.01 * self.length_tol, log=self._computed)
-        vals, errs = self.exact(*pairs)
+        # best effort: leaves at the box edge carry honest enlarged errors
+        leaf = _leaf_integrals(fol, q, [(SPEED, None)], self.length_tol,
+                               None, atol=0.01 * self.length_tol)
+        vals, errs = (a[:, 0] for a in leaf(*pairs))
         if vals.min() <= 0.0 or not np.isfinite(vals).all():
             raise ZeroLeafLength("a sampled leaf has no q-length")
         self.value = float(vals.mean())
         self.value_err = float(errs.max()) + float(np.ptp(vals))
         self.spread_rel = float(np.ptp(vals)) / self.value
         self.mode = "exact" if self.spread_rel > _CONSTANT_RTOL else "constant"
-
-    def exact(self, *ps):
-        """Exact leaf integrals and error bounds at paired parameter
-        arrays, whatever the mode, each distinct leaf of a query once."""
-        return tuple(a[:, 0] for a in self._leaf(*ps))
-
-    def eval(self, *ps):
-        """Lengths and error bounds at paired parameter arrays, one per
-        p-axis.  A one-axis field takes every length exactly at its own
-        node (one cheap batch of leaves), so a leaf's mass and length
-        share the rounding of q o Phi, which cancels in g / l^n; one
-        shared length would leave a few ulps, the planar oracles' whole
-        error."""
-        ps = tuple(np.asarray(p, dtype=float) for p in ps)
-        if self.mode == "constant" and len(ps) > 1:
-            return tuple(np.full(ps[0].shape, v)
-                         for v in (self.value, self.value_err))
-        return self.exact(*ps)
+        if (leaves := _distinct_leaves(pairs, leaf.dep)) is not None:
+            vals = vals[leaves[0]]  # each distinct leaf once, as integrated
+        self._stats = (float(vals.min()), float(vals.max()),
+                       float(vals.mean()))
 
     def stats(self) -> tuple:
-        """(min, max, mean) over the distinct leaves computed exactly, each
-        at its first computation, in the order they were computed."""
-        keys = np.concatenate([k for k, _ in self._computed])
-        _, first = np.unique(keys, axis=0, return_index=True)
-        vals = np.concatenate([v for _, v in self._computed])[np.sort(first)]
-        return (float(vals.min()), float(vals.max()), float(vals.mean()))
+        """(min, max, mean) over the grid's distinct leaves."""
+        return self._stats
+
+
+def _own_lengths(field, rho) -> bool:
+    """Whether density rho (None: w = 1) takes its leaf lengths from its
+    own SPEED channel; otherwise they are the field's one value."""
+    return (rho is not None and rho.weighted) or not (
+        field.mode == "constant" and len(field.fol.p_box) > 1)
 
 
 def _tensor_pairs(axes):
@@ -200,7 +185,7 @@ def _axis_dependence(cols_fn, fol):
     rotation-like Phi), which a symbolic check cannot see once conjugate
     phases multiply out; a dead axis lets pair evaluations dedup.  The
     single axis of a one-axis family is always live: its modulus pairs
-    each leaf's mass with its own length (see `LeafLengthField.eval`).
+    each leaf's mass with its own length (see `_own_lengths`).
     """
     d = len(fol.p_box)
     if d == 1:
@@ -418,35 +403,30 @@ def _columns(q, fol, chans):
     return cols
 
 
-def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL, log=None):
+def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL):
     """(*ps) -> (values, errors), shape (pairs, len(chans)): leaf
     integrals of the `_columns` channels at rtol (one, or one per
-    channel), singular endpoints and dead p-axes probed once, here.
-    Masses and energies run at 0.01 tol, so their leaf noise never looks
-    like structure to p refinement.  Weighted lengths must not collapse;
-    `log` collects (leaf keys, first channel) per batch of distinct leaves."""
+    channel), singular endpoints and dead p-axes (its ``dep``) probed
+    once, here.  Masses and energies run at 0.01 tol, so their leaf
+    noise never looks like structure to p refinement.  Weighted lengths
+    must not collapse."""
     cols = _columns(q, fol, chans)
     sing = _probe_singular(cols, fol)
     dep = _axis_dependence(cols, fol)
     wl = [j for j, (kind, rho) in enumerate(chans)
-          if kind == SPEED and rho is not None]
-
-    def raw(*ps):
-        v, e = _s_batched(fol, cols, ps, rtol=rtol, atol=atol,
-                          counter=counter, singular=sing, chans=len(chans))
-        if log is not None:
-            log.append((np.column_stack([p if d else np.zeros(p.size)
-                                         for p, d in zip(ps, dep)]), v[:, 0]))
-        return v, e
+          if kind == SPEED and rho is not None and rho.weighted]
 
     def leaf(*ps):
-        v, e = _dedup_pairs(raw, ps, dep)
+        v, e = _dedup_pairs(lambda *p: _s_batched(
+            fol, cols, p, rtol=rtol, atol=atol, counter=counter,
+            singular=sing, chans=len(chans)), ps, dep)
         if wl and (low := v[:, wl].min()) <= math.sqrt(Q_FLOOR) * \
                 chans[wl[0]][1].length_field.value:
             raise NonAdmissibleAfterRenormalization(
                 f"a weighted leaf length collapsed to {low:.3e}; the "
                 "perturbed density cannot be renormalized")
         return v, e
+    leaf.dep = dep
     return leaf
 
 
@@ -454,25 +434,19 @@ def _energies(q, fol, field, rhos, tol: float, counter: dict):
     """(values, errors) of [E_k ..., g_k ...] over the p-box for k
     densities (None: w = 1), E_k = int g_k / L_k^n dp.  One s-stage
     integrates the masses g_k = int w_k^n |q|^(n/2) |J| ds at 0.01 tol
-    and the weighted lengths L_k = int w_k sqrt|q| |d_s Phi1| ds at
-    0.1 min(1e-10, 0.02 tol); an unweighted L_k is the field's l."""
+    and the lengths L_k = int w_k sqrt|q| |d_s Phi1| ds that densities
+    own (`_own_lengths`) at 0.1 min(1e-10, 0.02 tol)."""
     n, k = fol.exponent, len(rhos)
-    wtd = [j for j, r in enumerate(rhos) if r is not None and r.weighted]
-    chans = [(MASS, r) for r in rhos] + [(SPEED, rhos[j]) for j in wtd]
-    rtol = [0.01 * tol] * k + [0.1 * min(1e-10, 0.02 * tol)] * len(wtd)
+    own = [j for j, r in enumerate(rhos) if _own_lengths(field, r)]
+    chans = [(MASS, r) for r in rhos] + [(SPEED, rhos[j]) for j in own]
+    rtol = [0.01 * tol] * k + [0.1 * min(1e-10, 0.02 * tol)] * len(own)
     leaf = _leaf_integrals(fol, q, chans, rtol, counter)
-    at = [1 + wtd.index(j) if j in wtd else 0 for j in range(k)]
 
     def pair_fn(*ps):
         v, e = leaf(*ps)
         g, ge = v[:, :k], e[:, :k]
-        if not wtd:     # views, no copies: the modulus's memory stays low
-            lv, le = (a[:, None] for a in field.eval(*ps))
-        elif len(wtd) == k:
-            lv, le = v[:, k:], e[:, k:]
-        else:   # channel j's length is column at[j] of [l, L_w ...]
-            lv, le = (np.column_stack((f, a[:, k:]))[:, at]
-                      for f, a in zip(field.eval(*ps), (v, e)))
+        lv, le = (np.full(g.shape, c) for c in (field.value, field.value_err))
+        lv[:, own], le[:, own] = v[:, k:], e[:, k:]
         lin = 1.0 / lv ** n
         vals = np.column_stack((g * lin, g))
         errs = np.column_stack((ge * lin + n * g * lin * (le / lv), ge))
@@ -508,8 +482,8 @@ def family_modulus(q, fol, tol: float, residual: float,
     already passed its entry point's gates; n is the chart's exponent.
     `residual` is the entry point's diagnostic for residual_stats and t0
     its start time.  The report carries the q-mass in meta under
-    ``q_volume`` and, when leaf lengths are constant, the gap against the
-    constant-length shortcut mass / l^n.
+    ``q_volume`` and, when the field's grid leaves have one length, the
+    gap against the constant-length shortcut mass / l^n.
     """
     field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
     counter: dict = {}
@@ -538,8 +512,7 @@ def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
 
     Past `_m4_gates`, q must pass a B2-kernel spot check
     (`override_b2_check` downgrades a failure to a warning; the modulus
-    formula is only exact on the kernel).  The report carries the q-volume in meta and, when leaf
-    lengths are constant, the gap against the constant-length shortcut.
+    formula is only exact on the kernel); the report is `family_modulus`'s.
     """
     t0 = perf_counter()
     _m4_gates(q, fol)
@@ -582,7 +555,7 @@ class Density:
     L_w = int w sqrt|q(Phi)| |d_s Phi1| ds is the leaf's w-weighted
     q-length, so every leaf integral of rho is 1.  The modifier g is an
     expression in s and the chart's p-variables; unless `weighted`, L_w
-    is the field's length l and rho the extremal rho0.
+    is the leaf's q-length l and rho the extremal rho0.
     """
 
     q: QuadDiff
@@ -611,11 +584,14 @@ class Density:
         return _full_shape(1.0 + self.eps * np.real(v), shape)
 
     def leaf_lengths(self, tol: float = 1e-10):
-        """(*ps) -> (L_w, error bounds): the field's lengths when w = 1,
-        else the weighted leaf integrals at 0.1 tol, which must not
-        collapse.  Its probes run once, here: build it once per use."""
-        if not self.weighted:
-            return self.length_field.eval
+        """(*ps) -> (L_w, error bounds) at paired parameter arrays: the
+        leaf integrals of its own (weighted) q-speed at 0.1 tol, which
+        must not collapse, or the field's one value (`_own_lengths`).
+        Its probes run once, here: build it once per use."""
+        field = self.length_field
+        if not _own_lengths(field, self):
+            return lambda *ps: tuple(np.full(np.shape(ps[0]), a)
+                                     for a in (field.value, field.value_err))
         raw = _leaf_integrals(self.foliation, self.q, [(SPEED, self)],
                               0.1 * tol, None)
         return lambda *ps: tuple(a[:, 0] for a in raw(*ps))
@@ -644,13 +620,20 @@ def admissibility_check(rho: Density, leaf_sample_count: int = 64,
     error bound), one p column per chart axis, over roughly
     `leaf_sample_count` sampled leaves.
     """
-    fol = rho.foliation
+    fol, field = rho.foliation, rho.length_field
     n = max(2, math.ceil(leaf_sample_count ** (1.0 / len(fol.p_box))))
     ps = _interior_pairs(fol, n)
     # the numerator; when rho is weighted it is L_w, integrated once
     v, ve = (a[:, 0] for a in _leaf_integrals(
         fol, rho.q, [(SPEED, rho)], 0.1 * tol, None)(*ps))
-    lv, le = (v, ve) if rho.weighted else rho.length_field.eval(*ps)
+    if not _own_lengths(field, rho):
+        lv, le = field.value, field.value_err
+    elif rho.weighted:
+        lv, le = v, ve
+    else:   # l itself, integrated apart at the field's own tolerance
+        lv, le = (a[:, 0] for a in _leaf_integrals(
+            fol, rho.q, [(SPEED, None)], field.length_tol, None,
+            atol=0.01 * field.length_tol)(*ps))
     vals = v / lv
     errs = ve / lv + np.abs(v) * le / lv ** 2
     table = np.column_stack((*ps, vals, errs))
@@ -661,7 +644,7 @@ def density_energies(rhos, tol: float = 1e-8,
                      counter: dict | None = None) -> list:
     """Energies int (rho_k o Phi)^n |J| of k densities that share q,
     foliation and length field, n the chart's exponent: one s-stage over
-    the k masses and the weighted densities' lengths, and one p-stage
+    the k masses and the lengths the densities own, and one p-stage
     over the 2k channels of `_energies` (see the module docstring).
     `counter`, when given, accumulates the stages' work as a modulus
     report's meta does: ``s_evals``, ``s_points`` and ``p_evals``."""

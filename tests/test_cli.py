@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from heismod import expr as E
+from heismod import cli, expr as E
 from heismod.cli import main
 from heismod.scenarios import scenario_from_dict
 
@@ -226,8 +226,22 @@ def test_long_sum_residual_run_completes(tmp_path, capsys):
                   "--max-length", "inf"), id="max-length-inf"),
     pytest.param(("trace", "--q", "1", "--start", "0,0,0",
                   "--rk-tol", "-1"), id="trace-rk-tol-neg"),
+    pytest.param(("run", "plane-rectangle", "--report",
+                  "/nonexistent/d/x.json"), id="report-unwritable"),
+    pytest.param(("run", "plane-rectangle", "--csv", "/nonexistent/x.csv"),
+                 id="run-csv-unwritable"),
+    pytest.param(("run", "plane-rectangle", "--report", "."),
+                 id="report-is-a-directory"),
+    pytest.param(("trace", "--q", "1", "--start", "0,0,0",
+                  "--csv", "/nonexistent/x.csv"), id="trace-csv-unwritable"),
 ])
-def test_malformed_number_exits_2_without_traceback(capsys, argv):
+def test_malformed_number_exits_2_without_traceback(capsys, monkeypatch,
+                                                     argv):
+    # refused before any computation starts
+    def computed(*args, **kwargs):
+        raise AssertionError("computed on malformed input")
+    monkeypatch.setattr(cli, "run_scenario", computed)
+    monkeypatch.setattr(cli, "trace_trajectory", computed)
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

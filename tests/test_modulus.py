@@ -120,7 +120,8 @@ def test_field_constant_on_shear():
     f = LeafLengthField(q_one(), shear_foliation())
     assert f.mode == "constant"
     assert f.value == pytest.approx(2.0, rel=1e-12)
-    v, e = f.eval(np.array([0.3]), np.array([0.7]))
+    v, e = extremal_density(q_one(), shear_foliation()).leaf_lengths()(
+        np.array([0.3]), np.array([0.7]))
     assert v[0] == pytest.approx(2.0, rel=1e-12)
     assert e[0] >= 0.0
 
@@ -135,18 +136,23 @@ def test_field_exact_on_radius_chart():
     f = LeafLengthField(neg_q0(), radius_foliation())
     assert f.mode == "exact"
     p1 = np.array([0.4, 1.1, 2.2, math.pi / 2])
-    v, e = f.eval(p1, np.full(4, 2.0))
+    v, e = extremal_density(neg_q0(), radius_foliation()).leaf_lengths()(
+        p1, np.full(4, 2.0))
     want = LOG_R / np.sin(p1) ** (2 / 3)
     assert np.max(np.abs(v - want) / want) < 1e-8
+    # the stats span the field's own grid leaves, inset 1e-3 of the box
     lo, hi, mean = f.stats()
-    assert lo <= v.min() and hi >= v.max()
+    grid = LOG_R / np.sin(np.linspace(1e-3, 1 - 1e-3, 9) * math.pi) ** (2 / 3)
+    assert lo == pytest.approx(grid.min(), rel=1e-8)
+    assert hi == pytest.approx(grid.max(), rel=1e-8)
 
 
 def test_field_interpolated_on_varying_chart():
     f = LeafLengthField(q_one(), varying_foliation())
     assert f.mode == "exact"
     p1 = np.linspace(0.2, 2.9, 11)
-    v, e = f.eval(p1, np.full(11, 0.5))
+    v, e = extremal_density(q_one(), varying_foliation()).leaf_lengths()(
+        p1, np.full(11, 0.5))
     want = 2.0 * (1 + 0.3 * np.sin(p1))
     assert np.max(np.abs(v - want) / want) < 1e-9
     assert (e > 0).all()
@@ -156,7 +162,8 @@ def test_field_interpolated_falls_back_outside_hull():
     f = LeafLengthField(q_one(), varying_foliation())
     assert f.mode == "exact"
     # 1e-4 into the box is outside the inset sampling grid
-    v, _ = f.eval(np.array([1e-4]), np.array([0.5]))
+    v, _ = extremal_density(q_one(), varying_foliation()).leaf_lengths()(
+        np.array([1e-4]), np.array([0.5]))
     assert v[0] == pytest.approx(2.0 * (1 + 0.3 * math.sin(1e-4)), rel=1e-9)
 
 
@@ -164,22 +171,24 @@ def test_field_collapses_dead_axis_and_counts_each_leaf_once():
     # p2 only rotates the leaves of the vertical annulus chart, so the
     # leaf speed is dead along it and a query's pairs that share p1 share
     # one leaf integral
-    f = LeafLengthField(neg_q0(), radius_foliation())
+    rho = extremal_density(neg_q0(), radius_foliation())
+    lengths = rho.leaf_lengths()
     ps = (np.full(3, 0.7), np.array([0.5, 4.0, 0.5]))
-    first = f.exact(*ps)
+    first = lengths(*ps)
     for a in first:
         assert a[0].tobytes() == a[1].tobytes() == a[2].tobytes()
-    again = f.exact(*ps)
+    again = lengths(*ps)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
-    # the field's own 9-leaf grid along p1 (at the grid's first p2),
-    # computed first, then the one new leaf: its six queries count once.
-    # A twin field reproduces the grid's bits without touching f.
+    # the field's stats are its own 9-leaf grid along p1 (at the grid's
+    # first p2), each leaf once; queries leave them alone.  The same
+    # leaf integrals reproduce the grid's bits.
+    f = rho.length_field
     inset = 1e-3 * (2 * math.pi)
     axis = np.linspace(1e-3 * math.pi, math.pi - 1e-3 * math.pi, 9)
-    twin = LeafLengthField(neg_q0(), radius_foliation())
-    grid, _ = twin.exact(axis, np.full(9, inset))
-    leaves = np.append(grid, first[0][0])
-    assert f.stats() == (leaves.min(), leaves.max(), leaves.mean())
+    grid = modulus._leaf_integrals(
+        radius_foliation(), neg_q0(), [(modulus.SPEED, None)], f.length_tol,
+        None, atol=0.01 * f.length_tol)(axis, np.full(9, inset))[0][:, 0]
+    assert f.stats() == (grid.min(), grid.max(), grid.mean())
 
 
 def test_field_zero_q_raises():
@@ -260,12 +269,16 @@ def test_m4_varying_chart_interpolated_field():
     ("radial", 1e-9, 2 * math.pi / LOG_R),
     ("circular", 1e-9, LOG_R / (2 * math.pi)),
     ("shear", 1e-8, 0.125),
+    ("radius", 1e-8, M4_RADIUS),
 ])
 def test_error_estimate_covers_closed_form(family, tol, want):
     # the reported error bounds the true error on both lanes of the
-    # shared engine: the planar M2 oracles and the straight M4 family
+    # shared engine: the planar M2 oracles, the straight M4 family and
+    # the vertical annulus, whose leaf lengths vary
     if family == "shear":
         rep = modulus_m4(q_one(), shear_foliation(), tol=tol)
+    elif family == "radius":
+        rep = modulus_m4(neg_q0(), radius_foliation(), tol=tol)
     else:
         q, phi, s_range, p_range = {
             "rectangle": ("1", "s + i*p", (0.0, 2.0), (0.0, 1.0)),
@@ -311,10 +324,10 @@ def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
 
     def spy_mass(q, fol, chans):
         cols = real(q, fol, chans)
-        if chans != [(modulus.MASS, None)]:
+        if (modulus.MASS, None) not in chans:
             return cols
 
-        def counted(x, *pc):
+        def counted(x, *pc):    # the mass channel of each live pair
             points[0] += x.size * pc[0].size
             return cols(x, *pc)
         return counted
@@ -322,7 +335,9 @@ def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
     monkeypatch.setattr(modulus, "_columns", spy_mass)
     rep = modulus_m4(scn.q, scn.foliation, tol=1e-8)
     assert rep.modulus == 29.636257682862016
-    assert rep.meta["s_points"] <= points[0] <= 2_780_127 // 10
+    # s_points counts the mass and the length column of each live pair
+    assert rep.meta["s_points"] <= 2 * points[0]
+    assert points[0] <= 2_780_127 // 10
 
     # where tol does set the refinement, a loose tol costs less: sharp
     # peaks 1/((x - c)^2 + w) beside smooth columns that retire early
@@ -345,6 +360,35 @@ def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
         assert res.n_points < res.n_evals * exact.size
         cost[rtol] = res.n_points
     assert cost[1e-6] < cost[1e-10]
+
+
+@pytest.mark.parametrize("family", ["radius", "plane-radial"])
+def test_varying_or_one_axis_lengths_share_the_mass_stage(family,
+                                                          monkeypatch):
+    # past the field's grid probe, a modulus whose leaf lengths vary (the
+    # radius chart) or whose box has one axis integrates each leaf's mass
+    # and length in one s-stage, and runs no length-only stage
+    q, fol, modulus_fn = {
+        "radius": (neg_q0(), radius_foliation(), modulus_m4),
+        "plane-radial": (*plane_radial(), modulus_m2)}[family]
+    evaluators, stages = [], []
+    real_cols, real_s = modulus._columns, modulus._s_batched
+
+    def spy_cols(q, fol, chans):
+        evaluators.append(chans)
+        return real_cols(q, fol, chans)
+
+    def spy_s(*args, **kwargs):
+        stages.append(kwargs["chans"])
+        return real_s(*args, **kwargs)
+
+    monkeypatch.setattr(modulus, "_columns", spy_cols)
+    monkeypatch.setattr(modulus, "_s_batched", spy_s)
+    modulus_fn(q, fol, tol=1e-8)
+    speed, mass = (modulus.SPEED, None), (modulus.MASS, None)
+    assert evaluators == [[speed], [mass, speed]]
+    assert stages[0] == 1 and len(stages) > 1
+    assert all(c == 2 for c in stages[1:])
 
 
 def test_s_stage_maps_live_columns_to_their_pairs_and_channels():
@@ -543,10 +587,20 @@ def test_weighted_leaf_lengths_repeat_bit_for_bit():
 
 
 def test_unweighted_leaf_lengths_are_the_field():
-    rho = extremal_density(neg_q0(), radius_foliation())
-    assert rho.leaf_lengths() == rho.length_field.eval
-    assert replace(rho, modifier=E.parse("sin(s)")).leaf_lengths() == \
-        rho.length_field.eval
+    # on a field constant over two p-axes an unweighted density takes the
+    # field's one value; elsewhere it integrates its own.  A modifier at
+    # eps = 0 leaves the density unweighted and its lengths' bits alone.
+    ps = (np.array([0.4, 1.1]), np.array([0.3, 5.0]))
+    for q, fol in ((q0(), arc_foliation()),
+                   (neg_q0(), radius_foliation())):
+        rho = extremal_density(q, fol)
+        v, e = rho.leaf_lengths()(*ps)
+        idle = replace(rho, modifier=E.parse("sin(s)")).leaf_lengths()(*ps)
+        assert v.tobytes() == idle[0].tobytes()
+        assert e.tobytes() == idle[1].tobytes()
+        f = rho.length_field
+        assert ((v == f.value).all() and (e == f.value_err).all()) == \
+            (f.mode == "constant")
 
 
 def collapsed_weight():

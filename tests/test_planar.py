@@ -24,7 +24,13 @@ from heismod.foliation import (
     lambda_field_array,
     leaf_length_batch,
 )
-from heismod.modulus import LeafLengthField, ModulusReport, q_volume
+from heismod import modulus
+from heismod.modulus import (
+    LeafLengthField,
+    ModulusReport,
+    extremal_density,
+    q_volume,
+)
 from heismod.planar import (
     PlanarFoliation,
     PlanarQD,
@@ -200,19 +206,22 @@ def test_field_constant_on_radial_chart():
     f = LeafLengthField(q_radial(), radial_annulus())
     assert f.mode == "constant"
     assert f.value == pytest.approx(math.log(R), rel=1e-10)
-    v, e = f.eval(np.array([0.3, 4.0]))
+    p = np.array([0.3, 4.0])
+    v, e = extremal_density(q_radial(), radial_annulus()).leaf_lengths()(p)
     assert np.allclose(v, math.log(R), rtol=1e-10)
     assert (e >= 0.0).all()
-    # a one-axis field answers every query exactly, even when constant
-    exact = f.exact(np.array([0.3, 4.0]))
-    assert all(a.tobytes() == b.tobytes() for a, b in zip((v, e), exact))
+    # a one-axis density integrates each leaf's own length, even when
+    # the field is constant
+    own = modulus._leaf_integrals(radial_annulus(), q_radial(),
+                                  [(modulus.SPEED, None)], 1e-11, None)(p)
+    assert all(a.tobytes() == b[:, 0].tobytes() for a, b in zip((v, e), own))
 
 
 def test_field_interpolated_on_varying_chart():
     f = LeafLengthField(q_unit(), varying_chart())
     assert f.mode == "exact"
     p = np.linspace(0.05, 0.95, 11)
-    v, e = f.eval(p)
+    v, e = extremal_density(q_unit(), varying_chart()).leaf_lengths()(p)
     assert np.max(np.abs(v - (1 + p)) / (1 + p)) < 1e-9
     assert (e > 0).all()
 
@@ -220,11 +229,12 @@ def test_field_interpolated_on_varying_chart():
 def test_field_interpolated_falls_back_outside_hull():
     f = LeafLengthField(q_unit(), varying_chart())
     assert f.mode == "exact"
-    # 1e-4 into the box is outside the inset sampling grid; the query
-    # is an exact leaf integral and joins the exact-leaf stats
-    v, _ = f.eval(np.array([1e-4]))
+    # 1e-4 into the box is outside the inset sampling grid; the query is
+    # an exact leaf integral, and the field's stats keep to its grid
+    v, _ = extremal_density(q_unit(), varying_chart()).leaf_lengths()(
+        np.array([1e-4]))
     assert v[0] == pytest.approx(1.0 + 1e-4, rel=1e-9)
-    assert f.stats()[0] == pytest.approx(1.0 + 1e-4, rel=1e-9)
+    assert f.stats()[0] == pytest.approx(1.0 + 1e-3, rel=1e-9)
 
 
 def test_q_area_rectangle():
