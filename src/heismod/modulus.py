@@ -10,11 +10,12 @@ inverted.  One engine serves both: it reads the chart's p-axes and
 exponent, and `modulus_m4` here and `heismod.planar.modulus_m2` only
 add their family's gates.  Every leaf integral collapses dead p-axes
 through `_dedup_pairs`, unless a density's weight makes every leaf
-distinct; such a batch still evaluates its chart factors once per
-distinct leaf of their own live axes, and only the weights on every
-pair (`_columns`).  The p-integrals ride on the batch quadrature with
-error channels (`aux_cols`), so ``error_estimate`` aggregates the
-s-stage, leaf-length and p-stage errors.
+distinct (a weight is live along every p-axis it names); such a batch
+still evaluates its chart factors once per distinct leaf of their own
+live axes, and only the weights on every pair (`_columns`).  The
+p-integrals ride on the batch quadrature with error channels
+(`aux_cols`), so ``error_estimate`` aggregates the s-stage, leaf-length
+and p-stage errors.
 
 A density rho = w sqrt|q|/L_w, w = 1 + eps*g and L_w the leaf's
 w-weighted q-length, has as energy the same ratio integral with w^n in
@@ -25,6 +26,15 @@ masses, each beside its density's own lengths), one p-stage over
 two or more p-axes takes the field's one value as l (`_own_lengths`).
 The modulus is the member w = 1, so the extremal energy is the modulus
 bit for bit (on such a field only at tol >= 1e-8: its length_tol).
+
+A batch that holds a weighted density starts both p-stages from one
+panel per axis, since each of its p-nodes is an s-stage leaf of its
+own; every other batch (the modulus, `q_volume`, the energy of an
+unweighted density) keeps four, since there dead axes collapse the
+leaves and one panel costs accuracy where an axis carries endpoint
+ladders.  So the w = 1 member of a batch that also holds weighted
+densities is the modulus only within its estimate; `density_energy` of
+the extremal density alone is still the modulus bit for bit.
 """
 
 from __future__ import annotations
@@ -253,7 +263,7 @@ def _carried(res, start):
 
 
 def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
-                       counter: dict):
+                       counter: dict, panels: int = 4):
     """Integrate pointwise channels over the parameter box.
 
     pair_fn(*ps) -> (values (k, n_chan), pointwise error bounds) at
@@ -264,7 +274,7 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
     flat, not as structure worth splitting (or it digs toward box edges
     where pullback phases degenerate and evaluation noise explodes).
     Edges where a channel genuinely blows up get ladders, found by
-    probing.
+    probing.  Both stages start from `panels` panels per axis.
     """
     sing = _probe_p_edges(pair_fn, fol)
     (a0, a1) = fol.p_box[0]
@@ -284,7 +294,7 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
                               perr.reshape(x2.size, blk)))
 
         res = integrate_batch(inner, b0, b1, atol=_ATOL, rtol=0.2 * rtol,
-                              singular=sing[1], initial_panels=4,
+                              singular=sing[1], initial_panels=panels,
                               aux_cols=blk, best_effort=True)
         counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
         v = res.value[:blk].reshape(n1, n_chan)
@@ -293,7 +303,7 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
         return np.hstack((v, pe + qe))
 
     res = integrate_batch(outer, a0, a1, atol=_ATOL, rtol=rtol,
-                          singular=sing[0], initial_panels=4,
+                          singular=sing[0], initial_panels=panels,
                           aux_cols=n_chan)
     counter["p_evals"] = counter.get("p_evals", 0) + res.n_evals
     vals = res.value[:n_chan]
@@ -356,31 +366,63 @@ def _columns(q, fol, chans):
     `_leaf_integrals` cannot collapse a weighted batch's pairs; its chart
     factors (q o Phi, |J|, |d_s Phi1|) then run on the distinct leaves
     of their own live p-axes, probed here, and each weight on every
-    pair.  Unweighted channels leave the collapsing to `_dedup_pairs`."""
+    pair.  Unweighted channels leave the collapsing to `_dedup_pairs`;
+    an unweighted batch's channels are its bases, written straight into
+    the output."""
     qc, n = fol.compose(q.coeff), fol.exponent
     kinds = {kind for kind, _ in chans}
     groups: dict = {}       # id of a density -> (density, its channels)
     for j, (kind, rho) in enumerate(chans):
         groups.setdefault(id(rho), (rho, []))[1].append((j, kind))
 
-    def chart(x, *pc):      # base -> (nodes, pairs) factors
+    def chart(x, *pc, into=lambda kind: None):
+        """base -> (nodes, pairs) factors, each written into into(base)
+        when that gives an array.  The order keeps few arrays alive while
+        an expression is evaluated: |d_s Phi1| before q o Phi, and |J|
+        once q o Phi is folded into the factors."""
         shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
-        qv, base = E.eval_array(qc, b), {}
+        base = {}
+        if SPEED in kinds:
+            ds = np.abs(E.eval_array(fol.d_s1, b))
+        qv = E.eval_array(qc, b)
         if MASS in kinds and n == 4:    # rounds as abs2(q o Phi) would
-            qm = qv.real * qv.real + qv.imag * qv.imag
+            qm = np.multiply(qv.real, qv.real, out=into(MASS))
+            qm += qv.imag * qv.imag
         qv = np.abs(qv) if n == 2 or SPEED in kinds else None
-        if MASS in kinds:
-            base[MASS] = _full_shape((qm if n == 4 else qv) * np.abs(
-                E.eval_array(fol.jac_a_expr, b)), shape)
-        if SPEED in kinds:  # |d_s Phi1| first: one array fewer waits
+        if SPEED in kinds:
             base[SPEED] = _full_shape(
-                np.abs(E.eval_array(fol.d_s1, b)) * np.sqrt(qv), shape)
+                np.multiply(ds, np.sqrt(qv), out=into(SPEED)), shape)
+            ds = None
+        if MASS in kinds:
+            fac = qm if n == 4 else qv
+            qm = qv = None      # only the mass factor waits on |J|
+            base[MASS] = _full_shape(np.multiply(
+                fac, np.abs(E.eval_array(fol.jac_a_expr, b)),
+                out=into(MASS)), shape)
         return base
 
+    weighted = any(rho is not None and rho.weighted for _, rho in chans)
     dep = (True,) * len(fol.p_box)
-    if any(rho is not None and rho.weighted for _, rho in chans):
+    if weighted:
         dep = _axis_dependence(
             lambda x, *pc: np.hstack(tuple(chart(x, *pc).values())), fol)
+
+    home: dict = {}         # base -> the first channel that holds it
+    for j, (kind, _) in enumerate(chans):
+        home.setdefault(kind, j)
+
+    def unweighted_cols(x, *pc):    # w = 1: the bases are the channels
+        m, out = pc[0].size, []
+
+        def into(kind):     # allocated once q o Phi is evaluated
+            if not out:
+                out.append(np.empty((x.size, len(chans) * m)))
+            return out[0][:, home[kind] * m:(home[kind] + 1) * m]
+        base = chart(x, *pc, into=into)
+        for j, (kind, _) in enumerate(chans):
+            if j != home[kind]:
+                out[0][:, j * m:(j + 1) * m] = base[kind]
+        return out[0]
 
     def cols(x, *pc):
         if (leaves := _distinct_leaves(pc, dep)) is None:
@@ -390,8 +432,6 @@ def _columns(q, fol, chans):
             base = chart(x, *(p[first] for p in pc))
             if first.size > 1:
                 base = {kind: v[:, inv] for kind, v in base.items()}
-        if len(chans) == 1 and chans[0][1] is None:
-            return base[chans[0][0]]
         shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
         out = np.empty((x.size, len(chans) * shape[1]))
         for rho, chs in groups.values():
@@ -400,7 +440,7 @@ def _columns(q, fol, chans):
                 np.multiply(base[kind], w if kind == SPEED else w ** n,
                             out=out[:, j * shape[1]:(j + 1) * shape[1]])
         return out
-    return cols
+    return cols if weighted else unweighted_cols
 
 
 def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL):
@@ -412,7 +452,13 @@ def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL):
     must not collapse."""
     cols = _columns(q, fol, chans)
     sing = _probe_singular(cols, fol)
-    dep = _axis_dependence(cols, fol)
+    # a weight is live along every p-axis it names: a narrow feature of
+    # it can fall between the probe's points, and one leaf would then
+    # stand for all
+    named = set().union(*(E.free_vars(rho.modifier) for _, rho in chans
+                          if rho is not None and rho.weighted))
+    dep = tuple(d or v in named for d, v in
+                zip(_axis_dependence(cols, fol), fol.p_vars))
     wl = [j for j, (kind, rho) in enumerate(chans)
           if kind == SPEED and rho is not None and rho.weighted]
 
@@ -435,7 +481,11 @@ def _energies(q, fol, field, rhos, tol: float, counter: dict):
     densities (None: w = 1), E_k = int g_k / L_k^n dp.  One s-stage
     integrates the masses g_k = int w_k^n |q|^(n/2) |J| ds at 0.01 tol
     and the lengths L_k = int w_k sqrt|q| |d_s Phi1| ds that densities
-    own (`_own_lengths`) at 0.1 min(1e-10, 0.02 tol)."""
+    own (`_own_lengths`) at 0.1 min(1e-10, 0.02 tol).
+
+    The p-stages start from one panel per axis when a density is
+    weighted, else from four (module docstring): at one panel,
+    annulus-vertical's q-volume estimate grows 84x at tol 1e-8."""
     n, k = fol.exponent, len(rhos)
     own = [j for j, r in enumerate(rhos) if _own_lengths(field, r)]
     chans = [(MASS, r) for r in rhos] + [(SPEED, rhos[j]) for j in own]
@@ -452,8 +502,9 @@ def _energies(q, fol, field, rhos, tol: float, counter: dict):
         errs = np.column_stack((ge * lin + n * g * lin * (le / lv), ge))
         return vals, errs
 
+    weighted = any(r is not None and r.weighted for r in rhos)
     return _nested_p_integral(fol, pair_fn, 2 * k, rtol=0.5 * tol,
-                              counter=counter)
+                              counter=counter, panels=1 if weighted else 4)
 
 
 def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:

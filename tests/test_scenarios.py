@@ -195,12 +195,13 @@ def test_run_density_checks_share_the_ladder():
 
 
 def test_annulus_horizontal_perturbation_row_is_pinned():
-    # the five probes run as one batched energy integral; its bits are
+    # the five probes run as one batched energy integral whose p-stages
+    # start from one panel per axis (a weighted batch); its bits are
     # those of five separate probe energies, over the polar Jacobian
     rep = run_scenario(load_scenario("annulus-horizontal"))
     rows = {r["name"]: r for r in rep.checks}
     assert rows["perturbation"]["pass"]
-    assert rows["perturbation"]["value"] == 1.000632106140907
+    assert rows["perturbation"]["value"] == 1.0006321061409076
 
 
 def test_run_skips_modulus_when_unneeded():
