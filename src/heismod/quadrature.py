@@ -29,6 +29,11 @@ dyadic offsets from the endpoint, never by subtracting nearly equal
 floats.
 The arithmetic follows the integrand's dtype: real columns stay float64
 from the nodes to the result, complex ones run in complex128.
+The panel rule runs over blocks of whole panels of at most
+`_BLOCK_NODES` = 2**16 node values (one panel at least), so its scratch
+is one block (512 KiB of float64), not a second copy of a
+(panels, 15, columns) batch.  Each panel's value and error depend on
+that panel alone, so the blocks change no bit of any result.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ _AITKEN_PASSES = 4
 _LADDER_LEVELS = 30        # geometric cells per flagged endpoint
 _LADDER_FRAC = 0.25        # share of the interval each ladder spans
 _MAX_PANELS = 4096
+_BLOCK_NODES = 2 ** 16     # node values per block of the panel rule
 _MAX_ROUNDS = 48
 
 
@@ -105,11 +111,28 @@ def _panel_rule(fx, hw):
     """Kronrod value and scaled error estimate per panel and column.
 
     fx: (n, 15, m) float64 or complex128 at the nodes, whose dtype the
-    values keep; hw: (n,) half-widths.  One node-sized float64 scratch
-    array (a real fx's own deviation) holds |fx - mean| for resasc, then
-    |fx| for resabs and the finiteness mask.  A panel holding inf or nan
-    is zeroed with an infinite error, silently.
+    values keep; hw: (n,) half-widths.  The rule runs over blocks of
+    whole panels, at most `_BLOCK_NODES` node values each (one panel at
+    least), and writes every block into the (n, m) outputs.  Every
+    panel's value and estimate depend on that panel alone, and a block
+    keeps the column layout, so the blocks change no bit; they bound
+    the scratch below to one block.  Within a block one node-sized
+    float64 scratch array (a real fx's own deviation) holds |fx - mean|
+    for resasc, then |fx| for resabs and the finiteness mask.  A panel
+    holding inf or nan is zeroed with an infinite error, silently.
     """
+    n, _, m = fx.shape
+    i15 = np.empty((n, m), fx.dtype)
+    err = np.empty((n, m))
+    step = max(1, _BLOCK_NODES // (15 * m))
+    for lo in range(0, n, step):
+        blk = slice(lo, lo + step)
+        i15[blk], err[blk] = _panel_block(fx[blk], hw[blk])
+    return i15, err
+
+
+def _panel_block(fx, hw):
+    """`_panel_rule` on one block of panels."""
     with np.errstate(all="ignore"):
         i15 = np.einsum("pnc,n->pc", fx, _WK) * hw[:, None]
         i7 = np.einsum("pnc,n->pc", fx, _WG15) * hw[:, None]
@@ -167,6 +190,19 @@ def _aitken_rows(seq, scale):
     return limit, spread
 
 
+def _row_median(a):
+    """``np.median(a, axis=1)`` bit for bit, without the lazy import of
+    `numpy.ma` that np.median makes on its first call: the middle
+    element of each row of a real (k, w) array, w >= 1, or (x + y) / 2.0
+    of the two middle ones for an even w, and NaN where a row holds NaN.
+    """
+    h = a.shape[1] // 2
+    odd = a.shape[1] % 2
+    part = np.partition(a, h if odd else (h - 1, h), axis=1)
+    med = part[:, h] if odd else (part[:, h - 1] + part[:, h]) / 2.0
+    return np.where(np.isnan(a).any(axis=1), np.nan, med)
+
+
 def _tail_limits(cells, noise, aux, strict=True):
     """Estimate the full ladder mass (including the unsampled cap) of
     every column from per-cell sums.  Returns (partial sum, limit,
@@ -194,7 +230,7 @@ def _tail_limits(cells, noise, aux, strict=True):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = mags[:, 1:] / np.where(mags[:, :-1] > 0, mags[:, :-1],
                                             np.inf)
-        med = np.median(ratios, axis=1)
+        med = _row_median(ratios)
         slow = med >= _RATIO_CEILING
         hit = slow & ~aux[work]
         if strict and hit.any():

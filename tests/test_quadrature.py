@@ -13,12 +13,16 @@ from heismod.errors import NonConvergent
 from heismod.quadrature import (
     _AITKEN_PASSES,
     _AITKEN_TERMS,
+    _BLOCK_NODES,
     _EPS,
     _RATIO_CEILING,
     _NODES,
     _WG15,
     _WK,
     QuadResult,
+    _panel_block,
+    _panel_rule,
+    _row_median,
     _tail_limits,
     integrate_batch,
 )
@@ -164,6 +168,59 @@ def test_real_batch_peak_memory_is_a_few_node_batches():
         tracemalloc.stop()
     assert res.n_evals == 68 * 15
     assert peak < 3.0 * batch
+
+
+@pytest.mark.parametrize("m, n", [
+    (1, 2 * _BLOCK_NODES // 15 + 7),   # m = 1: einsum's own summation order
+    (3, 3000),
+    (2040, 7),                          # two panels a block, one left over
+    (5000, 3),                          # one panel a block
+])
+@pytest.mark.parametrize("kind", [np.float64, np.complex128])
+def test_blocked_panel_rule_matches_one_block_bit_for_bit(m, n, kind):
+    rng = np.random.default_rng(m * n)
+    fx = rng.standard_normal((n, 15, m)) * 10.0 ** rng.integers(-6, 6,
+                                                                (n, 1, m))
+    if kind is np.complex128:
+        fx = fx + 1j * rng.standard_normal((n, 15, m))
+    fx = fx.astype(kind)
+    fx[0, 4, 0] = np.inf
+    fx[n - 1, 11, m - 1] = np.nan
+    hw = rng.uniform(1e-6, 1.0, n)
+    step = max(1, _BLOCK_NODES // (15 * m))
+    assert n > step and (step == 1 or n % step)     # a partial last block
+    got, want = _panel_rule(fx, hw), _panel_block(fx, hw)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape == (n, m)
+        assert g.tobytes() == w.tobytes()
+    assert got[0][0, 0] == 0 and np.isinf(got[1][0, 0])
+    assert got[0][n - 1, m - 1] == 0 and np.isinf(got[1][n - 1, m - 1])
+
+
+def test_panel_rule_scratch_is_one_block():
+    # a 2,048-column real batch: beyond its (n, m) outputs the rule
+    # holds one block's scratch, not a second node-by-column array
+    fx = np.random.default_rng(0).standard_normal((68, 15, 2048))
+    hw = np.full(68, 0.5)
+    tracemalloc.start()
+    try:
+        _panel_rule(fx, hw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * fx.nbytes
+
+
+def test_row_median_is_numpys_median_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for w in range(1, 9):
+        a = np.abs(rng.standard_normal((40, w))) * \
+            10.0 ** rng.integers(-300, 300, (40, w))
+        a[3, rng.integers(w)] = np.nan
+        a[5, rng.integers(w)] = np.inf
+        a[7] = 0.0
+        a[9, :] = a[9, 0]
+        assert _row_median(a).tobytes() == np.median(a, axis=1).tobytes()
 
 
 def _columns(fns, calls):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from heismod.errors import ScenarioError
 from heismod.qdiff import QuadDiff
 from heismod.scenarios import (
+    PERTURBATION_PROBES,
     Scenario,
     list_scenarios,
     load_scenario,
@@ -204,6 +205,17 @@ def test_annulus_horizontal_perturbation_row_is_pinned():
     assert rows["perturbation"]["value"] == 1.0006321061409076
 
 
+def test_perturbation_probes_are_the_seeded_draws():
+    rng = np.random.default_rng(0)
+    drawn = []
+    for _ in range(5):
+        c0, c1, c2 = rng.uniform(-0.4, 0.4, 3)
+        cs = rng.uniform(0.3, 1.0)
+        drawn.append(f"{c0:.6f} + {cs:.6f}*sin(s) + {c1:.6f}*p1"
+                     f" + {c2:.6f}*cos(p2)")
+    assert PERTURBATION_PROBES == tuple(drawn)
+
+
 def test_run_skips_modulus_when_unneeded():
     rep = run_scenario(load_scenario("triple-kernel-residuals"))
     assert rep.passed
@@ -266,3 +278,19 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_annulus_runs_leave_numpy_ma_and_random_unloaded():
+    # np.median imports numpy.ma on its first call and default_rng
+    # imports numpy.random: each costs a fresh process milliseconds and
+    # megabytes, so no request path takes either
+    code = ("import sys\n"
+            "from heismod.scenarios import load_scenario, run_scenario\n"
+            "for name in ('annulus-vertical', 'annulus-horizontal'):\n"
+            "    run_scenario(load_scenario(name))\n"
+            "    print(name, 'numpy.ma' in sys.modules,"
+            " 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split("\n")[:2] == [
+        "annulus-vertical False False", "annulus-horizontal False False"]
