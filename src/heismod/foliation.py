@@ -34,6 +34,7 @@ import numpy as np
 
 from . import expr as E
 from .errors import (
+    DivisionNearZero,
     InversionFailure,
     LeftDomain,
     NegativeQ,
@@ -369,8 +370,10 @@ def trace_trajectory(q: QuadDiff, start: HPoint, orientation: int = 1,
 
     Stops cleanly (stop_reason) at max_length, at a zero of q, or on
     leaving `domain` (a predicate HPoint -> bool).  Raises ZeroOfQ /
-    LeftDomain if the start itself is bad, StepFailure if the step size
-    collapses or the step budget is exhausted.
+    LeftDomain if the start itself is bad, DivisionNearZero where q has
+    a pole (a division by zero, or a log or negative power of zero),
+    StepFailure if the step size collapses or the step budget is
+    exhausted.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
@@ -378,7 +381,12 @@ def trace_trajectory(q: QuadDiff, start: HPoint, orientation: int = 1,
 
     def q_at(y):
         z = complex(y[0], y[1])
-        return qfun(z, z.conjugate(), y[2])
+        try:
+            return qfun(z, z.conjugate(), y[2])
+        except (ZeroDivisionError, ValueError) as exc:   # a pole of q
+            raise DivisionNearZero(
+                f"q cannot be evaluated at z = {z}, t = {y[2]}: {exc}") \
+                from None
 
     def rhs(y, theta_ref):
         z = complex(y[0], y[1])

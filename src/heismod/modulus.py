@@ -9,10 +9,10 @@ planar family over one p-axis (M2), so the leaf map Phi is never
 inverted.  One engine serves both: it reads the chart's p-axes and
 exponent, and `modulus_m4` here and `heismod.planar.modulus_m2` only
 add their family's gates.  Every leaf integral collapses dead p-axes
-through `_dedup_pairs`, unless a density's weight makes every leaf
-distinct (a weight is live along every p-axis it names); such a batch
-still evaluates its chart factors once per distinct leaf of their own
-live axes, and only the weights on every pair (`_columns`).  The
+through `_dedup_pairs`, unless a density's weight runs on every pair
+(a weight is live along every p-axis it names); such a batch still
+evaluates its chart factors once per distinct leaf of their own live
+axes, and only the weights on every pair (`_columns`).  The
 p-integrals ride on the batch quadrature with error channels
 (`aux_cols`), so ``error_estimate`` aggregates the s-stage, leaf-length
 and p-stage errors.
@@ -20,25 +20,34 @@ and p-stage errors.
 A density rho = w sqrt|q|/L_w, w = 1 + eps*g and L_w the leaf's
 w-weighted q-length, has as energy the same ratio integral with w^n in
 the mass and L_w for l.  `_energies` takes k densities as one integral:
-one s-stage over the channels of one column evaluator (`_columns`: k
-masses, each beside its density's own lengths), one p-stage over
-[E_k ..., g_k ...].  Only an unweighted density on a field constant over
-two or more p-axes takes the field's one value as l (`_own_lengths`).
-The modulus is the member w = 1, so the extremal energy is the modulus
-bit for bit (on such a field only at tol >= 1e-8: its length_tol).
+one s-stage over the channels of one builder (`_density_leaves`: k
+masses, each beside its density's own lengths; two s-stages when
+weights that separate share the batch with weights that do not), one
+p-stage over [E_k ..., g_k ...].  A weight that separates, w = A_0(p) +
+sum_r A_r(p) b_r(s), needs only the leaf moments of the s-monomials
+prod b_r^alpha_r times the mass (|alpha| <= n) and the speed
+(|alpha| <= 1); they carry no p, so they collapse like the modulus's
+own channels, and the p-stage expands w^n and w from them at each
+p-node.  Other weights, and all of them when the moments would run no
+fewer s-stage columns, stay on every pair.  Only an unweighted density
+on a field constant over two or more p-axes takes the field's one value
+as l (`_own_lengths`).  The modulus is the member w = 1, so the
+extremal energy is the modulus bit for bit (on such a field only at
+tol >= 1e-8: its length_tol).
 
 A batch that holds a weighted density starts both p-stages from one
-panel per axis, since each of its p-nodes is an s-stage leaf of its
-own; every other batch (the modulus, `q_volume`, the energy of an
-unweighted density) keeps four, since there dead axes collapse the
-leaves and one panel costs accuracy where an axis carries endpoint
-ladders.  So the w = 1 member of a batch that also holds weighted
-densities is the modulus only within its estimate; `density_energy` of
-the extremal density alone is still the modulus bit for bit.
+panel per axis, since each of its p-nodes carries weights of its own;
+every other batch (the modulus, `q_volume`, the energy of an
+unweighted density) keeps four, since there one panel costs accuracy
+where an axis carries endpoint ladders.  So the w = 1 member of a batch
+that also holds weighted densities is the modulus only within its
+estimate; `density_energy` of the extremal density alone is still the
+modulus bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
@@ -74,6 +83,8 @@ _ATOL = 1e-14               # absolute tolerance of _leaf_integrals, p-stages
 _SETTLED_RTOL = 1e-3        # relative spread of a settled probe tail
 _DEAD_AXIS_RTOL = 1e-12     # relative variation below which an axis is dead
 _EDGE_OFFS = 10.0 ** -np.arange(2.0, 11.0)  # probe offsets, box fractions
+_P_PANEL_NODES = 15         # nodes per axis of one p-stage panel
+_EPS = float(np.finfo(float).eps)
 MASS, SPEED = "mass", "speed"   # the two bases of a `_columns` channel
 
 
@@ -356,24 +367,51 @@ def _s_batched(fol, cols_fn, ps, *, rtol, atol, counter, singular,
     return vals.T, errs.T
 
 
+def _weighted(w) -> bool:
+    """Whether channel weight w is a weighted density, whose weight runs
+    on every parameter pair."""
+    return isinstance(w, Density) and w.weighted
+
+
+def _monomials(x):
+    """w -> the s-factor of channel weight w at s-nodes x: 1.0 unless w
+    is a moment monomial (a tuple of s-only nodes), which multiplies out
+    left to right into a (nodes, 1) column, each node and each prefix
+    evaluated once per x."""
+    memo: dict = {(): 1.0}
+
+    def mono(w):
+        if not isinstance(w, tuple):
+            return 1.0
+        if w not in memo:
+            b = w[-1]
+            if b not in memo:
+                memo[b] = np.real(E.eval_array(b, {"s": x}))[:, None]
+            memo[w] = mono(w[:-1]) * memo[b]
+        return memo[w]
+    return mono
+
+
 def _columns(q, fol, chans):
     """Column evaluator (x, *pc) -> (nodes, len(chans) * pairs) of the
-    leaf integrands, channel-major.  A channel (base, rho) is the mass
+    leaf integrands, channel-major.  A channel (base, w) is the mass
     |q(Phi)|^(n/2) |J| (base MASS) or the q-speed sqrt|q(Phi)| |d_s Phi1|
-    (SPEED) times the density rho's weight w^n or w, n the chart's
-    exponent, w = 1 for rho None.  Per s-node batch q o Phi runs once,
-    and so does each weight.  Weights make every leaf distinct, so
-    `_leaf_integrals` cannot collapse a weighted batch's pairs; its chart
-    factors (q o Phi, |J|, |d_s Phi1|) then run on the distinct leaves
-    of their own live p-axes, probed here, and each weight on every
-    pair.  Unweighted channels leave the collapsing to `_dedup_pairs`;
-    an unweighted batch's channels are its bases, written straight into
-    the output."""
+    (SPEED) times its weight: 1 for w None or an unweighted density, the
+    weighted density w's weight^n or weight, or the product of the
+    s-only nodes of a moment monomial w (a tuple, `_density_leaves`);
+    n is the chart's exponent.  Per s-node batch q o Phi runs once, and
+    so does each weight and monomial node.  Weighted densities make
+    every leaf distinct, so `_leaf_integrals` cannot collapse their
+    batch's pairs; its chart factors (q o Phi, |J|, |d_s Phi1|) then
+    run on the distinct leaves of their own live p-axes, probed here,
+    and each weight on every pair.  Other channels leave the collapsing
+    to `_dedup_pairs`; such a batch writes the bases straight into the
+    output, and its monomials as (nodes, 1) columns times the bases."""
     qc, n = fol.compose(q.coeff), fol.exponent
     kinds = {kind for kind, _ in chans}
-    groups: dict = {}       # id of a density -> (density, its channels)
-    for j, (kind, rho) in enumerate(chans):
-        groups.setdefault(id(rho), (rho, []))[1].append((j, kind))
+    groups: dict = {}       # id of a weight -> (weight, its channels)
+    for j, (kind, w) in enumerate(chans):
+        groups.setdefault(id(w), (w, []))[1].append((j, kind))
 
     def chart(x, *pc, into=lambda kind: None):
         """base -> (nodes, pairs) factors, each written into into(base)
@@ -401,27 +439,31 @@ def _columns(q, fol, chans):
                 out=into(MASS)), shape)
         return base
 
-    weighted = any(rho is not None and rho.weighted for _, rho in chans)
+    weighted = any(_weighted(w) for _, w in chans)
     dep = (True,) * len(fol.p_box)
     if weighted:
         dep = _axis_dependence(
             lambda x, *pc: np.hstack(tuple(chart(x, *pc).values())), fol)
 
-    home: dict = {}         # base -> the first channel that holds it
-    for j, (kind, _) in enumerate(chans):
-        home.setdefault(kind, j)
+    home: dict = {}         # base -> the first channel of weight 1
+    for j, (kind, w) in enumerate(chans):
+        if not isinstance(w, tuple):
+            home.setdefault(kind, j)
 
-    def unweighted_cols(x, *pc):    # w = 1: the bases are the channels
-        m, out = pc[0].size, []
+    def unweighted_cols(x, *pc):    # channels of weight 1 are the bases
+        m, out, mono = pc[0].size, [], _monomials(x)
 
         def into(kind):     # allocated once q o Phi is evaluated
             if not out:
                 out.append(np.empty((x.size, len(chans) * m)))
-            return out[0][:, home[kind] * m:(home[kind] + 1) * m]
+            if kind in home:
+                return out[0][:, home[kind] * m:(home[kind] + 1) * m]
+            return None
         base = chart(x, *pc, into=into)
-        for j, (kind, _) in enumerate(chans):
-            if j != home[kind]:
-                out[0][:, j * m:(j + 1) * m] = base[kind]
+        for j, (kind, w) in enumerate(chans):
+            if j != home.get(kind):
+                np.multiply(base[kind], mono(w),
+                            out=out[0][:, j * m:(j + 1) * m])
         return out[0]
 
     def cols(x, *pc):
@@ -433,64 +475,282 @@ def _columns(q, fol, chans):
             if first.size > 1:
                 base = {kind: v[:, inv] for kind, v in base.items()}
         shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
-        out = np.empty((x.size, len(chans) * shape[1]))
-        for rho, chs in groups.values():
-            w = 1.0 if rho is None else rho._factor(b, shape)
+        out, mono = np.empty((x.size, len(chans) * shape[1])), _monomials(x)
+        for w, chs in groups.values():
+            f = w._factor(b, shape) if _weighted(w) else mono(w)
             for j, kind in chs:
-                np.multiply(base[kind], w if kind == SPEED else w ** n,
+                np.multiply(base[kind],
+                            f ** n if kind == MASS and _weighted(w) else f,
                             out=out[:, j * shape[1]:(j + 1) * shape[1]])
         return out
     return cols if weighted else unweighted_cols
 
 
-def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL):
+def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL,
+                    dep=None):
     """(*ps) -> (values, errors), shape (pairs, len(chans)): leaf
     integrals of the `_columns` channels at rtol (one, or one per
-    channel), singular endpoints and dead p-axes (its ``dep``) probed
-    once, here.  Masses and energies run at 0.01 tol, so their leaf
-    noise never looks like structure to p refinement.  Weighted lengths
-    must not collapse."""
+    channel), singular endpoints and, unless given as `dep`, dead p-axes
+    (its ``dep``) probed once, here.  Masses and energies run at 0.01
+    tol, so their leaf noise never looks like structure to p
+    refinement."""
     cols = _columns(q, fol, chans)
     sing = _probe_singular(cols, fol)
-    # a weight is live along every p-axis it names: a narrow feature of
-    # it can fall between the probe's points, and one leaf would then
-    # stand for all
-    named = set().union(*(E.free_vars(rho.modifier) for _, rho in chans
-                          if rho is not None and rho.weighted))
-    dep = tuple(d or v in named for d, v in
-                zip(_axis_dependence(cols, fol), fol.p_vars))
-    wl = [j for j, (kind, rho) in enumerate(chans)
-          if kind == SPEED and rho is not None and rho.weighted]
+    if dep is None:
+        # a weight is live along every p-axis it names: a narrow feature
+        # of it can fall between the probe's points, and one leaf would
+        # then stand for all
+        named = _named_axes(w for _, w in chans)
+        dep = tuple(d or v in named for d, v in
+                    zip(_axis_dependence(cols, fol), fol.p_vars))
 
     def leaf(*ps):
-        v, e = _dedup_pairs(lambda *p: _s_batched(
+        return _dedup_pairs(lambda *p: _s_batched(
             fol, cols, p, rtol=rtol, atol=atol, counter=counter,
             singular=sing, chans=len(chans)), ps, dep)
-        if wl and (low := v[:, wl].min()) <= math.sqrt(Q_FLOOR) * \
-                chans[wl[0]][1].length_field.value:
-            raise NonAdmissibleAfterRenormalization(
-                f"a weighted leaf length collapsed to {low:.3e}; the "
-                "perturbed density cannot be renormalized")
-        return v, e
     leaf.dep = dep
     return leaf
 
 
+def _named_axes(weights) -> set:
+    """The variables that the weighted densities among `weights` name."""
+    return set().union(*(E.free_vars(w.modifier) for w in weights
+                         if _weighted(w)))
+
+
+def _separate(g):
+    """g as a sum of terms a(p) * b(s): {b: a}, b the product of a term's
+    s-only factors (an interned node; None for the terms free of s) and
+    a the sum of their cofactors, which are free of s.  None when a
+    factor of some term depends on s and on a p-variable at once.  Sums
+    split over Add, Sub and Neg and products over Mul and Div; nothing is
+    distributed, so (s + p1)^2 is one factor and does not separate.
+    Both walks keep their own stacks, so a long sum cannot exhaust
+    Python's recursion limit."""
+    parts: dict = {}
+    terms = [(g, 1.0)]
+    while terms:
+        e, sign = terms.pop()
+        t = type(e)
+        if t in (E.Add, E.Sub):     # the left term is taken first
+            terms += [(e.rhs, -sign if t is E.Sub else sign), (e.lhs, sign)]
+            continue
+        if t is E.Neg:
+            terms.append((e.arg, -sign))
+            continue
+        fac = {True: E.ONE, False: E.const(sign)}   # "s" in it -> factor
+        factors = [(e, False)]      # (factor, whether it divides)
+        while factors:
+            f, inverse = factors.pop()
+            t = type(f)
+            if t in (E.Mul, E.Div):
+                factors += [(f.rhs, inverse != (t is E.Div)),
+                            (f.lhs, inverse)]
+            elif t is E.Neg:
+                fac[False] = E.neg(fac[False])
+                factors.append((f.arg, inverse))
+            else:
+                names = E.free_vars(f)
+                if "s" in names and len(names) > 1:
+                    return None
+                key = "s" in names
+                fac[key] = (E.div if inverse else E.mul)(fac[key], f)
+        b = None if fac[True] is E.ONE else fac[True]
+        parts[b] = E.add(parts[b], fac[False]) if b in parts else fac[False]
+    return parts
+
+
+def _moment_form(rho):
+    """rho's weight w = 1 + eps*g as {b: a} with w = sum_b A_b(p) b(s),
+    A_b = eps*a and A_None = 1 + eps*a (`_separate`), or None when g
+    does not separate or a part is not real on the chart's sample
+    grid."""
+    parts = _separate(rho.modifier)
+    if parts is None:
+        return None
+    grid = rho.foliation.grid(8)
+    if any(np.any(E.eval_array(x, grid).imag)
+           for b, a in parts.items() for x in (a, b) if x is not None):
+        return None
+    return parts
+
+
+def _compositions(n: int, parts: int):
+    """Every tuple of `parts` nonnegative integers that sum to n, the
+    first largest first."""
+    for pick in itertools.combinations_with_replacement(range(parts), n):
+        alpha = [0] * parts
+        for r in pick:
+            alpha[r] += 1
+        yield tuple(alpha)
+
+
+def _density_leaves(q, fol, wants, counter, *, atol=_ATOL):
+    """(*ps) -> (values, errors), shape (pairs, len(wants)): for each
+    want (base, rho, rtol) the leaf integral of the base times rho's
+    weight w (w^n for MASS, w for SPEED, n the chart's exponent; w = 1
+    for rho None or unweighted) at rtol.  The one channel builder of
+    `_energies`, `Density.leaf_lengths` and `admissibility_check`.
+
+    A weight that separates, w = A_0(p) + sum_r A_r(p) b_r(s) with real
+    parts (`_moment_form`), needs only the leaf moments M_alpha of the
+    s-monomials prod_r b_r^alpha_r times the base, |alpha| <= n for
+    MASS and <= 1 for SPEED.  They carry no p-variable, so they collapse
+    over the chart's dead axes, and densities share them by node.  Its
+    mass is then sum_alpha c_alpha(p) M_alpha, the multinomial expansion
+    of w^n, with error sum |c_alpha| e_alpha plus the rounding of the
+    sum; its length is sum_r A_r S_r.  Every other weighted density
+    keeps its own channel on every pair (`_leaf_integrals`), and so do
+    all of them unless the moments run fewer s-stage columns on one
+    p-panel (`_moment_leaves`).  A batch with no weighted density
+    integrates its wants as they are.  A weighted leaf length that
+    collapses raises NonAdmissibleAfterRenormalization."""
+    dens = [w for _, w, _ in wants]
+    forms = {id(w): _moment_form(w) for w in dens if _weighted(w)}
+    leaf = None
+    if any(f is not None for f in forms.values()):
+        leaf = _moment_leaves(q, fol, wants, forms, counter, atol)
+    if leaf is None:
+        leaf = _leaf_integrals(
+            fol, q, [(kind, w if _weighted(w) else None)
+                     for kind, w, _ in wants],
+            [r for _, _, r in wants], counter, atol=atol)
+    wl = [j for j, (kind, w, _) in enumerate(wants)
+          if kind == SPEED and _weighted(w)]
+
+    def checked(*ps):
+        v, e = leaf(*ps)
+        if wl and (low := v[:, wl].min()) <= math.sqrt(Q_FLOOR) * \
+                dens[wl[0]].length_field.value:
+            raise NonAdmissibleAfterRenormalization(
+                f"a weighted leaf length collapsed to {low:.3e}; the "
+                "perturbed density cannot be renormalized")
+        return v, e
+    return checked
+
+
+def _moment_leaves(q, fol, wants, forms, counter, atol):
+    """`_density_leaves` with the weighted wants whose `forms` are not
+    None on leaf moments, beside the unweighted ones, and every other
+    weighted want on every pair.  None unless that runs fewer s-stage
+    columns on one p-panel, `_P_PANEL_NODES` leaves per live p-axis,
+    than every weighted want on every pair: the count is the channels
+    times the leaves, and a weight is live along every p-axis it names
+    (`_leaf_integrals`), the moments along the chart's live axes only."""
+    n, dens = fol.exponent, [w for _, w, _ in wants]
+    moment = [j for j, w in enumerate(dens)
+              if _weighted(w) and forms[id(w)] is not None]
+    per_pair = [j for j, w in enumerate(dens)
+                if _weighted(w) and j not in moment]
+    order: dict = {}        # the s-factors b_r, in order of first use
+    for j in moment:
+        order.update((b, None) for b in forms[id(dens[j])] if b is not None)
+    factors = {id(dens[j]): [b for b in order if b in forms[id(dens[j])]]
+               for j in moment}
+    kinds = list(dict.fromkeys(kind for kind, _, _ in wants))
+    chart = _axis_dependence(
+        _columns(q, fol, [(kind, None) for kind in kinds]), fol)
+
+    def columns(count, js):
+        live = _named_axes(dens[j] for j in js)
+        return count * _P_PANEL_NODES ** sum(
+            d or v in live for d, v in zip(chart, fol.p_vars))
+    budget = columns(len(wants), moment + per_pair)
+    if per_pair:
+        budget -= columns(len(per_pair), per_pair)
+    chans: dict = {}        # (base, monomial or None) -> s-stage rtol
+    plans = {}              # want -> (kind, None), or its terms
+
+    def need(kind, key, rtol):
+        chans[kind, key] = min(rtol, chans.get((kind, key), rtol))
+        return (kind, key)
+
+    for j, (kind, w, rtol) in enumerate(wants):
+        if j in moment:     # w^n or w: the exponents alpha of (1, b, ...)
+            bs, deg = factors[id(w)], n if kind == MASS else 1
+            if columns(math.comb(len(bs) + deg, deg), ()) >= budget:
+                return None     # before its monomials are listed
+            plans[j] = [(alpha, need(kind, tuple(
+                b for b, k in zip(bs, alpha[1:]) for _ in range(k))
+                or None, rtol)) for alpha in _compositions(deg, len(bs) + 1)]
+        elif j not in per_pair:
+            plans[j] = need(kind, None, rtol)
+    if columns(len(chans), ()) >= budget:
+        return None
+    at = {key: c for c, key in enumerate(chans)}
+    plans = {j: [(alpha, at[key]) for alpha, key in plan] if j in moment
+             else at[plan] for j, plan in plans.items()}
+    mleaf = _leaf_integrals(fol, q, list(chans), list(chans.values()),
+                            counter, atol=atol, dep=chart)
+    pleaf = per_pair and _leaf_integrals(
+        fol, q, [wants[j][:2] for j in per_pair],
+        [wants[j][2] for j in per_pair], counter, atol=atol)
+
+    def leaf(*ps):
+        v, e = np.empty((2, ps[0].size, len(wants)))
+        if per_pair:
+            v[:, per_pair], e[:, per_pair] = pleaf(*ps)
+        mv, me = mleaf(*ps)
+        binding, parts = dict(zip(fol.p_vars, ps)), {}
+        for j, plan in plans.items():
+            if j not in moment:
+                v[:, j], e[:, j] = mv[:, plan], me[:, plan]
+                continue
+            rho = dens[j]
+            if id(rho) not in parts:
+                parts[id(rho)] = _weight_parts(
+                    rho, forms[id(rho)], factors[id(rho)], binding)
+            v[:, j], e[:, j] = _expand(parts[id(rho)], plan, mv, me)
+        return v, e
+    return leaf
+
+
+def _weight_parts(rho, form, bs, binding):
+    """[A_0, A_1, ...] of rho's weight at the p-nodes of `binding`: A_0
+    the part free of s, A_r that of its s-factor bs[r - 1]."""
+    size, out = next(iter(binding.values())).size, {}
+    for b, a in form.items():
+        v = np.broadcast_to(np.real(E.eval_array(a, binding)), (size,))
+        out[b] = 1.0 + rho.eps * v if b is None else rho.eps * v
+    return [out.get(None, np.ones(size))] + [out[b] for b in bs]
+
+
+def _expand(A, terms, v, e):
+    """The sum over terms (alpha, c) of multinomial(alpha) prod_r
+    A_r^alpha_r v[:, c], and its bound: the sum of |coefficient| e[:, c]
+    plus the rounding of the products and of the sum."""
+    val, mag, err = np.zeros((3, v.shape[0]))
+    for alpha, c in terms:
+        coef = np.full(v.shape[0], float(math.factorial(sum(alpha)) //
+                                         math.prod(map(math.factorial,
+                                                       alpha))))
+        for a, k in zip(A, alpha):
+            if k:
+                coef *= a ** k
+        t = coef * v[:, c]
+        val += t
+        mag += np.abs(t)
+        err += np.abs(coef) * e[:, c]
+    return val, err + (len(terms) + sum(terms[0][0]) + 2) * _EPS * mag
+
+
 def _energies(q, fol, field, rhos, tol: float, counter: dict):
     """(values, errors) of [E_k ..., g_k ...] over the p-box for k
-    densities (None: w = 1), E_k = int g_k / L_k^n dp.  One s-stage
-    integrates the masses g_k = int w_k^n |q|^(n/2) |J| ds at 0.01 tol
-    and the lengths L_k = int w_k sqrt|q| |d_s Phi1| ds that densities
-    own (`_own_lengths`) at 0.1 min(1e-10, 0.02 tol).
+    densities (None: w = 1), E_k = int g_k / L_k^n dp.  One channel
+    builder (`_density_leaves`) integrates the masses g_k = int w_k^n
+    |q|^(n/2) |J| ds at 0.01 tol and the lengths L_k = int w_k sqrt|q|
+    |d_s Phi1| ds that densities own (`_own_lengths`) at
+    0.1 min(1e-10, 0.02 tol).
 
     The p-stages start from one panel per axis when a density is
     weighted, else from four (module docstring): at one panel,
     annulus-vertical's q-volume estimate grows 84x at tol 1e-8."""
     n, k = fol.exponent, len(rhos)
     own = [j for j, r in enumerate(rhos) if _own_lengths(field, r)]
-    chans = [(MASS, r) for r in rhos] + [(SPEED, rhos[j]) for j in own]
-    rtol = [0.01 * tol] * k + [0.1 * min(1e-10, 0.02 * tol)] * len(own)
-    leaf = _leaf_integrals(fol, q, chans, rtol, counter)
+    leaf = _density_leaves(
+        q, fol, [(MASS, r, 0.01 * tol) for r in rhos]
+        + [(SPEED, rhos[j], 0.1 * min(1e-10, 0.02 * tol)) for j in own],
+        counter)
 
     def pair_fn(*ps):
         v, e = leaf(*ps)
@@ -643,8 +903,8 @@ class Density:
         if not _own_lengths(field, self):
             return lambda *ps: tuple(np.full(np.shape(ps[0]), a)
                                      for a in (field.value, field.value_err))
-        raw = _leaf_integrals(self.foliation, self.q, [(SPEED, self)],
-                              0.1 * tol, None)
+        raw = _density_leaves(self.q, self.foliation,
+                              [(SPEED, self, 0.1 * tol)], None)
         return lambda *ps: tuple(a[:, 0] for a in raw(*ps))
 
     def pullback(self, s, *ps):
@@ -675,15 +935,15 @@ def admissibility_check(rho: Density, leaf_sample_count: int = 64,
     n = max(2, math.ceil(leaf_sample_count ** (1.0 / len(fol.p_box))))
     ps = _interior_pairs(fol, n)
     # the numerator; when rho is weighted it is L_w, integrated once
-    v, ve = (a[:, 0] for a in _leaf_integrals(
-        fol, rho.q, [(SPEED, rho)], 0.1 * tol, None)(*ps))
+    v, ve = (a[:, 0] for a in _density_leaves(
+        rho.q, fol, [(SPEED, rho, 0.1 * tol)], None)(*ps))
     if not _own_lengths(field, rho):
         lv, le = field.value, field.value_err
     elif rho.weighted:
         lv, le = v, ve
     else:   # l itself, integrated apart at the field's own tolerance
-        lv, le = (a[:, 0] for a in _leaf_integrals(
-            fol, rho.q, [(SPEED, None)], field.length_tol, None,
+        lv, le = (a[:, 0] for a in _density_leaves(
+            rho.q, fol, [(SPEED, None, field.length_tol)], None,
             atol=0.01 * field.length_tol)(*ps))
     vals = v / lv
     errs = ve / lv + np.abs(v) * le / lv ** 2
@@ -695,8 +955,9 @@ def density_energies(rhos, tol: float = 1e-8,
                      counter: dict | None = None) -> list:
     """Energies int (rho_k o Phi)^n |J| of k densities that share q,
     foliation and length field, n the chart's exponent: one s-stage over
-    the k masses and the lengths the densities own, and one p-stage
-    over the 2k channels of `_energies` (see the module docstring).
+    the k masses and the lengths the densities own, or over the leaf
+    moments they are expanded from, and one p-stage over the 2k
+    channels of `_energies` (see the module docstring).
     `counter`, when given, accumulates the stages' work as a modulus
     report's meta does: ``s_evals``, ``s_points`` and ``p_evals``."""
     rho, fol = rhos[0], rhos[0].foliation

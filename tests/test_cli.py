@@ -357,6 +357,14 @@ def test_trace_error_paths(capsys):
     assert "ZeroOfQ" in capsys.readouterr().err
     assert run_cli("trace", "--q", "1", "--start", "1,2") == 2
     assert run_cli("trace", "--q", "while(z)", "--start", "0,0,0") == 2
+    capsys.readouterr()
+    # a pole of q at the start is a documented failure, not a traceback
+    for q, start in (("1/z", "0,0,0"), ("log(z)", "0,0,0"),
+                     ("z^(-1)", "0,0,0"), ("1/t", "1,0,0")):
+        assert run_cli("trace", "--q", q, "--start", start) == 1
+        err = capsys.readouterr().err
+        assert "error: DivisionNearZero: " in err
+        assert "Traceback" not in err
 
 
 def test_trace_long_sum(capsys):

@@ -44,7 +44,8 @@ from heismod.modulus import (
 from heismod.planar import PlanarFoliation, PlanarQD, modulus_m2
 from heismod.qdiff import QuadDiff
 from heismod.quadrature import integrate_batch
-from heismod.scenarios import list_scenarios, load_scenario
+from heismod.scenarios import (PERTURBATION_PROBES, list_scenarios,
+                                load_scenario)
 
 LOG_R = math.log(2.0)
 Q0_TEXT = ("conj(z)^2 * (t^2 + (z*conj(z))^2)^(2/3)"
@@ -648,8 +649,10 @@ def test_admissibility_integrates_weighted_columns_once(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(modulus, "_s_batched", counted)
     _, table = admissibility_check(rho, leaf_sample_count=9)
-    # the numerator is L_w itself: one batch, and every ratio exactly 1
-    assert calls == [1]
+    # the numerator is L_w itself: one batch, and every ratio exactly 1.
+    # w = (1 + 0.2 p1) + 0.2 cos(s) separates, so that batch holds the
+    # two length moments of the arc chart's one leaf (`_density_leaves`)
+    assert calls == [2]
     assert (table[:, 2] == 1.0).all()
 
 
@@ -770,9 +773,11 @@ def test_probe_random_perturbations_never_beat_extremal():
 
 
 def arc_batch():
+    # weights that do not separate into a(p) b(s), so each runs on every
+    # pair (`modulus._density_leaves`)
     rho = extremal_density(q0(), arc_foliation())
-    return [rho, perturbed_density(rho, "cos(s) + p1", 0.1),
-            perturbed_density(rho, "0.3 - sin(s) + 0.2*cos(p2)", -0.2)]
+    return [rho, perturbed_density(rho, "cos(s + p1)", 0.1),
+            perturbed_density(rho, "0.3 - sin(s + 0.2*cos(p2))", -0.2)]
 
 
 def test_batched_energies_are_one_integral_within_each_estimate(
@@ -855,10 +860,11 @@ def test_weighted_batch_evaluates_the_chart_once_per_distinct_leaf(
         monkeypatch):
     # on the radius chart p2 is a rotation, so q o Phi, |J| and
     # |d_s Phi1| vary along p1 only; the weights g vary along both axes
+    # and do not separate into a(p) b(s), so they run on every pair
     scn = load_scenario("annulus-vertical")
     rho = extremal_density(scn.q, scn.foliation)
     probes = [perturbed_density(rho, g, 0.1) for g in
-              ("0.3*sin(s) + 0.2*cos(p2)", "0.1 + 0.2*s*sin(p1)")]
+              ("0.3*sin(s + 0.2*cos(p2))", "0.1 + 0.2*sin(s*p1)")]
     gs = {id(r.modifier) for r in probes}
     calls, real_cols, real_eval = [], modulus._columns, E.eval_array
 
@@ -914,15 +920,10 @@ def leafwise_ratio(a, b):
     return moment(4) / moment(1) ** 4
 
 
-def leafwise_moment_gaps(seed, eps_cycle, n):
-    """|E_k / M - oracle| of n probes drawn as the perturbation row
-    (seed 0) and criterion 7 (seed 7) draw them, eps_k cycling through
-    eps_cycle, batched with the extremal density as M at tol 1e-7."""
-    scn = load_scenario("annulus-horizontal")
-    q, fol = scn.q, scn.foliation
-    (a0, a1), (b0, b1) = fol.p_box
-    rho = extremal_density(q, fol)
-    assert rho.length_field.mode == "constant"
+def drawn_probes(rho, seed, eps_cycle, n):
+    """n perturbed densities of rho drawn as the perturbation row (seed
+    0) and criterion 7 (seed 7) draw them, eps_k cycling through
+    eps_cycle, each with its [eps, c0, cs, c1, c2]."""
     rng = np.random.default_rng(seed)
     coef, probes = [], []
     for k in range(n):
@@ -933,6 +934,18 @@ def leafwise_moment_gaps(seed, eps_cycle, n):
              f" + {c2:.6f}*cos(p2)")
         coef.append([eps] + [float(f"{c:.6f}") for c in (c0, cs, c1, c2)])
         probes.append(perturbed_density(rho, g, eps))
+    return probes, coef
+
+
+def leafwise_moment_gaps(seed, eps_cycle, n):
+    """|E_k / M - oracle| of n `drawn_probes`, batched with the
+    extremal density as M at tol 1e-7."""
+    scn = load_scenario("annulus-horizontal")
+    q, fol = scn.q, scn.foliation
+    (a0, a1), (b0, b1) = fol.p_box
+    rho = extremal_density(q, fol)
+    assert rho.length_field.mode == "constant"
+    probes, coef = drawn_probes(rho, seed, eps_cycle, n)
     *energies, mod = density_energies(probes + [rho], tol=1e-7)
     x, wt = np.polynomial.legendre.leggauss(40)
     u = a0 + (a1 - a0) * (x + 1) / 2
@@ -993,10 +1006,11 @@ def p1_bump_energies(sigma, c=0.5):
 
 @pytest.mark.parametrize("sigma", [0.025, 0.005])
 def test_split_box_energy_sees_a_narrow_p1_bump(sigma):
-    # the split puts a panel edge on the bump; the weight names p1, so p1
-    # stays live however narrow the bump is between the axis probe's
-    # points (collapsed to one leaf, the half at c = 0.5 read 57x the
-    # oracle at sigma 0.005, with an estimate of 7e-11)
+    # the split puts a panel edge on the bump.  The weight separates, so
+    # its p1-part is evaluated at every p-node however narrow the bump
+    # is, beside leaf moments that carry no p (when one weighted leaf
+    # stood for all, the half at c = 0.5 read 57x the oracle at sigma
+    # 0.005, with an estimate of 7e-11)
     _, (split, _), mod, oracle = p1_bump_energies(sigma)
     assert oracle > 9e-4
     assert abs(split / mod - 1 - oracle) <= 1e-9
@@ -1011,6 +1025,159 @@ def test_one_panel_energy_is_additive_over_a_split_at_a_p1_bump(sigma):
     # in README ("Library use")
     (whole, whole_err), (split, split_err), _, _ = p1_bump_energies(sigma)
     assert abs(whole - split) <= whole_err + split_err
+
+
+# ---------------------------------------------------------------------------
+# weights that separate in s: leaf-wise moments (`modulus._density_leaves`)
+
+SIN_S = E.parse("sin(s)")
+
+
+@pytest.mark.parametrize("text, keys", [
+    # sums of products, with constants, p-only and s-only terms
+    ("0.3 + 0.5*sin(s) + 0.2*p1*cos(p2) - cos(s)*p2*2", ["", "sin(s)",
+                                                          "cos(s)"]),
+    # a product of s-factors is one interned node, whatever the p-factors
+    # between them
+    ("sin(s)*p1*cos(s) - sin(s)*cos(s)*p2", ["sin(s)*cos(s)"]),
+    # division by a factor in p only, and by one in s only
+    ("sin(s)/(1 + p1^2) + p2/exp(s)", ["sin(s)", "1/exp(s)"]),
+    # Neg and Sub flip the sign of a term
+    ("-(s*p1) - -cos(s) - (p2 - 2)", ["s", "cos(s)", ""]),
+    ("2.5", [""]), ("exp(-s)", ["exp(-s)"]), ("p1*cos(p2)", [""]),
+])
+def test_separate_splits_sums_of_products(text, keys):
+    parts = modulus._separate(E.parse(text))
+    want = [E.parse(k) if k else None for k in keys]
+    assert list(parts) == want
+    # sum_b a(p) b(s) is g again, on the arc chart's grid
+    g = arc_foliation().grid(6)
+    total = sum(E.eval_array(a, g) * (1.0 if b is None else
+                                      E.eval_array(b, g))
+                for b, a in parts.items())
+    exact = E.eval_array(E.parse(text), g)
+    assert np.allclose(total, exact, rtol=1e-14, atol=1e-14)
+    assert all("s" not in E.free_vars(a) for a in parts.values())
+    assert all(E.free_vars(b) == {"s"} for b in parts if b is not None)
+
+
+@pytest.mark.parametrize("text", [
+    "sin(s*p1)", "0.2 + sin(s)*p1 + sin(s*p1)",
+    # not distributed, although s^2 + 2 s p1 + p1^2 would separate
+    "(s + p1)^2", "sin(s)*(s + p1)^2"])
+def test_separate_refuses_a_factor_in_s_and_p(text):
+    assert modulus._separate(E.parse(text)) is None
+
+
+def test_a_long_weight_separates_and_falls_back_before_listing_moments():
+    # 1,200 terms nest deeper than Python's recursion limit, and 1,200
+    # distinct s-factors would need C(1204, 4) mass moments
+    text = " + ".join(f"0.001*sin({k}*s)*p1" for k in range(1, 1201))
+    rho = replace(extremal_density(q0(), arc_foliation()),
+                  modifier=E.parse(text), eps=0.1)
+    form = modulus._moment_form(rho)
+    assert len(form) == 1200
+    assert modulus._moment_leaves(
+        rho.q, rho.foliation, [(modulus.MASS, rho, 1e-9)], {id(rho): form},
+        None, modulus._ATOL) is None
+
+
+def test_complex_factors_keep_the_per_pair_route():
+    # 2 cos(s + p1) as exp(i s) exp(i p1) + conjugate: real, but its parts
+    # are not, and re(a b) is not re(a) re(b)
+    rho = replace(extremal_density(q0(), arc_foliation()), eps=0.1,
+                  modifier=E.parse("exp(i*s)*exp(i*p1) + "
+                                   "exp(-i*s)*exp(-i*p1)"))
+    assert modulus._separate(rho.modifier) is not None
+    assert modulus._moment_form(rho) is None
+    assert modulus._moment_form(replace(
+        rho, modifier=E.parse("i*sin(s)*i*p1"))) is not None
+
+
+def test_weights_over_the_column_count_keep_the_per_pair_route(
+        monkeypatch):
+    # one axis is always live: sin(s) + p needs 5 moment columns per
+    # leaf (1, sin, sin^2 times the mass, 1, sin times the speed) against
+    # 2 on every pair, so the per-pair route runs, with its own bits
+    q, fol = plane_rectangle()
+    rho = perturbed_density(extremal_density(q, fol), "sin(s) + p", 0.1)
+    assert modulus._moment_form(rho) is not None
+    evaluators, real_cols = [], modulus._columns
+
+    def spy_cols(q, fol, chans):
+        evaluators.append([w for _, w in chans])
+        return real_cols(q, fol, chans)
+    monkeypatch.setattr(modulus, "_columns", spy_cols)
+    energy = density_energy(rho, tol=1e-8)
+    # the chart probe, then the per-pair evaluator: no moment channel
+    assert evaluators == [[None, None], [rho, rho]]
+    monkeypatch.setattr(modulus, "_separate", lambda g: None)
+    assert density_energy(rho, tol=1e-8) == energy
+
+
+def test_weights_that_do_not_separate_keep_their_bits():
+    # the bits of this batch before leaf-wise moments existed
+    assert density_energies(arc_batch(), tol=1e-6) == [
+        0.18016333184361855, 0.18556609813087374, 0.18605213516840477]
+
+
+def test_row_probes_share_seven_moment_channels_on_one_leaf(monkeypatch):
+    # every row weight is A_0(p) + A_1(p) sin(s) with one interned
+    # sin(s), so the s-stage integrates sin^j(s) times the mass (j <= 4)
+    # and the speed (j <= 1): 7 channels free of p, on the one leaf that
+    # annulus-horizontal's dead chart axes leave
+    scn = load_scenario("annulus-horizontal")
+    rho = extremal_density(scn.q, scn.foliation)
+    probes = [perturbed_density(rho, g, 0.1) for g in PERTURBATION_PROBES]
+    evaluators, stages = [], []
+    real_cols, real_s = modulus._columns, modulus._s_batched
+
+    def spy_cols(q, fol, chans):
+        evaluators.append(chans)
+        return real_cols(q, fol, chans)
+
+    def spy_s(fol, cols_fn, ps, **kwargs):
+        stages.append((ps[0].size, kwargs["chans"]))
+        return real_s(fol, cols_fn, ps, **kwargs)
+
+    monkeypatch.setattr(modulus, "_columns", spy_cols)
+    monkeypatch.setattr(modulus, "_s_batched", spy_s)
+    counter = {}
+    density_energies(probes, tol=1e-7, counter=counter)
+    mass, speed = modulus.MASS, modulus.SPEED
+    monomials = [None] + [(SIN_S,) * j for j in range(1, 5)]
+    assert evaluators == [
+        [(mass, None), (speed, None)],      # the chart's p-axis probe
+        [(mass, m) for m in monomials] + [(speed, None), (speed, (SIN_S,))]]
+    assert stages and all(st == (1, 7) for st in stages)
+    # 7,252,200 column-points on every pair of the per-pair route
+    assert counter["s_points"] <= 100_000
+    assert counter["p_evals"] == 60
+
+
+@pytest.mark.parametrize("name, seed, eps_cycle, n, tol", [
+    ("annulus-horizontal", 0, (0.1,), 5, 1e-7),     # the perturbation row
+    ("annulus-horizontal", 7, (0.01, 0.05, 0.1, 0.2), 20, 1e-6),
+    ("annulus-vertical", 7, (0.01, 0.05, 0.1, 0.2), 20, 1e-6)])
+def test_moment_route_matches_the_per_pair_route(name, seed, eps_cycle, n,
+                                                 tol, monkeypatch):
+    # criterion 7's twenty draws as one batch; annulus-vertical's p1 axis
+    # is live, so there the moments run on one leaf per p1-node
+    scn = load_scenario(name)
+    q, fol = scn.q, scn.foliation
+    rho = extremal_density(q, fol)
+    probes, _ = drawn_probes(rho, seed, eps_cycle, n)
+    if seed == 0:
+        assert [r.modifier for r in probes] == [
+            E.parse(g) for g in PERTURBATION_PROBES]
+    field = rho.length_field
+    vals, errs = modulus._energies(q, fol, field, probes, tol, {})
+    with monkeypatch.context() as m:
+        m.setattr(modulus, "_separate", lambda g: None)
+        ref, ref_errs = modulus._energies(q, fol, field, probes, tol, {})
+    # energies and masses, each within the two routes' summed estimates
+    assert (np.abs(vals - ref) <= errs + ref_errs).all()
+    assert density_energy(rho, tol=tol) == modulus_m4(q, fol, tol=tol).modulus
 
 
 def test_batched_energies_refuse_a_collapsed_channel():

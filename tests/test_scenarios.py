@@ -197,12 +197,14 @@ def test_run_density_checks_share_the_ladder():
 
 def test_annulus_horizontal_perturbation_row_is_pinned():
     # the five probes run as one batched energy integral whose p-stages
-    # start from one panel per axis (a weighted batch); its bits are
-    # those of five separate probe energies, over the polar Jacobian
+    # start from one panel per axis (a weighted batch).  Their weights
+    # separate into A_0(p) + A_1(p) sin(s), so the s-stage integrates 7
+    # leaf moments on one collapsed leaf (1.0006321061409076 when every
+    # weight ran on every pair)
     rep = run_scenario(load_scenario("annulus-horizontal"))
     rows = {r["name"]: r for r in rep.checks}
     assert rows["perturbation"]["pass"]
-    assert rows["perturbation"]["value"] == 1.0006321061409076
+    assert rows["perturbation"]["value"] == 1.0006321061430017
 
 
 def test_perturbation_probes_are_the_seeded_draws():
