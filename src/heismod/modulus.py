@@ -8,11 +8,12 @@ with n = 4 for a group family over two p-axes (M4) and n = 2 for a
 planar family over one p-axis (M2), so the leaf map Phi is never
 inverted.  One engine serves both: it reads the chart's p-axes and
 exponent, and `modulus_m4` here and `heismod.planar.modulus_m2` only
-add their family's gates.  Every leaf integral collapses dead p-axes
-through `_dedup_pairs`, unless a density's weight runs on every pair
-(a weight is live along every p-axis it names); such a batch still
-evaluates its chart factors once per distinct leaf of their own live
-axes, and only the weights on every pair (`_columns`).  The
+add their family's gates.  Every leaf integral collapses dead p-axes,
+and each leaf builder integrates a leaf once (`_leaf_integrals`, by
+the leaf's live coordinates), unless a density's weight runs on every
+pair (a weight is live along every p-axis it names); such a batch
+still evaluates its chart factors once per distinct leaf of their own
+live axes, and only the weights on every pair (`_columns`).  The
 p-integrals ride on the batch quadrature with error channels
 (`aux_cols`), so ``error_estimate`` aggregates the s-stage, leaf-length
 and p-stage errors.
@@ -225,25 +226,17 @@ def _axis_dependence(cols_fn, fol):
 
 
 def _distinct_leaves(ps, dep):
-    """(first, inverse) of the distinct leaves among parameter pairs ps,
-    keyed on their live axes `dep`: ps[k][first] are the distinct leaves
-    and `inverse` maps each pair to its leaf.  None when every axis is
-    live, so every pair is its own leaf."""
+    """(first, inverse, keys) of the distinct leaves among parameter pairs
+    ps, keyed on their live axes `dep` (one live axis, or none):
+    ps[k][first] are the distinct leaves, `inverse` maps each pair to its
+    leaf and `keys` are the leaves' sorted live coordinates.  None when
+    every axis is live, so every pair is its own leaf."""
     if all(dep):
         return None
     live = [p for p, d in zip(ps, dep) if d]
     key = live[0] if live else np.zeros_like(ps[0])
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    return first, inv
-
-
-def _dedup_pairs(fn, ps, dep):
-    """Evaluate fn over parameter pairs, collapsing dead axes."""
-    if (leaves := _distinct_leaves(ps, dep)) is None:
-        return fn(*ps)
-    first, inv = leaves
-    outs = fn(*(p[first] for p in ps))
-    return tuple(np.asarray(o)[inv] for o in outs)
+    keys, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return first, inv, keys
 
 
 def _probe_p_edges(pair_fn, fol):
@@ -285,7 +278,9 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
     flat, not as structure worth splitting (or it digs toward box edges
     where pullback phases degenerate and evaluation noise explodes).
     Edges where a channel genuinely blows up get ladders, found by
-    probing.  Both stages start from `panels` panels per axis.
+    probing.  Both stages start from `panels` panels per axis.  The
+    probes and the stages ask pair_fn for the same leaves again; the
+    leaf builders behind it (`_leaf_integrals`) integrate each once.
     """
     sing = _probe_p_edges(pair_fn, fol)
     (a0, a1) = fol.p_box[0]
@@ -405,7 +400,7 @@ def _columns(q, fol, chans):
     batch's pairs; its chart factors (q o Phi, |J|, |d_s Phi1|) then
     run on the distinct leaves of their own live p-axes, probed here,
     and each weight on every pair.  Other channels leave the collapsing
-    to `_dedup_pairs`; such a batch writes the bases straight into the
+    to `_leaf_integrals`; such a batch writes the bases straight into the
     output, and its monomials as (nodes, 1) columns times the bases."""
     qc, n = fol.compose(q.coeff), fol.exponent
     kinds = {kind for kind, _ in chans}
@@ -470,7 +465,7 @@ def _columns(q, fol, chans):
         if (leaves := _distinct_leaves(pc, dep)) is None:
             base = chart(x, *pc)
         else:   # one distinct leaf broadcasts as its (nodes, 1) column
-            first, inv = leaves
+            first, inv, _ = leaves
             base = chart(x, *(p[first] for p in pc))
             if first.size > 1:
                 base = {kind: v[:, inv] for kind, v in base.items()}
@@ -493,7 +488,14 @@ def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL,
     channel), singular endpoints and, unless given as `dep`, dead p-axes
     (its ``dep``) probed once, here.  Masses and energies run at 0.01
     tol, so their leaf noise never looks like structure to p
-    refinement."""
+    refinement.
+
+    Unless every axis is live, the builder integrates each leaf once: it
+    keeps the sorted live keys of the leaves it has integrated, with
+    their values and errors, and a call runs the s-stage only on its
+    unseen leaves, each at the first pair that asked for it.  So the
+    p-edge probes and every p-stage pass share one leaf's integral, and
+    the memo lives as long as the builder."""
     cols = _columns(q, fol, chans)
     sing = _probe_singular(cols, fol)
     if dep is None:
@@ -504,10 +506,28 @@ def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL,
         dep = tuple(d or v in named for d, v in
                     zip(_axis_dependence(cols, fol), fol.p_vars))
 
+    def s_stage(*ps):
+        return _s_batched(fol, cols, ps, rtol=rtol, atol=atol,
+                          counter=counter, singular=sing, chans=len(chans))
+
+    known = np.empty(0)     # the integrated leaves' sorted live keys
+    memo = np.empty((2, 0, len(chans)))     # their values and errors
+
     def leaf(*ps):
-        return _dedup_pairs(lambda *p: _s_batched(
-            fol, cols, p, rtol=rtol, atol=atol, counter=counter,
-            singular=sing, chans=len(chans)), ps, dep)
+        nonlocal known, memo
+        leaves = _distinct_leaves(ps, dep)
+        if leaves is None:
+            return s_stage(*ps)
+        first, inv, keys = leaves
+        at = np.searchsorted(known, keys)
+        new = at == known.size
+        new[~new] = known[at[~new]] != keys[~new]
+        if new.any():   # unseen leaves only, each at its first pair
+            memo = np.insert(memo, at[new], s_stage(
+                *(p[first[new]] for p in ps)), axis=1)
+            known = np.insert(known, at[new], keys[new])
+            at = np.searchsorted(known, keys)
+        return tuple(memo[:, at][:, inv])
     leaf.dep = dep
     return leaf
 

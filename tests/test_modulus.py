@@ -366,7 +366,7 @@ def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
 
 def test_unweighted_p_stages_keep_four_panels():
     # the radius chart's p1-axis carries endpoint ladders and its p2-axis
-    # is dead, so a one-panel start saves no s-node there (600 either
+    # is dead, so a one-panel start saves no s-node there (480 either
     # way) while its q-volume estimate grows 84x (5.30e-10 -> 4.45e-8,
     # 1,020 -> 930 p-nodes): only weighted batches start from one panel
     scn = load_scenario("annulus-vertical")
@@ -435,6 +435,77 @@ def test_s_stage_maps_live_columns_to_their_pairs_and_channels():
         singular=(False, False), chans=2)
     assert again[0].tobytes() == vals.tobytes()
     assert again[1].tobytes() == errs.tobytes()
+
+
+def spied_s_stages(monkeypatch):
+    """The parameter pairs of every `_s_batched` call, as lists."""
+    asked, real = [], modulus._s_batched
+
+    def spy(fol, cols_fn, ps, **kwargs):
+        asked.append([p.tolist() for p in ps])
+        return real(fol, cols_fn, ps, **kwargs)
+    monkeypatch.setattr(modulus, "_s_batched", spy)
+    return asked
+
+
+def radius_lengths():
+    """A leaf-length builder on the vertical annulus chart, whose p1 axis
+    is live and whose p2 axis only rotates the leaves."""
+    leaf = modulus._leaf_integrals(radius_foliation(), neg_q0(),
+                                   [(modulus.SPEED, None)], 1e-10, None,
+                                   atol=1e-12)
+    assert leaf.dep == (True, False)
+    return leaf
+
+
+def test_leaf_builder_integrates_a_leaf_once(monkeypatch):
+    asked = spied_s_stages(monkeypatch)
+    leaf = radius_lengths()
+    first = leaf(np.array([0.7, 0.3, 0.7, 1.1]),
+                 np.array([0.5, 4.0, 2.0, 0.5]))
+    # the distinct live keys in sorted order, each at its first pair
+    assert asked == [[[0.3, 0.7, 1.1], [4.0, 0.5, 0.5]]]
+    # the same leaves again, in another order and rotated: no s-stage
+    again = leaf(np.array([1.1, 0.3, 0.7]), np.array([6.0, 1.0, 3.0]))
+    assert len(asked) == 1
+    for a, b in zip(first, again):
+        assert a[[3, 1, 0]].tobytes() == b.tobytes()
+
+
+def test_leaf_builder_integrates_only_unseen_leaves(monkeypatch):
+    asked = spied_s_stages(monkeypatch)
+    leaf = radius_lengths()
+    seen = leaf(np.array([0.3, 1.1]), np.array([0.5, 0.5]))
+    mixed = leaf(np.array([0.9, 0.3, 0.5, 0.9, 1.1]),
+                 np.array([2.0, 1.0, 3.0, 5.0, 0.2]))
+    assert asked[1:] == [[[0.5, 0.9], [3.0, 2.0]]]
+    for a, b in zip(seen, mixed):
+        assert a.tobytes() == b[[1, 4]].tobytes()
+        assert b[0].tobytes() == b[3].tobytes()
+    # the unseen leaves carry the bits a fresh builder gives them
+    fresh = radius_lengths()(np.array([0.5, 0.9]), np.array([3.0, 2.0]))
+    for a, b in zip(fresh, mixed):
+        assert a.tobytes() == b[[2, 0]].tobytes()
+
+
+def test_leaf_memos_do_not_outlive_their_builders():
+    scn = load_scenario("annulus-vertical")
+    first, second = (modulus_m4(scn.q, scn.foliation, tol=1e-8).meta
+                     for _ in range(2))
+    assert first["s_evals"] == second["s_evals"] == 480
+    assert first["s_points"] == second["s_points"]
+
+
+def test_flagship_modulus_runs_one_s_stage_per_builder(monkeypatch):
+    # annulus-horizontal's chart varies along neither p-axis: the field's
+    # length builder and the energies' mass builder each integrate the
+    # one leaf once, where the p-edge probes and the p-stage passes ran
+    # the mass stage five times (5,100 s-nodes)
+    asked = spied_s_stages(monkeypatch)
+    scn = load_scenario("annulus-horizontal")
+    meta = modulus_m4(scn.q, scn.foliation, tol=1e-8).meta
+    assert [len(ps[0]) for ps in asked] == [1, 1]
+    assert meta["s_evals"] == 1020
 
 
 def test_m4_gate_rejects_non_kernel_differential():
@@ -1149,9 +1220,13 @@ def test_row_probes_share_seven_moment_channels_on_one_leaf(monkeypatch):
     assert evaluators == [
         [(mass, None), (speed, None)],      # the chart's p-axis probe
         [(mass, m) for m in monomials] + [(speed, None), (speed, (SIN_S,))]]
-    assert stages and all(st == (1, 7) for st in stages)
+    # one s-stage for the whole row: the p-edge probes and both p-stage
+    # passes share the builder's one leaf (six s-stages, 7,920 s-nodes
+    # and 44,640 column-points when each call integrated it again)
+    assert stages == [(1, 7)]
+    assert counter["s_evals"] == 1320
     # 7,252,200 column-points on every pair of the per-pair route
-    assert counter["s_points"] <= 100_000
+    assert counter["s_points"] == 7440
     assert counter["p_evals"] == 60
 
 

@@ -200,11 +200,15 @@ def test_annulus_horizontal_perturbation_row_is_pinned():
     # start from one panel per axis (a weighted batch).  Their weights
     # separate into A_0(p) + A_1(p) sin(s), so the s-stage integrates 7
     # leaf moments on one collapsed leaf (1.0006321061409076 when every
-    # weight ran on every pair)
+    # weight ran on every pair).  The leaf builder integrates that leaf
+    # once, at the first pair any call asked for (the first p-edge
+    # probe's), where each call used to integrate it again at its own
+    # first pair: 1.0006321061430017 then, 1.1e-15 away, where each
+    # energy carries a relative estimate of 1.2e-10
     rep = run_scenario(load_scenario("annulus-horizontal"))
     rows = {r["name"]: r for r in rep.checks}
     assert rows["perturbation"]["pass"]
-    assert rows["perturbation"]["value"] == 1.0006321061430017
+    assert rows["perturbation"]["value"] == 1.0006321061430006
 
 
 def test_perturbation_probes_are_the_seeded_draws():
