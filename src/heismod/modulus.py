@@ -9,14 +9,17 @@ planar family over one p-axis (M2), so the leaf map Phi is never
 inverted.  One engine serves both: it reads the chart's p-axes and
 exponent, and `modulus_m4` here and `heismod.planar.modulus_m2` only
 add their family's gates.  Every leaf integral collapses dead p-axes,
-and each leaf builder integrates a leaf once (`_leaf_integrals`, by
-the leaf's live coordinates), unless a density's weight runs on every
-pair (a weight is live along every p-axis it names); such a batch
-still evaluates its chart factors once per distinct leaf of their own
-live axes, and only the weights on every pair (`_columns`).  The
-p-integrals ride on the batch quadrature with error channels
-(`aux_cols`), so ``error_estimate`` aggregates the s-stage, leaf-length
-and p-stage errors.
+and leaves are stored by their live coordinates (`_leaf_integrals`),
+unless a density's weight runs on every pair (a weight is live along
+every p-axis it names); such a batch still evaluates its chart factors
+once per distinct leaf of their own live axes, and only the weights on
+every pair (`_columns`).  A stored leaf serves any asker whose budget
+is no stricter than its own.  Each builder keeps its own store, except
+inside `_leaf_store`: `heismod.scenarios.run_scenario` opens one per
+request, so its tolerance ladder (run tightest first) and its density
+checks integrate each leaf once.  The p-integrals ride on the batch
+quadrature with error channels (`aux_cols`), so ``error_estimate``
+aggregates the s-stage, leaf-length and p-stage errors.
 
 A density rho = w sqrt|q|/L_w, w = 1 + eps*g and L_w the leaf's
 w-weighted q-length, has as energy the same ratio integral with w^n in
@@ -48,6 +51,8 @@ modulus bit for bit.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 import warnings
@@ -486,50 +491,123 @@ def _leaf_integrals(fol, q, chans, rtol, counter, *, atol=_ATOL,
     """(*ps) -> (values, errors), shape (pairs, len(chans)): leaf
     integrals of the `_columns` channels at rtol (one, or one per
     channel), singular endpoints and, unless given as `dep`, dead p-axes
-    (its ``dep``) probed once, here.  Masses and energies run at 0.01
-    tol, so their leaf noise never looks like structure to p
-    refinement.
+    (its ``dep``) probed once per channel set (`_probed`).  Masses and
+    energies run at 0.01 tol, so their leaf noise never looks like
+    structure to p refinement.
 
-    Unless every axis is live, the builder integrates each leaf once: it
-    keeps the sorted live keys of the leaves it has integrated, with
-    their values and errors, and a call runs the s-stage only on its
-    unseen leaves, each at the first pair that asked for it.  So the
-    p-edge probes and every p-stage pass share one leaf's integral, and
-    the memo lives as long as the builder."""
+    Unless every axis is live, leaves are stored per channel (`_Shelf`,
+    keyed on q, chart, channel and live axes) with the (rtol, atol) they
+    were integrated at.  A stored leaf is served only to an asker whose
+    budget is no stricter, never on its error estimate alone; a call
+    runs the s-stage on its other leaves, each at the first pair that
+    asked for it and on every channel of the builder, and stores them
+    over what was there.  So the p-edge probes and every p-stage pass
+    share one leaf's integral.  Inside `_leaf_store` (one `run_scenario`
+    request) builders share the store and the probes, so the ladder's
+    looser levels and the density checks read the leaves the tightest
+    level integrated; elsewhere, and for channels that run on every
+    pair, each builder keeps its own."""
+    store = _store(not any(_weighted(w) for _, w in chans))
     cols = _columns(q, fol, chans)
-    sing = _probe_singular(cols, fol)
+    sing = _probed(store, ("singular", q, fol, tuple(chans)),
+                   lambda: _probe_singular(cols, fol))
     if dep is None:
         # a weight is live along every p-axis it names: a narrow feature
         # of it can fall between the probe's points, and one leaf would
         # then stand for all
         named = _named_axes(w for _, w in chans)
-        dep = tuple(d or v in named for d, v in
-                    zip(_axis_dependence(cols, fol), fol.p_vars))
+        dep = tuple(d or v in named for d, v in zip(_probed(
+            store, ("dependence", q, fol, tuple(chans)),
+            lambda: _axis_dependence(cols, fol)), fol.p_vars))
 
     def s_stage(*ps):
         return _s_batched(fol, cols, ps, rtol=rtol, atol=atol,
                           counter=counter, singular=sing, chans=len(chans))
 
-    known = np.empty(0)     # the integrated leaves' sorted live keys
-    memo = np.empty((2, 0, len(chans)))     # their values and errors
+    shelves = [store.setdefault(("leaves", q, fol, ch, dep), _Shelf())
+               for ch in chans]
+    rtols = np.broadcast_to(np.asarray(rtol, dtype=float), (len(chans),))
 
     def leaf(*ps):
-        nonlocal known, memo
         leaves = _distinct_leaves(ps, dep)
         if leaves is None:
             return s_stage(*ps)
         first, inv, keys = leaves
-        at = np.searchsorted(known, keys)
-        new = at == known.size
-        new[~new] = known[at[~new]] != keys[~new]
-        if new.any():   # unseen leaves only, each at its first pair
-            memo = np.insert(memo, at[new], s_stage(
-                *(p[first[new]] for p in ps)), axis=1)
-            known = np.insert(known, at[new], keys[new])
-            at = np.searchsorted(known, keys)
-        return tuple(memo[:, at][:, inv])
+        found = [sh.find(keys, r, atol) for sh, r in zip(shelves, rtols)]
+        new = ~np.logical_and.reduce([ok for _, ok in found])
+        out = np.empty((2, keys.size, len(chans)))
+        for c, (sh, (at, _)) in enumerate(zip(shelves, found)):
+            out[:, ~new, c] = sh.rows[:2, at[~new]]
+        if new.any():   # the other leaves, each at its first pair
+            out[:, new] = s_stage(*(p[first[new]] for p in ps))
+            for c, (sh, r) in enumerate(zip(shelves, rtols)):
+                sh.put(keys[new], out[:, new, c], r, atol)
+        return tuple(out[:, inv])
     leaf.dep = dep
     return leaf
+
+
+class _Shelf:
+    """One channel's stored leaves (`_leaf_integrals`): their sorted live
+    keys and, per leaf, rows (value, error, rtol, atol)."""
+
+    def __init__(self):
+        self.keys = np.empty(0)
+        self.rows = np.empty((4, 0))
+
+    def _at(self, keys):
+        at = np.searchsorted(self.keys, keys)
+        hit = at < self.keys.size
+        hit[hit] = self.keys[at[hit]] == keys[hit]
+        return at, hit
+
+    def find(self, keys, rtol, atol):
+        """(positions, servable) of sorted keys: stored at a budget no
+        looser than (rtol, atol)."""
+        at, ok = self._at(keys)
+        ok[ok] = (self.rows[2, at[ok]] <= rtol) & (self.rows[3, at[ok]]
+                                                   <= atol)
+        return at, ok
+
+    def put(self, keys, vals, rtol, atol):
+        """Store (value, error) rows `vals` of sorted keys at their budget,
+        over any stored before."""
+        at, hit = self._at(keys)
+        rows = np.vstack((vals, np.broadcast_to([[rtol], [atol]],
+                                                (2, keys.size))))
+        self.rows[:, at[hit]] = rows[:, hit]
+        self.rows = np.insert(self.rows, at[~hit], rows[:, ~hit], axis=1)
+        self.keys = np.insert(self.keys, at[~hit], keys[~hit])
+
+
+_STORE: contextvars.ContextVar = contextvars.ContextVar("leaf_store",
+                                                        default=None)
+
+
+@contextlib.contextmanager
+def _leaf_store():
+    """Share leaf integrals and probes between the builders made until
+    the block exits (`_leaf_integrals`); `run_scenario` opens one per
+    request."""
+    token = _STORE.set({})
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
+def _store(shared: bool) -> dict:
+    """The open `_leaf_store` when `shared` and one is open, else a
+    private one."""
+    store = _STORE.get() if shared else None
+    return {} if store is None else store
+
+
+def _probed(store, key, probe):
+    """store[key], filled by probe() on first use."""
+    if key not in store:
+        store[key] = probe()
+    return store[key]
 
 
 def _named_axes(weights) -> set:
@@ -667,9 +745,10 @@ def _moment_leaves(q, fol, wants, forms, counter, atol):
         order.update((b, None) for b in forms[id(dens[j])] if b is not None)
     factors = {id(dens[j]): [b for b in order if b in forms[id(dens[j])]]
                for j in moment}
-    kinds = list(dict.fromkeys(kind for kind, _, _ in wants))
-    chart = _axis_dependence(
-        _columns(q, fol, [(kind, None) for kind in kinds]), fol)
+    bases = [(kind, None) for kind in
+             dict.fromkeys(kind for kind, _, _ in wants)]
+    chart = _probed(_store(True), ("dependence", q, fol, tuple(bases)),
+                    lambda: _axis_dependence(_columns(q, fol, bases), fol))
 
     def columns(count, js):
         live = _named_axes(dens[j] for j in js)
@@ -787,6 +866,19 @@ def _energies(q, fol, field, rhos, tol: float, counter: dict):
                               counter=counter, panels=1 if weighted else 4)
 
 
+def _check_tol(tol: float):
+    """Refuse a tolerance that is not finite and positive: the leaf
+    store compares budgets, and the stages divide by them."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
+def _new_counter() -> dict:
+    """A modulus report's work counters, zero until a stage runs: a
+    report served wholly from the leaf store did no s-stage."""
+    return {"s_evals": 0, "s_points": 0, "p_evals": 0}
+
+
 def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
     composed = fol.compose(q.b2_expr)
     return float(np.abs(E.eval_array(composed, fol.grid(n))).max())
@@ -803,6 +895,7 @@ def _q_mass(q, fol, tol: float, counter):
 def q_volume(q, fol, tol: float = 1e-8) -> float:
     """Total |q|^(n/2) mass of the family in parameter coordinates: the
     q-volume of a group family, the q-area of a planar one."""
+    _check_tol(tol)
     fol.validate()
     return _q_mass(q, fol, tol, {})[0]
 
@@ -817,7 +910,7 @@ def family_modulus(q, fol, tol: float, residual: float,
     gap against the constant-length shortcut mass / l^n.
     """
     field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
-    counter: dict = {}
+    counter = _new_counter()
     vals, errs = _energies(q, fol, field, [None], tol, counter)
     mod, vol = float(vals[0]), float(vals[1])
     gap = (abs(mod - vol / field.value ** fol.exponent)
@@ -846,6 +939,7 @@ def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
     formula is only exact on the kernel); the report is `family_modulus`'s.
     """
     t0 = perf_counter()
+    _check_tol(tol)
     _m4_gates(q, fol)
     b2max = _b2_spot_max(q, fol)
     if b2max > B2_GATE_TOL:
@@ -861,13 +955,14 @@ def modulus_constant_length(q: QuadDiff, fol: Foliation,
                             tol: float = 1e-8) -> ModulusReport:
     """q_volume / l^4 shortcut, valid only for constant leaf lengths."""
     t0 = perf_counter()
+    _check_tol(tol)
     _m4_gates(q, fol)
     field = LeafLengthField(q, fol, length_tol=min(1e-10, 0.01 * tol))
     if field.spread_rel > CONSTANT_LENGTH_RTOL:
         raise ConstantLengthViolated(
             f"leaf lengths spread by {field.spread_rel:.3e} relative "
             f"(limit {CONSTANT_LENGTH_RTOL:.1e})")
-    counter: dict = {}
+    counter = _new_counter()
     vol, vol_err = _q_mass(q, fol, tol, counter)
     lbar = field.stats()[2]
     mod = vol / lbar ** 4
@@ -980,6 +1075,7 @@ def density_energies(rhos, tol: float = 1e-8,
     channels of `_energies` (see the module docstring).
     `counter`, when given, accumulates the stages' work as a modulus
     report's meta does: ``s_evals``, ``s_points`` and ``p_evals``."""
+    _check_tol(tol)
     rho, fol = rhos[0], rhos[0].foliation
     if len({(id(r.q), id(r.foliation), id(r.length_field))
             for r in rhos}) > 1:

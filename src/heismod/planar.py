@@ -25,7 +25,7 @@ import numpy as np
 from . import expr as E
 from .errors import InversionFailure, VariableMismatch, ZeroVelocity
 from .foliation import check_jacobian
-from .modulus import ModulusReport, family_modulus
+from .modulus import ModulusReport, _check_tol, family_modulus
 from .qdiff import Q_FLOOR
 
 _PARAM_VARS = frozenset({"s", "p"})
@@ -162,6 +162,7 @@ def modulus_m2(q: PlanarQD, fol: PlanarFoliation,
     checked by the leaf-length field, on its initial grid of leaves.
     """
     t0 = perf_counter()
+    _check_tol(tol)
     fol.validate()
     check_jacobian(fol)
     w = E.eval_array(fol.phi1, fol.grid(7))

@@ -10,6 +10,7 @@ doubles as a regression test of the whole pipeline.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from .foliation import Foliation, lambda_field_array, leaf_speed_fn, \
     trace_trajectory
 from .heis import legendrian_residual
 from .modulus import (
+    _leaf_store,
     admissibility_check,
     density_energies,
     extremal_density,
@@ -284,13 +286,14 @@ def trace_leaf_deviation(q: QuadDiff, fol: Foliation, p1: float,
     i_b = int(0.75 * grid.size)
     start = fol.point_at(grid[i_a], p1, p2)
     leaf_dir = E.evaluate(fol.d_s1, {"s": grid[i_a], "p1": p1, "p2": p2})
-    path = trace_trajectory(q, start, 1, rk_tol,
-                            max_length=sigma[i_b] - sigma[i_a])
-    step = path.samples[1][2].dz if len(path.samples) > 1 else \
-        path.samples[0][2].dz
-    if (step.conjugate() * leaf_dir).real < 0:
-        path = trace_trajectory(q, start, -1, rk_tol,
-                                max_length=sigma[i_b] - sigma[i_a])
+    # the tracer starts along exp(-i arg q(start)/2), q evaluated as it
+    # does (no checked errors); run it the leaf's way
+    q0 = E.eval_array(q.coeff, {"z": start.z, "zb": start.z.conjugate(),
+                                "t": start.t})
+    step = cmath.exp(-0.5j * cmath.phase(complex(q0)))
+    path = trace_trajectory(
+        q, start, -1 if (step.conjugate() * leaf_dir).real < 0 else 1,
+        rk_tol, max_length=sigma[i_b] - sigma[i_a])
 
     pts = np.array([[abs(pt.z), pt.t, pt.z.real, pt.z.imag]
                     for _, pt, _ in path.samples])
@@ -429,26 +432,33 @@ class RunReport:
 def run_scenario(scn: Scenario, *, quad_tol: float | None = None,
                  rk_tol: float | None = None,
                  override_b2_check: bool = False) -> RunReport:
-    """Compute, check, and package one scenario."""
+    """Compute, check, and package one scenario.
+
+    The request runs in one leaf store (`heismod.modulus._leaf_store`):
+    its tolerance ladder runs tightest first, so the looser levels and
+    the density checks read the leaves that level integrated, and the
+    convergence table still lists the levels loosest first."""
     t0 = perf_counter()
     started = datetime.now(timezone.utc).isoformat()
     tol = quad_tol if quad_tol is not None else scn.tolerances["quad_tol"]
     rk = rk_tol if rk_tol is not None else scn.tolerances["rk_tol"]
 
-    ladder = {}
-    if _needs_modulus(scn):
-        for level in (100.0 * tol, 10.0 * tol, tol):
-            if scn.space == "heisenberg":
-                ladder[level] = modulus_m4(
-                    scn.q, scn.foliation, tol=level,
-                    override_b2_check=override_b2_check)
-            else:
-                ladder[level] = modulus_m2(scn.q, scn.foliation, tol=level)
-    rho = None
-    if _DENSITY_CHECKS & set(scn.checks):
-        rho = extremal_density(scn.q, scn.foliation)
-
-    checks = _check_rows(scn, ladder, tol, rho, rk)
+    with _leaf_store():
+        ladder = {}
+        if _needs_modulus(scn):
+            # tightest first, so the looser levels read its leaves
+            for level in (tol, 10.0 * tol, 100.0 * tol):
+                if scn.space == "heisenberg":
+                    ladder[level] = modulus_m4(
+                        scn.q, scn.foliation, tol=level,
+                        override_b2_check=override_b2_check)
+                else:
+                    ladder[level] = modulus_m2(scn.q, scn.foliation,
+                                               tol=level)
+        rho = None
+        if _DENSITY_CHECKS & set(scn.checks):
+            rho = extremal_density(scn.q, scn.foliation)
+        checks = _check_rows(scn, ladder, tol, rho, rk)
     return RunReport(scn.name, ladder.get(tol), checks,
-                     [[lv, r.modulus] for lv, r in ladder.items()],
+                     [[lv, r.modulus] for lv, r in reversed(ladder.items())],
                      perf_counter() - t0, started)

@@ -496,6 +496,47 @@ def test_leaf_memos_do_not_outlive_their_builders():
     assert first["s_points"] == second["s_points"]
 
 
+def radius_builder(rtol, atol=1e-12):
+    """A fresh leaf-length builder on the vertical annulus chart."""
+    return modulus._leaf_integrals(radius_foliation(), neg_q0(),
+                                   [(modulus.SPEED, None)], rtol, None,
+                                   atol=atol)
+
+
+def test_request_store_serves_only_looser_askers(monkeypatch):
+    asked = spied_s_stages(monkeypatch)
+    p1, p2 = np.array([0.3, 0.7, 1.1]), np.array([4.0, 0.5, 0.5])
+    with modulus._leaf_store():
+        tight = radius_builder(1e-10)(p1, p2)
+        # a looser builder of an equal q and chart is served, rotated
+        loose = radius_builder(1e-8)(p1[::-1], np.full(3, 2.0))
+        assert len(asked) == 1
+        for a, b in zip(tight, loose):
+            assert a[::-1].tobytes() == b.tobytes()
+        # a tighter rtol, or a tighter atol, integrates again
+        tighter = radius_builder(1e-12)(p1, p2)
+        assert len(asked) == 2
+        radius_builder(1e-12, atol=1e-14)(p1, p2)
+        assert len(asked) == 3
+    # with the bits a fresh builder gives them, outside any store
+    fresh = radius_builder(1e-12)(p1, p2)
+    for a, b in zip(fresh, tighter):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_stored_leaves_keep_their_own_budget(monkeypatch):
+    # a leaf is served on the budget it was integrated at, never on its
+    # error estimate: the loose leaves' errors meet 1e-10 here, and they
+    # are still integrated again for a 1e-10 asker
+    asked = spied_s_stages(monkeypatch)
+    p1, p2 = np.array([0.4, 0.9]), np.array([1.0, 1.0])
+    with modulus._leaf_store():
+        loose = radius_builder(1e-3)(p1, p2)
+        assert (loose[1] <= 1e-10 * np.abs(loose[0])).all()
+        radius_builder(1e-10)(p1, p2)
+    assert len(asked) == 2
+
+
 def test_flagship_modulus_runs_one_s_stage_per_builder(monkeypatch):
     # annulus-horizontal's chart varies along neither p-axis: the field's
     # length builder and the energies' mass builder each integrate the
@@ -1279,3 +1320,24 @@ def test_probe_rejects_sign_breaking_modifier():
     rho = extremal_density(q_one(), shear_foliation())
     with pytest.raises(ValueError):
         perturbation_probe(rho, "-3*cos(s)", 0.5)
+
+
+def shear_energies(tol):
+    return density_energies([extremal_density(q_one(), shear_foliation())],
+                            tol=tol)
+
+
+@pytest.mark.parametrize("run", [
+    lambda tol: modulus_m4(q_one(), shear_foliation(), tol=tol),
+    lambda tol: modulus_m2(*plane_rectangle(), tol=tol),
+    lambda tol: modulus_constant_length(q_one(), shear_foliation(), tol=tol),
+    lambda tol: q_volume(q_one(), shear_foliation(), tol=tol),
+    shear_energies,
+], ids=["m4", "m2", "constant_length", "q_volume", "density_energies"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_entry_points_refuse_a_tolerance_that_is_not_finite_and_positive(
+        run, tol):
+    # nan and inf used to return the shear modulus 0.125 with tol nan or
+    # inf in meta, and 0 raised NonConvergent after a divide-by-zero
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        run(tol)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heismod.errors import ScenarioError
+from heismod import modulus, scenarios
+from heismod.errors import NonConvergent, ScenarioError
 from heismod.qdiff import QuadDiff
 from heismod.scenarios import (
     PERTURBATION_PROBES,
@@ -258,8 +259,82 @@ def test_tolerance_overrides_reach_convergence_table():
         [1e-4, 1e-5, 1e-6], rel=1e-12)
 
 
+def spied_ladder(monkeypatch):
+    """The meta of every modulus_m4 a request makes, and whether a leaf
+    store was open for it."""
+    metas, real = [], scenarios.modulus_m4
+
+    def spy(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        metas.append((rep.meta, modulus._STORE.get() is not None))
+        return rep
+    monkeypatch.setattr(scenarios, "modulus_m4", spy)
+    return metas
+
+
+def test_a_request_integrates_each_leaf_once(monkeypatch):
+    # the tightest level runs first; the looser levels read its leaves,
+    # where each level integrated them again (15 s-stages, three of
+    # them over the same 960 leaves)
+    stages, real = [], modulus._s_batched
+
+    def spy(fol, cols_fn, ps, **kwargs):
+        stages.append(ps[0].size)
+        return real(fol, cols_fn, ps, **kwargs)
+    monkeypatch.setattr(modulus, "_s_batched", spy)
+    metas = spied_ladder(monkeypatch)
+    rep = run_scenario(load_scenario("annulus-vertical"))
+    assert len(stages) == 5 and stages.count(960) == 1
+    assert rep.modulus_report.modulus == 29.636257682862016
+    assert [lv for lv, _ in rep.convergence] == [1e-6, 1e-7, 1e-8]
+    # the levels served from the store did no s-stage work
+    assert [(m["s_evals"], m["s_points"]) for m, _ in metas] == [
+        (480, 234_960), (0, 0), (0, 0)]
+
+
+def test_looser_levels_read_the_tight_leaves_not_looser_ones():
+    # at quad_tol 0.5 the 50 level integrated its own leaves at rtol 0.5
+    # and reported 0.18002965340989574 +- 3.5e-5, 1.3e-4 from the
+    # closed form; it now reads the 0.5 level's leaves
+    rep = run_scenario(load_scenario("annulus-horizontal"), quad_tol=0.5)
+    assert rep.convergence == [[50.0, 0.18016333184361855],
+                               [5.0, 0.18016333184361855],
+                               [0.5, 0.18016333184361855]]
+
+
+def test_the_leaf_store_closes_with_its_request(monkeypatch):
+    metas = spied_ladder(monkeypatch)
+    run_scenario(load_scenario("shear"))
+    assert [shared for _, shared in metas] == [True] * 3
+    assert modulus._STORE.get() is None
+    with pytest.raises(NonConvergent):
+        run_scenario(load_scenario("annulus-vertical"), quad_tol=1e-13)
+    assert modulus._STORE.get() is None
+
+
 # ---------------------------------------------------------------------------
 # trace comparison helper
+
+@pytest.mark.parametrize("name, dev", [
+    ("annulus-vertical", 1.3774812401834428e-09),
+    ("annulus-horizontal", 1.7447226922371922e-08)])
+def test_trace_runs_once_along_the_leaf(name, dev, monkeypatch):
+    # both annuli trace against the tracer's starting direction: the
+    # orientation comes from the start tangent, where a forward trace
+    # used to run first and be thrown away
+    calls, real = [], scenarios.trace_trajectory
+
+    def spy(q, start, orientation, *args, **kwargs):
+        calls.append(orientation)
+        return real(q, start, orientation, *args, **kwargs)
+    monkeypatch.setattr(scenarios, "trace_trajectory", spy)
+    scn = load_scenario(name)
+    (a0, a1), (b0, b1) = scn.foliation.p_box
+    got = trace_leaf_deviation(scn.q, scn.foliation, 0.5 * (a0 + a1),
+                               0.5 * (b0 + b1), scn.tolerances["rk_tol"])
+    assert calls == [-1]
+    assert got == (dev, 0.0)
+
 
 def test_trace_matches_vertical_annulus_leaf():
     scn = load_scenario("annulus-vertical")
