@@ -13,13 +13,16 @@ and leaves are stored by their live coordinates (`_leaf_integrals`),
 unless a density's weight runs on every pair (a weight is live along
 every p-axis it names); such a batch still evaluates its chart factors
 once per distinct leaf of their own live axes, and only the weights on
-every pair (`_columns`).  A stored leaf serves any asker whose budget
-is no stricter than its own.  Each builder keeps its own store, except
-inside `_leaf_store`: `heismod.scenarios.run_scenario` opens one per
-request, so its tolerance ladder (run tightest first) and its density
-checks integrate each leaf once.  The p-integrals ride on the batch
-quadrature with error channels (`aux_cols`), so ``error_estimate``
-aggregates the s-stage, leaf-length and p-stage errors.
+every pair (`_columns`).  The p-stage collapses the same dead axes: it
+probes none of their edges and asks an unweighted builder once per live
+node (`_nested_p_integral`).  A stored leaf serves any asker whose
+budget is no stricter than its own.  Each builder keeps its own store,
+except inside `_leaf_store`: `heismod.scenarios.run_scenario` opens one
+per request, so its tolerance ladder (run tightest first) and its
+density checks integrate each leaf once.  The p-integrals ride on the
+batch quadrature with error channels (`aux_cols`), so
+``error_estimate`` aggregates the s-stage, leaf-length and p-stage
+errors.
 
 A density rho = w sqrt|q|/L_w, w = 1 + eps*g and L_w the leaf's
 w-weighted q-length, has as energy the same ratio integral with w^n in
@@ -244,13 +247,14 @@ def _distinct_leaves(ps, dep):
     return first, inv, keys
 
 
-def _probe_p_edges(pair_fn, fol):
+def _probe_p_edges(pair_fn, fol, live):
     """Per-edge singularity flags ((lo, hi) per p-axis) for the box.
 
-    `_unsettled` along geometric approaches to each box edge: a channel
-    that keeps growing (integrable blowup, e.g. leaf mass diverging where
-    leaves pinch) keeps that edge's ladder; channels that settle or
-    vanish release it.
+    `_unsettled` along geometric approaches to each box edge of a `live`
+    axis: a channel that keeps growing (integrable blowup, e.g. leaf mass
+    diverging where leaves pinch) keeps that edge's ladder; channels that
+    settle or vanish release it.  A dead axis is constant, so its edges
+    are not probed and carry no ladder.
     """
     mid = [0.5 * (lo + hi) for lo, hi in fol.p_box]
 
@@ -259,8 +263,9 @@ def _probe_p_edges(pair_fn, fol):
         ps[axis] = x
         return _unsettled(np.abs(pair_fn(*ps)[0]), vanish=True)
     return tuple((flag(k, lo + (hi - lo) * _EDGE_OFFS),
-                  flag(k, hi - (hi - lo) * _EDGE_OFFS))
-                 for k, (lo, hi) in enumerate(fol.p_box))
+                  flag(k, hi - (hi - lo) * _EDGE_OFFS)) if d
+                 else (False, False)
+                 for k, ((lo, hi), d) in enumerate(zip(fol.p_box, live)))
 
 
 def _carried(res, start):
@@ -272,7 +277,7 @@ def _carried(res, start):
 
 
 def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
-                       counter: dict, panels: int = 4):
+                       counter: dict, dep, panels: int = 4):
     """Integrate pointwise channels over the parameter box.
 
     pair_fn(*ps) -> (values (k, n_chan), pointwise error bounds) at
@@ -286,8 +291,17 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
     probing.  Both stages start from `panels` panels per axis.  The
     probes and the stages ask pair_fn for the same leaves again; the
     leaf builders behind it (`_leaf_integrals`) integrate each once.
+
+    `dep`: the p-axes pair_fn varies along (an unweighted leaf builder's
+    ``dep``), or None for all.  A dead axis gets no edge probe, and each
+    stage asks pair_fn at that axis's first node only (where the full
+    box first asks for the leaf, so a leaf dead only to `_DEAD_AXIS_RTOL`
+    keeps its bits) and tiles the answer over the axis's other nodes.
+    On a box with no live axis the one leaf moves by an ulp: the full box
+    first asked for it at an edge probe.
     """
-    sing = _probe_p_edges(pair_fn, fol)
+    live = (True,) * len(fol.p_box) if dep is None else dep
+    sing = _probe_p_edges(pair_fn, fol, live)
     (a0, a1) = fol.p_box[0]
 
     def outer(x1, cols):
@@ -297,12 +311,16 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
         (b0, b1) = fol.p_box[1]
         n1 = x1.size
         blk = n1 * n_chan
+        a = x1 if live[0] else x1[:1]
 
         def inner(x2, cols):
             x2 = np.asarray(x2, dtype=float)
-            vals, perr = pair_fn(np.tile(x1, x2.size), np.repeat(x2, n1))
-            return np.hstack((vals.reshape(x2.size, blk),
-                              perr.reshape(x2.size, blk)))
+            b = x2 if live[1] else x2[:1]
+            out = np.empty((x2.size, 2, n1, n_chan))    # [values, errors]
+            for k, v in enumerate(pair_fn(np.tile(a, b.size),
+                                          np.repeat(b, a.size))):
+                out[:, k] = v.reshape(b.size, a.size, n_chan)
+            return out.reshape(x2.size, 2 * blk)
 
         res = integrate_batch(inner, b0, b1, atol=_ATOL, rtol=0.2 * rtol,
                               singular=sing[1], initial_panels=panels,
@@ -724,6 +742,7 @@ def _density_leaves(q, fol, wants, counter, *, atol=_ATOL):
                 f"a weighted leaf length collapsed to {low:.3e}; the "
                 "perturbed density cannot be renormalized")
         return v, e
+    checked.dep = None if forms else leaf.dep   # weights run on every pair
     return checked
 
 
@@ -863,7 +882,8 @@ def _energies(q, fol, field, rhos, tol: float, counter: dict):
 
     weighted = any(r is not None and r.weighted for r in rhos)
     return _nested_p_integral(fol, pair_fn, 2 * k, rtol=0.5 * tol,
-                              counter=counter, panels=1 if weighted else 4)
+                              counter=counter, panels=1 if weighted else 4,
+                              dep=leaf.dep)
 
 
 def _check_tol(tol: float):
@@ -888,7 +908,7 @@ def _q_mass(q, fol, tol: float, counter):
     """(mass, error) of the family: the p-integral of the leaf masses."""
     g_of = _leaf_integrals(fol, q, [(MASS, None)], 0.01 * tol, counter)
     vals, errs = _nested_p_integral(fol, g_of, 1, rtol=0.5 * tol,
-                                    counter=counter)
+                                    counter=counter, dep=g_of.dep)
     return float(vals[0]), float(errs[0])
 
 

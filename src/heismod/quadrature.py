@@ -265,12 +265,13 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
     ----------
     f : callable ``f(x, cols)`` mapping (n,) positions to the columns
         `cols` of its (n, m) values (or (n,) for one column), real or
-        complex; `value` has the same kind.  `cols` is ``slice(None)`` on
-        the first call, then the ascending indices of the live columns,
-        so ``f(x)[:, cols]`` always answers.  When a split is due, every
-        column whose summed panel error is within 0.1 (atol +
-        rtol*|value|), the stricter budget, retires; a batch with
-        `aux_cols` retires none.  `n_evals` counts nodes.
+        complex; `value` has the same kind.  Values in another memory
+        layout are copied to C order, so no bit depends on it.  `cols`
+        is ``slice(None)`` on the first call, then the ascending indices
+        of the live columns, so ``f(x)[:, cols]`` always answers.  When
+        a split is due, every column whose summed panel error is within
+        0.1 (atol + rtol*|value|), the stricter budget, retires; a batch
+        with `aux_cols` retires none.  `n_evals` counts nodes.
     singular : pair of bools; flag an endpoint to enable its geometric
         ladder and tail extrapolation.  Unflagged endpoints are handled
         by ordinary bisection, which assumes the integrand is smooth
@@ -356,7 +357,8 @@ def integrate_batch(f, a, b, *, atol=1e-10, rtol=1e-8, singular=(True, True),
         m = fx.shape[-1]
         kind = np.complex128 if np.iscomplexobj(fx) else np.float64
         n_points += pos.size * m
-        fx = fx.astype(kind, copy=False).reshape(len(olo), 15, m)
+        # the panel rule's sums follow the layout, so fix it to C order
+        fx = np.ascontiguousarray(fx, dtype=kind).reshape(len(olo), 15, m)
         vals, errs = _panel_rule(fx, 0.5 * (ohi - olo))
         ps.olo = np.concatenate((ps.olo, olo))
         ps.ohi = np.concatenate((ps.ohi, ohi))

@@ -8,8 +8,10 @@ the shear family, never this package's own quadrature).
 """
 
 import functools
+import json
 import math
 from dataclasses import replace
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +47,8 @@ from heismod.planar import PlanarFoliation, PlanarQD, modulus_m2
 from heismod.qdiff import QuadDiff
 from heismod.quadrature import integrate_batch
 from heismod.scenarios import (PERTURBATION_PROBES, list_scenarios,
-                                load_scenario)
+                                load_scenario, run_scenario,
+                                scenario_from_dict)
 
 LOG_R = math.log(2.0)
 Q0_TEXT = ("conj(z)^2 * (t^2 + (z*conj(z))^2)^(2/3)"
@@ -366,13 +369,81 @@ def test_converged_leaves_retire_so_a_loose_tol_costs_less(monkeypatch):
 
 def test_unweighted_p_stages_keep_four_panels():
     # the radius chart's p1-axis carries endpoint ladders and its p2-axis
-    # is dead, so a one-panel start saves no s-node there (480 either
+    # is dead, so a one-panel start saves no s-node there (360 either
     # way) while its q-volume estimate grows 84x (5.30e-10 -> 4.45e-8,
     # 1,020 -> 930 p-nodes): only weighted batches start from one panel
     scn = load_scenario("annulus-vertical")
     meta = modulus_m4(scn.q, scn.foliation, tol=1e-8).meta
     assert meta["p_evals"] == 1020
     assert meta["q_volume_error"] <= 6e-10
+
+
+@pytest.mark.parametrize("name, dead", [("annulus-vertical", (False, True)),
+                                        ("shear", (True, True))])
+def test_a_dead_p_axis_is_asked_at_one_node(name, dead):
+    # given the mass builder's dead axes, the p-stage asks it once per
+    # live node, each call at one coordinate of a dead axis, probes no
+    # edge of that axis, and keeps the bits of the full box
+    scn = load_scenario(name)
+    fol, runs = scn.foliation, []
+    for collapse in (True, False):
+        leaf = modulus._leaf_integrals(fol, scn.q, [(modulus.MASS, None)],
+                                       1e-10, None)
+        asked = []
+
+        def pair_fn(*ps, leaf=leaf, asked=asked):
+            asked.append(ps)
+            return leaf(*ps)
+        runs.append((modulus._nested_p_integral(
+            fol, pair_fn, 1, rtol=5e-9, counter={},
+            dep=leaf.dep if collapse else None), asked))
+    assert tuple(not d for d in leaf.dep) == dead
+    (got, asked), (want, full) = runs
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    for ps in asked:
+        live = [p for p, d in zip(ps, dead) if not d]
+        keys = np.unique(np.column_stack(live), axis=0) if live else ps[0][:1]
+        assert len(keys) == ps[0].size
+    for k, (lo, hi) in enumerate(fol.p_box):
+        if dead[k]:
+            assert all(np.ptp(ps[k]) == 0.0 for ps in asked)
+            near = min(min(ps[k].min() - lo, hi - ps[k].max())
+                       for ps in asked)
+            # the full box's edge probes come within 1e-10 of the width
+            assert near > 1e-4 * (hi - lo)
+            assert min(min(ps[k].min() - lo, hi - ps[k].max())
+                       for ps in full) < 1e-9 * (hi - lo)
+
+
+def test_weighted_batches_keep_the_full_box(monkeypatch):
+    # a weight runs on every pair, so its batch's p-stage gets no dead
+    # axis; the modulus's unweighted batch gets its builder's
+    deps, real = [], modulus._nested_p_integral
+
+    def spy(*args, **kwargs):
+        deps.append(kwargs["dep"])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(modulus, "_nested_p_integral", spy)
+    scn = load_scenario("annulus-vertical")
+    modulus_m4(scn.q, scn.foliation, tol=1e-6)
+    rho = extremal_density(scn.q, scn.foliation)
+    for g in ("sin(s)", "cos(s + p1)"):     # on moments, on every pair
+        density_energy(perturbed_density(rho, g, 0.1), tol=1e-6)
+    assert deps == [(True, False), None, None]
+
+
+@pytest.mark.parametrize("s_hi, mod, err", [
+    (1.4229211513291788, 27.406099309788935, 2.1298817728224224e-12),
+    (1.3569320082472058, 31.602065676552265, 2.455973865787766e-12)])
+def test_annulus_vertical_off_the_built_in_radius_is_pinned(s_hi, mod, err):
+    # two seeded radii of the benchmark's annulus-vertical workload: the
+    # dead p2-axis collapses in the p-stage without moving a bit
+    raw = json.loads(resources.files("heismod").joinpath(
+        "data", "annulus-vertical.json").read_text())
+    raw["foliation"]["s_range"] = [0.0, s_hi]
+    rep = run_scenario(scenario_from_dict(raw)).modulus_report
+    assert (rep.modulus, rep.error_estimate) == (mod, err)
 
 
 @pytest.mark.parametrize("family", ["radius", "plane-radial"])
@@ -492,7 +563,7 @@ def test_leaf_memos_do_not_outlive_their_builders():
     scn = load_scenario("annulus-vertical")
     first, second = (modulus_m4(scn.q, scn.foliation, tol=1e-8).meta
                      for _ in range(2))
-    assert first["s_evals"] == second["s_evals"] == 480
+    assert first["s_evals"] == second["s_evals"] == 360
     assert first["s_points"] == second["s_points"]
 
 

@@ -130,6 +130,24 @@ def test_real_columns_stay_real_and_agree_with_their_complex_cast():
             <= real.error + cplx.error).all()
 
 
+def test_result_bits_do_not_depend_on_the_integrands_memory_layout():
+    # the panel rule sums in the order of its input's layout: returned in
+    # Fortran order, these columns used to come out with other bits
+    rates = np.linspace(-3.0, 3.0, 40)
+
+    def cols(x, live):
+        return (np.exp(np.outer(x, rates)) * np.cos(7.0 * x)[:, None]
+                + 1e-3 / np.sqrt(x)[:, None])[:, live]
+
+    got = [integrate_batch(lambda x, live: order(cols(x, live)), 0.0, 1.0,
+                           atol=0.0, rtol=1e-10, singular=(True, False))
+           for order in (np.ascontiguousarray, np.asfortranarray)]
+    assert got[1].n_evals == got[0].n_evals
+    for attr in ("value", "error"):
+        a, b = (getattr(r, attr) for r in got)
+        assert a.tobytes() == b.tobytes()
+
+
 def test_constant_integrand_keeps_its_dtype():
     # one column never retires, so a constant may ignore `cols`
     assert integrate_batch(lambda x, cols: 2.0, 0.0,
