@@ -18,8 +18,10 @@ probes none of their edges and asks an unweighted builder once per live
 node (`_nested_p_integral`).  A stored leaf serves any asker whose
 budget is no stricter than its own.  Each builder keeps its own store,
 except inside `_leaf_store`: `heismod.scenarios.run_scenario` opens one
-per request, so its tolerance ladder (run tightest first) and its
-density checks integrate each leaf once.  The p-integrals ride on the
+per request, so its density checks integrate each leaf once, and its
+tolerance ladder (run tightest first) computes one modulus: the store
+also keeps each entry point's finished report, and serves it to a call
+no stricter (`_served`).  The p-integrals ride on the
 batch quadrature with error channels (`aux_cols`), so
 ``error_estimate`` aggregates the s-stage, leaf-length and p-stage
 errors.
@@ -899,9 +901,35 @@ def _new_counter() -> dict:
     return {"s_evals": 0, "s_points": 0, "p_evals": 0}
 
 
-def _b2_spot_max(q: QuadDiff, fol: Foliation, n: int = 6) -> float:
-    composed = fol.compose(q.b2_expr)
-    return float(np.abs(E.eval_array(composed, fol.grid(n))).max())
+def _residual_max(fol, ex) -> float:
+    """max |ex o Phi| on the chart's 6 x 6 (x 6) sample grid: the B2 spot
+    check of `modulus_m4` and the operator residual rows of a scenario."""
+    return float(np.abs(E.eval_array(fol.compose(ex), fol.grid(6))).max())
+
+
+def _served(key: tuple, tol: float, t0: float, compute) -> ModulusReport:
+    """compute(), the report of an entry point at tol, started at t0.
+
+    Inside `_leaf_store` a finished report is stored under key (entry
+    point, q, chart and any option that changes the outcome) with the
+    tol it was computed at, as leaves are: a call whose tol is no
+    stricter gets a copy of it, whose meta carries this call's tol and
+    elapsed, zero work counters and ``served_from``, the stored tol.  A
+    stricter call computes and replaces it; a call that raises stores
+    nothing.  So `run_scenario`'s looser ladder levels return the
+    tightest level's bits without re-running its gates or stages."""
+    store = _STORE.get()
+    if store is None:
+        return compute()
+    key = ("report", *key)
+    if key in store and store[key][0] <= tol:
+        at, rep = store[key]
+        return replace(rep, meta={**rep.meta, **_new_counter(), "tol": tol,
+                                  "elapsed": perf_counter() - t0,
+                                  "served_from": at})
+    rep = compute()
+    store[key] = (tol, rep)
+    return rep
 
 
 def _q_mass(q, fol, tol: float, counter):
@@ -957,18 +985,25 @@ def modulus_m4(q: QuadDiff, fol: Foliation, tol: float = 1e-8, *,
     Past `_m4_gates`, q must pass a B2-kernel spot check
     (`override_b2_check` downgrades a failure to a warning; the modulus
     formula is only exact on the kernel); the report is `family_modulus`'s.
+    Inside `_leaf_store`, a call no stricter than an earlier one on the
+    same q, chart and `override_b2_check` is served that call's report
+    (`_served`), gates and spot check included.
     """
     t0 = perf_counter()
     _check_tol(tol)
-    _m4_gates(q, fol)
-    b2max = _b2_spot_max(q, fol)
-    if b2max > B2_GATE_TOL:
-        msg = (f"max |B2 q| = {b2max:.3e} exceeds {B2_GATE_TOL:.1e} on the "
-               "sample grid; q is not in the B2 kernel")
-        if not override_b2_check:
-            raise KernelResidualHigh(msg)
-        warnings.warn(msg)
-    return family_modulus(q, fol, tol, b2max, t0)
+
+    def compute():
+        _m4_gates(q, fol)
+        b2max = _residual_max(fol, q.b2_expr)
+        if b2max > B2_GATE_TOL:
+            msg = (f"max |B2 q| = {b2max:.3e} exceeds {B2_GATE_TOL:.1e} on "
+                   "the sample grid; q is not in the B2 kernel")
+            if not override_b2_check:
+                raise KernelResidualHigh(msg)
+            warnings.warn(msg)
+        return family_modulus(q, fol, tol, b2max, t0)
+    return _served(("modulus_m4", q, fol, override_b2_check), tol, t0,
+                   compute)
 
 
 def modulus_constant_length(q: QuadDiff, fol: Foliation,
@@ -991,7 +1026,7 @@ def modulus_constant_length(q: QuadDiff, fol: Foliation,
             "common_length": lbar, "field_mode": field.mode, "tol": tol,
             "elapsed": perf_counter() - t0, **counter}
     return ModulusReport(mod, err, field.stats(), None,
-                         _b2_spot_max(q, fol), meta)
+                         _residual_max(fol, q.b2_expr), meta)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from . import expr as E
 from .errors import InversionFailure, VariableMismatch, ZeroVelocity
 from .foliation import check_jacobian
-from .modulus import ModulusReport, _check_tol, family_modulus
+from .modulus import ModulusReport, _check_tol, _served, family_modulus
 from .qdiff import Q_FLOOR
 
 _PARAM_VARS = frozenset({"s", "p"})
@@ -158,14 +158,19 @@ def modulus_m2(q: PlanarQD, fol: PlanarFoliation,
     diagnostic, not a gate: the length/area decomposition only needs
     horizontality, which is checked, while holomorphy is what makes the
     computed value extremal).  Like `modulus_m4`, it refuses a chart
-    whose Jacobian vanishes on the whole sample grid.  Horizontality is
-    checked by the leaf-length field, on its initial grid of leaves.
+    whose Jacobian vanishes on the whole sample grid, and inside
+    `_leaf_store` it serves a call no stricter than an earlier one on
+    the same q and chart that call's report (`_served`).  Horizontality
+    is checked by the leaf-length field, on its initial grid of leaves.
     """
     t0 = perf_counter()
     _check_tol(tol)
-    fol.validate()
-    check_jacobian(fol)
-    w = E.eval_array(fol.phi1, fol.grid(7))
-    resid = float(np.max(np.abs(
-        E.eval_array(q.d_wb, {"w": w, "wb": np.conj(w)}))))
-    return family_modulus(q, fol, tol, resid, t0)
+
+    def compute():
+        fol.validate()
+        check_jacobian(fol)
+        w = E.eval_array(fol.phi1, fol.grid(7))
+        resid = float(np.max(np.abs(
+            E.eval_array(q.d_wb, {"w": w, "wb": np.conj(w)}))))
+        return family_modulus(q, fol, tol, resid, t0)
+    return _served(("modulus_m2", q, fol), tol, t0, compute)

@@ -29,6 +29,7 @@ from .foliation import Foliation, lambda_field_array, leaf_speed_fn, \
 from .heis import legendrian_residual
 from .modulus import (
     _leaf_store,
+    _residual_max,
     admissibility_check,
     density_energies,
     extremal_density,
@@ -324,13 +325,6 @@ def trace_leaf_deviation(q: QuadDiff, fol: Foliation, p1: float,
     return dev, resid
 
 
-def _residual_max(q: QuadDiff, fol: Foliation, which: str) -> float:
-    ex = {"b2": q.b2_expr, "d2prime": q.d2prime_expr,
-          "d2doubleprime": q.d2doubleprime_expr}[which]
-    vals = E.eval_array(fol.compose(ex), fol.grid(6))
-    return float(np.abs(vals).max())
-
-
 def _check_rows(scn: Scenario, ladder: dict, quad_tol: float, rho,
                 rk_tol: float) -> list:
     """Execute the requested checks; one dict per row (two for traces).
@@ -353,7 +347,7 @@ def _check_rows(scn: Scenario, ladder: dict, quad_tol: float, rho,
 
     for c in scn.checks:
         if c in ("b2", "d2prime", "d2doubleprime"):
-            worst = _residual_max(q, fol, c)
+            worst = _residual_max(fol, getattr(q, f"{c}_expr"))
             row(c, worst, rtol, worst <= rtol)
         elif c == "legendrian":
             worst = float(np.abs(E.eval_array(
@@ -435,8 +429,9 @@ def run_scenario(scn: Scenario, *, quad_tol: float | None = None,
     """Compute, check, and package one scenario.
 
     The request runs in one leaf store (`heismod.modulus._leaf_store`):
-    its tolerance ladder runs tightest first, so the looser levels and
-    the density checks read the leaves that level integrated, and the
+    its tolerance ladder runs tightest first, so the looser levels are
+    served that level's report (their meta names it as ``served_from``)
+    and the density checks read the leaves it integrated; the
     convergence table still lists the levels loosest first."""
     t0 = perf_counter()
     started = datetime.now(timezone.utc).isoformat()
@@ -446,7 +441,7 @@ def run_scenario(scn: Scenario, *, quad_tol: float | None = None,
     with _leaf_store():
         ladder = {}
         if _needs_modulus(scn):
-            # tightest first, so the looser levels read its leaves
+            # tightest first, so the looser levels are served its report
             for level in (tol, 10.0 * tol, 100.0 * tol):
                 if scn.space == "heisenberg":
                     ladder[level] = modulus_m4(

@@ -608,6 +608,106 @@ def test_stored_leaves_keep_their_own_budget(monkeypatch):
     assert len(asked) == 2
 
 
+def flagship_m4(tol, **kwargs):
+    """modulus_m4 of annulus-horizontal, whose bits at tol 50 (leaves at
+    rtol 0.5) differ from those at tol 5 and below."""
+    scn = load_scenario("annulus-horizontal")
+    return modulus_m4(scn.q, scn.foliation, tol=tol, **kwargs)
+
+
+FLAGSHIP_TIGHT = (0.18016333184361855, 1.508220951561071e-11)
+FLAGSHIP_LOOSE = (0.18002965340989574, 3.4745850879507444e-05)
+ZERO_WORK = {"s_evals": 0, "s_points": 0, "p_evals": 0}
+
+
+def bits(rep):
+    return (rep.modulus.hex(), rep.error_estimate.hex())
+
+
+def work(rep):
+    return {k: rep.meta[k] for k in ZERO_WORK}
+
+
+def stored_reports():
+    return [k for k in modulus._STORE.get() if k[0] == "report"]
+
+
+def test_a_looser_call_is_served_the_stored_report():
+    with modulus._leaf_store():
+        tight = flagship_m4(0.5)
+        loose = flagship_m4(50.0)
+    assert (tight.modulus, tight.error_estimate) == FLAGSHIP_TIGHT
+    assert "served_from" not in tight.meta
+    assert tight.meta["p_evals"] > 0 and tight.meta["tol"] == 0.5
+    # a copy with the tight bits, its own tol and elapsed and no work
+    assert loose is not tight and loose == tight
+    assert bits(loose) == bits(tight)
+    assert loose.meta["served_from"] == 0.5 and loose.meta["tol"] == 50.0
+    assert work(loose) == ZERO_WORK
+    assert loose.meta["elapsed"] < tight.meta["elapsed"]
+    assert loose.meta["q_volume"] == tight.meta["q_volume"]
+    # the stored report keeps its own meta
+    assert tight.meta["tol"] == 0.5 and "served_from" not in tight.meta
+
+
+def test_a_stricter_call_computes_and_replaces_the_stored_report():
+    with modulus._leaf_store():
+        loose = flagship_m4(50.0)
+        tight = flagship_m4(0.5)
+        middle = flagship_m4(5.0)
+    assert (loose.modulus, loose.error_estimate) == FLAGSHIP_LOOSE
+    assert (tight.modulus, tight.error_estimate) == FLAGSHIP_TIGHT
+    assert "served_from" not in tight.meta and tight.meta["p_evals"] > 0
+    assert middle.meta["served_from"] == 0.5 and bits(middle) == bits(tight)
+
+
+def test_no_report_is_served_outside_a_store():
+    tight, loose = flagship_m4(0.5), flagship_m4(50.0)
+    assert (loose.modulus, loose.error_estimate) == FLAGSHIP_LOOSE
+    for rep in (tight, loose):
+        assert rep.meta["p_evals"] > 0 and "served_from" not in rep.meta
+
+
+def test_reports_with_and_without_the_b2_override_never_serve_each_other():
+    q = QuadDiff.from_string("1 + z*conj(z)")   # not in the B2 kernel
+    with modulus._leaf_store():
+        with pytest.warns(UserWarning):
+            modulus_m4(q, shear_foliation(), tol=1e-8,
+                       override_b2_check=True)
+        with pytest.raises(KernelResidualHigh):
+            modulus_m4(q, shear_foliation(), tol=1e-6)
+        kept = modulus_m4(q_one(), shear_foliation(), tol=1e-8)
+        other = modulus_m4(q_one(), shear_foliation(), tol=1e-6,
+                           override_b2_check=True)
+        assert "served_from" not in other.meta and other.meta["p_evals"] > 0
+        assert bits(other) == bits(kept)
+        assert len(stored_reports()) == 3
+
+
+def test_a_gate_failure_raises_and_stores_nothing():
+    q = QuadDiff.from_string("1 + z*conj(z)")
+    with modulus._leaf_store():
+        with pytest.raises(KernelResidualHigh):
+            modulus_m4(q, shear_foliation(), tol=1e-8)
+        assert stored_reports() == []
+        # so a looser call runs the gate again
+        with pytest.raises(KernelResidualHigh):
+            modulus_m4(q, shear_foliation(), tol=1e-6)
+
+
+def test_m2_serves_a_looser_call_on_the_radial_annulus():
+    scn = load_scenario("plane-annulus-radial")
+    with modulus._leaf_store():
+        tight = modulus_m2(scn.q, scn.foliation, tol=1e-9)
+        loose = modulus_m2(scn.q, scn.foliation, tol=1e-7)
+        tighter = modulus_m2(scn.q, scn.foliation, tol=1e-10)
+    assert tight.modulus == 9.064720283654387
+    assert tight.meta["p_evals"] > 0 and "served_from" not in tight.meta
+    assert bits(loose) == bits(tight) and work(loose) == ZERO_WORK
+    assert loose.meta["served_from"] == 1e-9 and loose.meta["tol"] == 1e-7
+    assert tighter.meta["p_evals"] > 0 and "served_from" not in tighter.meta
+
+
 def test_flagship_modulus_runs_one_s_stage_per_builder(monkeypatch):
     # annulus-horizontal's chart varies along neither p-axis: the field's
     # length builder and the energies' mass builder each integrate the

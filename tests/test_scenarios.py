@@ -293,6 +293,39 @@ def test_a_request_integrates_each_leaf_once(monkeypatch):
         (360, 234_720), (0, 0), (0, 0)]
 
 
+@pytest.mark.parametrize("name, entry, p_evals", [
+    ("annulus-vertical", "modulus_m4", 1020),
+    ("plane-annulus-radial", "modulus_m2", 60)])
+def test_the_looser_levels_are_served_the_tight_report(name, entry, p_evals,
+                                                       monkeypatch):
+    # each looser level ran its own gates, LeafLengthField and p-stage
+    # (and on a plane family its own s-stages) to return the tight bits
+    built, real_field = [], modulus.LeafLengthField
+
+    class Field(real_field):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(modulus, "LeafLengthField", Field)
+    reps, fields, real = [], [], getattr(scenarios, entry)
+
+    def spy(*args, **kwargs):
+        before = len(built)
+        reps.append(real(*args, **kwargs))
+        fields.append(len(built) - before)
+        return reps[-1]
+    monkeypatch.setattr(scenarios, entry, spy)
+    run = run_scenario(load_scenario(name))
+    assert [r.meta["p_evals"] for r in reps] == [p_evals, 0, 0]
+    assert fields == [1, 0, 0]
+    tight = reps[0]
+    assert run.modulus_report is tight
+    for r in reps[1:]:
+        assert r.meta["served_from"] == tight.meta["tol"] < r.meta["tol"]
+        assert r.modulus.hex() == tight.modulus.hex()
+        assert r.error_estimate.hex() == tight.error_estimate.hex()
+
+
 def test_looser_levels_read_the_tight_leaves_not_looser_ones():
     # at quad_tol 0.5 the 50 level integrated its own leaves at rtol 0.5
     # and reported 0.18002965340989574 +- 3.5e-5, 1.3e-4 from the
