@@ -28,12 +28,12 @@ Functions: ``conj``, ``sqrt``, ``exp``, ``log``, ``sin``, ``cos``, ``re``,
 becomes ``zb``); there is no conjugation node.  ``sqrt``, ``log`` and
 fractional powers use principal branches.
 
-Nodes are immutable and hash-consed: structurally equal subtrees are the
-same object, which makes evaluation over the resulting DAG cache shared
-work automatically.  The intern table ``_INTERN`` only grows; expressions
-are tiny, so this is a deliberate trade for fast repeated evaluation.
-Bounding it is a separate change, to be judged by the memory growth of a
-long-lived process (the family-sweep benchmark's ``rss_growth_mb``).
+Nodes are immutable and hash-consed: structurally equal live subtrees
+are the same object, which makes evaluation over the resulting DAG
+cache shared work automatically.  The intern table ``_INTERN`` holds its
+nodes weakly (Filliatre & Conchon, "Type-Safe Modular Hash-Consing",
+2006), so a long-lived process keeps only the nodes something still
+uses; the variable atoms live for the whole process.
 
 The structural transforms (:func:`free_vars`, :func:`conj_expr`,
 :func:`substitute`, :func:`diff`) are loops over one iterative
@@ -43,11 +43,15 @@ meets the recursion limit.  A node's free variables and structural
 conjugate are memoized on the node, in slots filled on first use.
 
 :func:`evaluate` is the checked evaluator at one point.
-:func:`eval_array` compiles each root once into a plan, kept in a bounded
-LRU cache: the children-first order, one numpy kernel per node, and the
-release of every intermediate after its last read.  The plan runs over
-row blocks of about 32k points of the broadcast grid, so its temporaries
-stay cache-sized; a blocked result equals the whole-array result bit for
+:func:`eval_array` runs each root through a plan: the children-first
+order, one numpy kernel per node, and the release of every intermediate
+after its last read.  A plan is compiled once per DAG structure and
+takes the constants' values as inputs, so expressions that differ only
+in their constants share it; a bounded LRU keyed by the root keeps its
+plan and constants, so a repeated call skips the walk, and both caches
+hold at most ``_PLAN_CAP`` entries.  The plan runs over row blocks of
+about 32k points of the broadcast grid, so its temporaries stay
+cache-sized; a blocked result equals the whole-array result bit for
 bit.  Values that are real by construction run in float64: real-bound
 variables, ``re``, ``im``, ``abs2``, products ``x * conj_expr(x)``
 (evaluated as |x|^2 from x alone) and arithmetic over those.  A square
@@ -55,6 +59,7 @@ root, logarithm or fractional power of a real operand runs in float64
 unless some element of the call is negative; the call then starts over
 with that operand promoted to complex, so the principal branches are
 those of complex evaluation and the choice never depends on the blocks.
+A promotion belongs to the root it was met in, never to its structure.
 A node whose structural conjugate is already computed is taken as the
 conjugate of that value wherever this is bit for bit what evaluating it
 gives; at branch cuts and signed zeros it is evaluated.
@@ -65,6 +70,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+import weakref
 from collections import OrderedDict
 from typing import Callable, Mapping, NamedTuple
 
@@ -104,7 +110,7 @@ class Expr:
     (:func:`free_vars`), each set once on first use.  A subclass lists its
     constructor arguments in ``_fields``."""
 
-    __slots__ = ("_conj", "_free")
+    __slots__ = ("_conj", "_free", "__weakref__")
     _fields: tuple = ()
     prec = 5  # printing precedence; atoms highest
 
@@ -250,7 +256,10 @@ class Abs2(_Unary):
 # ---------------------------------------------------------------------------
 # hash-consing constructors with constant folding
 
-_INTERN: dict[tuple, Expr] = {}
+#: Every live operation node and constant under its key.  An entry goes
+#: when its node dies; a key holds its children's ids, which cannot be
+#: reused while the node lives, as the node keeps its children alive.
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _fkey(x: float) -> str:
@@ -275,10 +284,17 @@ ZERO = const(0.0)
 ONE = const(1.0)
 
 
+#: The variable atoms, held for the life of the process: a plan reads
+#: the ``_conj`` memo of z and w to evaluate z * zb as |z|^2, so these
+#: memos must not depend on whether an atom was dropped and rebuilt.
+_VARS = {name: Var(name) for name in VAR_NAMES}
+
+
 def var(name: str) -> Var:
-    if name not in VAR_NAMES:
-        raise VariableMismatch(f"unknown variable {name!r}")
-    return _interned(Var, ("v", name), name)
+    try:
+        return _VARS[name]
+    except KeyError:
+        raise VariableMismatch(f"unknown variable {name!r}") from None
 
 
 def _as_expr(x) -> Expr:
@@ -684,7 +700,9 @@ def _topo(e: Expr, deps: Callable[[Expr], tuple] =
     that :func:`compile_scalar` generates) and every structural
     transform.  ``deps(n)`` lists the nodes that n's result is made from:
     its children by default; a transform returns fewer where it stops
-    early and more where a rule reads another node as well.
+    early and more where a rule reads another node as well.  Over a plan
+    structure's places (`_sub_plan`) it visits them as it visits the
+    nodes they stand for.
     """
     order: list[Expr] = []
     seen: set[Expr] = set()
@@ -814,39 +832,47 @@ def evaluate(e: Expr, binding: Mapping[str, complex]) -> complex:
 #: Rows of a large broadcast grid go through a plan in blocks of about
 #: this many points, so every temporary of the plan stays cache-sized.
 _BLOCK = 1 << 15
+#: Bound of each plan cache: the expressions last evaluated (`_PLANS`)
+#: and the structures last compiled (`_STRUCTS`).
 _PLAN_CAP = 128
 _PLANS: OrderedDict = OrderedDict()
+_STRUCTS: OrderedDict = OrderedDict()
 
 _NP_FUNCS = {Sqrt: np.sqrt, Exp: np.exp, Log: np.log, Sin: np.sin,
              Cos: np.cos}
 _ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
           Div: operator.truediv}
 
+#: Plan inputs that are not nodes: the binding and the constants' values.
+_VALS, _CONSTS = -1, -2
+
 
 class _Promote(Exception):
-    """A node assumed real met a value that needs the complex branch."""
+    """A node assumed real met a value that needs the complex branch; pos
+    is the node's place in the plan's children-first order."""
 
-    def __init__(self, node: Expr):
+    def __init__(self, pos: int):
         super().__init__()
-        self.node = node
+        self.pos = pos
 
 
-def _on_cut(n: Expr) -> bool:
-    """Whether the op's complex value depends on the side of the negative
-    real axis its argument lies on.  numpy takes integer powers of 100
-    and more through the logarithm, like fractional ones."""
-    if isinstance(n, (Sqrt, Log)):
+def _on_cut(t: type, expo) -> bool:
+    """Whether an op of type t (and exponent expo, for a power) has a
+    complex value that depends on the side of the negative real axis its
+    argument lies on.  numpy takes integer powers of 100 and more
+    through the logarithm, like fractional ones."""
+    if t is Sqrt or t is Log:
         return True
-    if isinstance(n, PowR):
-        k = _int_expo(n.expo)
+    if t is PowR:
+        k = _int_expo(expo)
         return k is None or abs(k) >= 100
     return False
 
 
-def _mirror_guards(m: Expr, real: dict):
-    """Arguments whose values decide whether conj_expr(m) evaluates to
-    the conjugate of m's value (up to the sign of zero parts) under an
-    exact conjugate binding, or None when it never does.
+def _mirror_guards(nodes: tuple, m: int, real: list):
+    """Arguments whose values decide whether the conjugate of node m
+    evaluates to the conjugate of m's value (up to the sign of zero
+    parts) under an exact conjugate binding, or None when it never does.
 
     Real nodes evaluate alike on both sides.  Between them every op but
     the branch-cut ones commutes with conjugation; those do so when
@@ -856,15 +882,16 @@ def _mirror_guards(m: Expr, real: dict):
     """
     stack, seen, args = [m], set(), []
     while stack:
-        n = stack.pop()
-        if id(n) in seen or real[id(n)]:
+        k = stack.pop()
+        if k in seen or real[k]:
             continue
-        seen.add(id(n))
-        if isinstance(n, Var) and n.name in REAL_VARS:
+        seen.add(k)
+        t, _, kids, param = nodes[k]
+        if t is Var and param in REAL_VARS:
             return None
-        if _on_cut(n):
-            args.append(n._children()[0])
-        stack.extend(n._children())
+        if _on_cut(t, param):
+            args.append(kids[0])
+        stack.extend(kids)
     return args
 
 
@@ -883,30 +910,30 @@ def _exact_conj(v) -> bool:
         and np.count_nonzero(v.imag) == v.size and np.isfinite(v.sum())
 
 
-def _kinds(order: list, real_vars: frozenset, promoted: frozenset):
+def _kinds(nodes: tuple, real_vars: frozenset, promoted: frozenset):
     """Whether each node is evaluated in float64, and the guards of the
     products x * conj_expr(x) that are evaluated as |x|^2."""
-    real: dict[int, bool] = {}
+    real: list[bool] = []
     squares: dict[int, list] = {}
-    for n in order:
-        t = type(n)
+    for k, (t, _, kids, param) in enumerate(nodes):
         if t is Const:
-            r = n.value.imag == 0.0
+            r = param
         elif t is Var:
-            r = n.name in real_vars
-        elif t in (Re, Im, Abs2):
+            r = param in real_vars
+        elif t in _REAL_OPS:
             r = True
         else:
-            r = all(real[id(c)] for c in n._children())
-            if t is Mul and n not in promoted and n.lhs is not n.rhs \
-                    and (n.lhs._conj is n.rhs or n.rhs._conj is n.lhs):
-                guards = _mirror_guards(n.lhs, real)
+            r = all(real[c] for c in kids)
+            if t is Mul and k not in promoted and kids[0] != kids[1] \
+                    and (nodes[kids[0]][1] == kids[1]
+                         or nodes[kids[1]][1] == kids[0]):
+                guards = _mirror_guards(nodes, kids[0], real)
                 if guards is not None:
-                    squares[id(n)] = guards
+                    squares[k] = guards
                     r = True
-            elif r and n in promoted:
+            elif r and k in promoted:
                 r = False
-        real[id(n)] = r
+        real.append(r)
     return real, squares
 
 
@@ -929,11 +956,11 @@ def _to_complex(x):
     return x.astype(np.complex128)
 
 
-def _kernel(n: Expr, real: dict, squares: dict):
-    t = type(n)
-    if id(n) in squares:
-        guards = squares[id(n)]
-        if real[id(n.lhs)]:
+def _kernel(k: int, nodes: tuple, real: list, squares: dict):
+    t, _, kids, param = nodes[k]
+    if k in squares:
+        guards = squares[k]
+        if real[kids[0]]:
             return _square
         if not guards:
             return _abs2
@@ -941,13 +968,13 @@ def _kernel(n: Expr, real: dict, squares: dict):
         def square(x, *args):
             if all(map(_off_cut, args)):
                 return _abs2(x)
-            raise _Promote(n)
+            raise _Promote(k)
         return square
     if t in _ARITH:
         return _ARITH[t]
     if t is Neg:
         return operator.neg
-    arg = real[id(n._children()[0])]
+    arg = real[kids[0]]
     if t is Abs2:
         return _square if arg else _abs2
     if t in (Re, Im):
@@ -955,7 +982,7 @@ def _kernel(n: Expr, real: dict, squares: dict):
             return _same if t is Re else np.zeros_like
         return operator.attrgetter("real" if t is Re else "imag")
     if t is PowR:
-        i, expo = _int_expo(n.expo), n.expo
+        i, expo = _int_expo(param), param
         if i is not None:
             return lambda x: x ** i
 
@@ -963,109 +990,175 @@ def _kernel(n: Expr, real: dict, squares: dict):
             return np.power(x, expo)
     else:
         f = _NP_FUNCS[t]
-    if not (arg and _on_cut(n)):
+    if not (arg and _on_cut(t, param)):
         return f
-    if not real[id(n)]:
+    if not real[k]:
         return lambda x: f(_to_complex(x))
 
     def assumed_real(x):
         if np.any(x < 0.0):
-            raise _Promote(n)
+            raise _Promote(k)
         return f(x)
     return assumed_real
 
 
-def _conjugate_of(m: Expr, c: Expr, real: dict, real_vars: frozenset,
-                  promoted: frozenset):
-    """Kernel and inputs that give c = conj_expr(m) from m's value, or
-    None.  The conjugate is taken in a block only where it is bit for
-    bit the value c evaluates to; otherwise c runs through its own plan."""
-    if real[id(m)]:
+def _conjugate_of(struct: tuple, m: int, c: int, real: list):
+    """Kernel and inputs that give node c, the structural conjugate of
+    node m, from m's value, or None.  The conjugate is taken in a block
+    only where it is bit for bit the value c evaluates to; otherwise c
+    runs through the plan of its own DAG (`_sub_plan`), and a promotion
+    raised there is passed on at c's node's place in this plan."""
+    if real[m]:
         return _same, (m,)
-    guards = _mirror_guards(m, real)
+    guards = _mirror_guards(struct[3], m, real)
     if guards is None:
         return None
-    def conjugate(mv, vals, *args):
+    sub: list = []
+
+    def conjugate(mv, vals, consts, *args):
         if _exact_conj(mv) and all(map(_off_cut, args)):
             return np.conjugate(mv)
-        return _run(_plan(c, real_vars, True, promoted), vals)
-    return conjugate, (m, None, *guards)
+        if not sub:
+            sub.extend(_sub_plan(struct, c))
+        plan, cmap, outer = sub
+        try:
+            return _run(plan, vals, [consts[j] for j in cmap])
+        except _Promote as exc:
+            raise _Promote(outer[exc.pos]) from None
+    return conjugate, (m, _VALS, _CONSTS, *guards)
 
 
 class _Plan(NamedTuple):
     steps: tuple        # (kernel, slot, input slots, slots released)
-    slots: int          # slot 0 holds the binding
+    slots: int          # slot 0 holds the binding, slot 1 the constants
     root: int
     names: frozenset    # the variables of the DAG
 
 
-def _leaf(n: Expr, real: dict):
-    if isinstance(n, Var):
-        return operator.itemgetter(n.name), (None,)
-    v = np.float64(n.value.real) if real[id(n)] else np.complex128(n.value)
-    return (lambda: v), ()
+def _structure(e: Expr, real_vars: frozenset, reuse: bool,
+               promoted: frozenset):
+    """The structure of e's plan, and the values of e's constants.
 
-
-def _compile_plan(e: Expr, real_vars: frozenset, reuse: bool,
-                  promoted: frozenset) -> _Plan:
+    The structure holds what compiling reads and no node: for each node
+    in `_topo` order its type, the place of its ``_conj`` memo's node
+    when that is another node of the DAG (else -1; a constant's is never
+    read) and its children's places, with whether a constant is real, a
+    variable's name or a power's exponent; then real_vars, reuse and the
+    places of the promoted nodes.  Expressions that differ only in the
+    values of their constants share one structure and one plan."""
     order = _topo(e)
-    real, squares = _kinds(order, real_vars, promoted)
-    # (kernel, inputs) per node; None as an input stands for the binding
-    spec = {id(n): _leaf(n, real) if isinstance(n, (Const, Var))
-            else (_kernel(n, real, squares),
-                  (n.lhs, *squares[id(n)]) if id(n) in squares
-                  else n._children())
-            for n in order}
+    pos = {n: k for k, n in enumerate(order)}
+    nodes, consts = [], []
+    for n in order:
+        t = type(n)
+        if t is Const:
+            v = n.value
+            r = v.imag == 0.0
+            consts.append(np.float64(v.real) if r else np.complex128(v))
+            nodes.append((t, -1, (), r))
+            continue
+        p = n._conj
+        nodes.append((t, -1 if p is n else pos.get(p, -1),
+                      tuple(map(pos.__getitem__, n._children())),
+                      n.name if t is Var else n.expo if t is PowR else None))
+    return (real_vars, reuse, promoted, tuple(nodes)), consts
+
+
+def _sub_plan(struct: tuple, c: int):
+    """The plan of the DAG under node c of struct, as `_plan` compiles it
+    for that DAG alone with conjugate reuse: that plan, the indices of
+    its constants among struct's and the place in struct of each of its
+    nodes."""
+    real_vars, _, promoted, nodes = struct
+    # the places under c in the order `_topo` visits their nodes
+    order = _topo(c, lambda k: nodes[k][2])
+    new = {k: i for i, k in enumerate(order)}
+    cidx = {k: j for j, k in enumerate(
+        k for k, nd in enumerate(nodes) if nd[0] is Const)}
+    sub = tuple((t, new.get(p, -1), tuple(new[j] for j in kids), param)
+                for t, p, kids, param in map(nodes.__getitem__, order))
+    plan = _compiled((real_vars, True,
+                      frozenset(new[k] for k in promoted if k in new), sub))
+    return plan, [cidx[k] for k in order if k in cidx], order
+
+
+def _compile_plan(struct: tuple) -> _Plan:
+    real_vars, reuse, promoted, nodes = struct
+    real, squares = _kinds(nodes, real_vars, promoted)
+    # (kernel, inputs) per node; _VALS and _CONSTS stand for the binding
+    # and the constants' values
+    spec = []
+    nconst = 0
+    for k, (t, _, kids, param) in enumerate(nodes):
+        if t is Const:
+            spec.append((operator.itemgetter(nconst), (_CONSTS,)))
+            nconst += 1
+        elif t is Var:
+            spec.append((operator.itemgetter(param), (_VALS,)))
+        else:
+            spec.append((_kernel(k, nodes, real, squares),
+                         (kids[0], *squares[k]) if k in squares else kids))
     if reuse:
-        pos = {id(n): k for k, n in enumerate(order)}
-        for n in order:
-            p = n._conj
-            if p is None or p is n or id(p) not in pos:
+        for k, (_, p, _, _) in enumerate(nodes):
+            if p < 0:
                 continue
-            m, c = (n, p) if pos[id(n)] < pos[id(p)] else (p, n)
-            if isinstance(c, (Const, Var)):
+            m, c = (k, p) if k < p else (p, k)
+            if nodes[c][0] in (Const, Var):
                 continue
-            got = _conjugate_of(m, c, real, real_vars, promoted)
+            got = _conjugate_of(struct, m, c, real)
             if got is not None:
-                spec[id(c)] = got
+                spec[c] = got
+    root = len(nodes) - 1
     needed: set[int] = set()
-    stack = [e]
+    stack = [root]
     while stack:
-        n = stack.pop()
-        if n is not None and id(n) not in needed:
-            needed.add(id(n))
-            stack.extend(spec[id(n)][1])
-    live = [n for n in order if id(n) in needed]
-    slot = {id(n): k + 1 for k, n in enumerate(live)}
-    steps = [(spec[id(n)][0], slot[id(n)],
-              tuple(0 if a is None else slot[id(a)] for a in spec[id(n)][1]))
-             for n in live]
+        k = stack.pop()
+        if k >= 0 and k not in needed:
+            needed.add(k)
+            stack.extend(spec[k][1])
+    live = sorted(needed)
+    slot = {_VALS: 0, _CONSTS: 1, **{k: i + 2 for i, k in enumerate(live)}}
+    steps = [(spec[k][0], slot[k], tuple(slot[a] for a in spec[k][1]))
+             for k in live]
     last = {a: k for k, (_, _, src) in enumerate(steps) for a in src}
     drops: list[list] = [[] for _ in steps]
     for a, k in last.items():
-        if a not in (0, slot[id(e)]):
+        if a not in (0, 1, slot[root]):
             drops[k].append(a)
     return _Plan(tuple((fn, s, src, tuple(d))
                        for (fn, s, src), d in zip(steps, drops)),
-                 len(live) + 1, slot[id(e)],
-                 frozenset(n.name for n in order if isinstance(n, Var)))
+                 len(slot), slot[root],
+                 frozenset(nd[3] for nd in nodes if nd[0] is Var))
+
+
+def _lru(cache: OrderedDict, key, make):
+    """cache[key], made by make() on a miss, in an LRU of `_PLAN_CAP`."""
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = make()
+        if len(cache) > _PLAN_CAP:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return got
+
+
+def _compiled(struct: tuple) -> _Plan:
+    return _lru(_STRUCTS, struct, lambda: _compile_plan(struct))
 
 
 def _plan(e: Expr, real_vars: frozenset, reuse: bool,
-          promoted: frozenset) -> _Plan:
-    key = (e, real_vars, reuse, promoted)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS[key] = _compile_plan(e, real_vars, reuse, promoted)
-        if len(_PLANS) > _PLAN_CAP:
-            _PLANS.popitem(last=False)
-    else:
-        _PLANS.move_to_end(key)
-    return plan
+          promoted: frozenset) -> tuple:
+    """(plan, constants' values) of e; promoted holds places of e's
+    nodes in `_topo` order."""
+    def make():
+        struct, consts = _structure(e, real_vars, reuse, promoted)
+        return _compiled(struct), consts
+    return _lru(_PLANS, (e, real_vars, reuse, promoted), make)
 
 
-def _run(plan: _Plan, vals: dict):
-    env = [vals] + [None] * (plan.slots - 1)
+def _run(plan: _Plan, vals: dict, consts):
+    env = [vals, consts] + [None] * (plan.slots - 2)
     for fn, dst, src, drop in plan.steps:
         env[dst] = fn(*[env[a] for a in src])
         for a in drop:
@@ -1110,7 +1203,7 @@ def _eval_array(e: Expr, binding: Mapping, block: int,
                 reuse: bool) -> np.ndarray:
     vals, real = _array_binding(binding)
     promoted = frozenset()
-    plan = _plan(e, real, reuse, promoted)
+    plan, consts = _plan(e, real, reuse, promoted)
     missing = plan.names - vals.keys()
     if missing:
         raise VariableMismatch(f"unbound variable {min(missing)!r}")
@@ -1120,16 +1213,16 @@ def _eval_array(e: Expr, binding: Mapping, block: int,
         while True:
             try:
                 if size <= block or shape[0] == 1:
-                    return np.asarray(_run(plan, vals),
+                    return np.asarray(_run(plan, vals, consts),
                                       dtype=np.complex128)
-                return _run_blocked(plan, vals, shape,
+                return _run_blocked(plan, vals, consts, shape,
                                     max(1, block // (size // shape[0])))
             except _Promote as exc:
-                promoted = promoted | {exc.node}
-                plan = _plan(e, real, reuse, promoted)
+                promoted = promoted | {exc.pos}
+                plan, consts = _plan(e, real, reuse, promoted)
 
 
-def _run_blocked(plan: _Plan, vals: dict, shape: tuple,
+def _run_blocked(plan: _Plan, vals: dict, consts, shape: tuple,
                  rows: int) -> np.ndarray:
     cut = [v for v in plan.names if np.ndim(vals[v]) == len(shape)
            and np.shape(vals[v])[0] > 1]
@@ -1138,7 +1231,7 @@ def _run_blocked(plan: _Plan, vals: dict, shape: tuple,
     for lo in range(0, shape[0], rows):
         for v in cut:
             part[v] = vals[v][lo:lo + rows]
-        out[lo:lo + rows] = _run(plan, part)
+        out[lo:lo + rows] = _run(plan, part, consts)
     return out
 
 

@@ -334,6 +334,8 @@ def _check_rows(scn: Scenario, ladder: dict, quad_tol: float, rho,
     (None unless a density check is requested).  The five perturbation
     probes run as one batched energy integral at the ladder's middle
     level 10*quad_tol and are measured against that level's own modulus.
+    The ``b2`` row of a request with a modulus reads the report's
+    residual_stats, the B2 gate's max |B2 q| on the same grid.
     """
     q, fol = scn.q, scn.foliation
     report = ladder.get(quad_tol)
@@ -346,7 +348,11 @@ def _check_rows(scn: Scenario, ladder: dict, quad_tol: float, rho,
                      "value": float(value), "threshold": float(threshold)})
 
     for c in scn.checks:
-        if c in ("b2", "d2prime", "d2doubleprime"):
+        if c == "b2" and report is not None:
+            # modulus_m4's B2 gate measured this on the same q and chart
+            worst = report.residual_stats
+            row(c, worst, rtol, worst <= rtol)
+        elif c in ("b2", "d2prime", "d2doubleprime"):
             worst = _residual_max(fol, getattr(q, f"{c}_expr"))
             row(c, worst, rtol, worst <= rtol)
         elif c == "legendrian":

@@ -1,7 +1,11 @@
 """Expression language: parsing, printing, evaluation, Wirtinger calculus."""
 
+import gc
 import math
+import subprocess
+import sys
 import warnings
+import weakref
 from typing import Mapping
 
 import numpy as np
@@ -390,6 +394,7 @@ def test_transforms_walk_a_100000_term_sum():
     assert np.allclose(E.eval_array(long, b), E.eval_array(short, b),
                        rtol=n * np.finfo(float).eps, atol=0.0)
     E._PLANS.clear()    # the long chain's plan is large
+    E._STRUCTS.clear()
 
 
 def test_interning_shares_structure():
@@ -816,3 +821,252 @@ def test_rewrites_exact_at_branch_cuts(text, complex_s):
     for zz, tt in ((z, t), (z[:, None], t[None, :]), (z_off, t[5:9])):
         check_plans(E.parse(text), {"z": zz, "zb": np.conj(zz), "t": tt,
                                     "s": s[:tt.shape[-1]]})
+
+
+# ---------------------------------------------------------------------------
+# weak hash-consing: a node lives as long as something holds it
+
+CHURN_Z = np.linspace(0.5, 1.5, 8) + 0.25j
+CHURN_B = {"z": CHURN_Z, "zb": np.conj(CHURN_Z),
+           "t": np.linspace(-1.0, 1.0, 8), "s": np.linspace(0.1, 3.0, 8)}
+
+
+def churn(first, count):
+    """Build, transform and evaluate DAGs with fresh constants, keeping
+    none of them."""
+    for k in range(first, first + count):
+        c = 1.0 + k / 4096
+        e = E.parse(f"({c!r}*z*conj(z))^(2/3) + {c!r}*t*z - exp(i*{c!r}*t)")
+        e = E.add(e, E.conj_expr(E.diff(e, "z")))
+        E.eval_array(E.substitute(e, {"t": E.parse(f"{c!r}*s")}), CHURN_B)
+
+
+def test_the_intern_table_returns_to_its_baseline_after_churn():
+    churn(0, 1)     # memoizes what every round shares on long-lived nodes
+    E._PLANS.clear()
+    gc.collect()
+    base = len(E._INTERN)
+    churn(1, 300)
+    # the plan cache holds the expressions it last evaluated
+    assert len(E._INTERN) > base + E._PLAN_CAP
+    E._PLANS.clear()
+    gc.collect()
+    assert len(E._INTERN) == base
+
+
+def test_structurally_equal_live_expressions_stay_one_object():
+    q = E.parse(Q0_TEXT)
+    kept = E.conj_expr(E.diff(q, "z"))
+    churn(0, 200)
+    E._PLANS.clear()
+    gc.collect()
+    assert E.parse(Q0_TEXT) is q
+    for n in E._topo(kept):
+        if isinstance(n, Const):
+            assert E.const(n.value) is n
+        elif isinstance(n, Var):
+            assert E.var(n.name) is n
+        else:
+            assert E._rebuild(n, lambda c: c) is n
+
+
+def test_evaluation_after_churn_matches_the_oracle():
+    # freed nodes' ids are handed to new nodes; a key that outlived its
+    # node would hand back a node with other constants
+    seen, reused = set(), 0
+    z, t = CHURN_B["z"], CHURN_B["t"]
+    for k in range(200):
+        a, c = 1.0 + k / 7, 0.5 - k / 11
+        e = E.parse(f"{a!r}*z*conj(z) + {c!r}*t - sqrt({a!r}*t + 2)")
+        got = E.eval_array(e, CHURN_B)
+        want = a * (z * np.conj(z)).real + c * t - np.sqrt(a * t + 2 + 0j)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-15), k
+        assert np.allclose(got, oracle_array(e, CHURN_B), rtol=1e-14,
+                           atol=1e-15), k
+        ids = {id(n) for n in E._topo(e)}
+        reused += len(ids & seen)
+        seen |= ids
+        del e
+        E._PLANS.clear()
+        gc.collect()
+    assert reused > 0
+
+
+def test_a_long_chain_is_freed_once_its_plan_leaves_the_cache():
+    E._PLANS.clear()
+    gc.collect()
+    base = len(E._INTERN)
+    term = E.parse("z*re(z)")
+    long = term
+    for _ in range(99_999):
+        long = E.add(long, term)
+    freed = weakref.ref(long)
+    E.eval_array(long, CHURN_B)
+    del long
+    gc.collect()
+    assert freed() is not None      # the key of its plan holds it
+    assert len(E._INTERN) > base + 99_999
+    for k in range(E._PLAN_CAP):
+        E.eval_array(E.parse(f"{1.0 + k / 1024!r}*z"), CHURN_B)
+    gc.collect()
+    assert freed() is None
+    assert len(E._INTERN) <= base + 3 * E._PLAN_CAP
+    E._STRUCTS.clear()      # the long chain's structure is large
+
+
+def test_variable_atoms_keep_their_conjugate_memo():
+    # z * zb evaluates as |z|^2 when z's _conj memo names zb, and a
+    # power of that real square runs in float64, with other bits than the
+    # complex power; so an atom dropped and rebuilt without its memo
+    # would change bits.  A fresh process holds z nowhere else.
+    code = (
+        "import gc, numpy as np\n"
+        "from heismod import expr as E\n"
+        "z = np.linspace(0.5, 1.5, 101) + 0.25j\n"
+        "b = {'z': z, 'zb': np.conj(z)}\n"
+        "def bits():\n"
+        "    return E.eval_array(E.parse('(z*zb)^(2/3)'), b).tobytes()\n"
+        "atom = E.var('z')\n"
+        "E.conj_expr(atom)\n"
+        "first = bits()\n"
+        "del atom\n"
+        "E._PLANS.clear()\n"
+        "gc.collect()\n"
+        "print(bits() == first)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "True"
+
+
+# ---------------------------------------------------------------------------
+# plans compiled once per structure, constants passed in
+
+def perturbed(e, factor=1.0 + 2.0 ** -20):
+    """e with each part of every constant scaled by factor, and the
+    ``_conj`` memos that e carries set on the images of its nodes."""
+    new = {}
+    for n in E._topo(e):
+        if isinstance(n, Const):
+            v = n.value     # part by part, so a zero part keeps its sign
+            new[n] = E.const(complex(v.real * factor, v.imag * factor))
+        elif isinstance(n, Var):
+            new[n] = n
+        else:
+            new[n] = _rebuild(n, [new[c] for c in n._children()])
+    for n in E._topo(e):
+        if n._conj is not None:
+            E.conj_expr(new[n])
+    return new[e]
+
+
+def no_expr_reachable(obj) -> bool:
+    """Whether no Expr is reachable from obj through containers and
+    closures."""
+    stack, seen = [obj], set()
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, str, np.ndarray)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, Expr):
+            return False
+        if isinstance(o, (tuple, list, set, frozenset)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.keys())
+            stack.extend(o.values())
+        elif callable(o) and hasattr(o, "__closure__"):
+            stack.extend(c.cell_contents for c in o.__closure__ or ()
+                         if c.cell_contents is not None)
+    return True
+
+
+def test_expressions_that_differ_in_constants_compile_once(monkeypatch):
+    E._PLANS.clear()
+    E._STRUCTS.clear()
+    compiled = []
+    compile_plan = E._compile_plan
+    monkeypatch.setattr(E, "_compile_plan",
+                        lambda s: compiled.append(s) or compile_plan(s))
+    outs = []
+    for k in range(20):
+        c = 1.5 + k / 64    # never 1, which would fold away
+        e = E.parse(f"sqrt({c!r}*z*conj(z) + t^2)*exp(i*{c!r}*t)"
+                    f" + conj(z)/{c!r} + {c!r}*i*z")
+        outs.append((e, E.eval_array(e, CHURN_B)))
+    assert len(compiled) == 1
+    assert all(no_expr_reachable(p) for p in E._STRUCTS.values())
+    for e, got in outs:
+        E._PLANS.clear()
+        E._STRUCTS.clear()
+        assert bitwise_equal(E.eval_array(e, CHURN_B), got)
+    assert len(compiled) == 21
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dags(), bindings())
+def test_perturbed_constants_share_the_plan_and_keep_its_bits(e, b):
+    twin = perturbed(e)
+    real = E._array_binding(b)[1]
+    for reuse in (True, False):
+        assert E._structure(twin, real, reuse, frozenset())[0] \
+            == E._structure(e, real, reuse, frozenset())[0]
+    for block, reuse in ((UNBLOCKED, True), (4, True), (UNBLOCKED, False)):
+        E._eval_array(e, b, block, reuse)
+        shared = E._eval_array(twin, b, block, reuse)
+        assert E._plan(twin, real, reuse, frozenset())[0] \
+            is E._plan(e, real, reuse, frozenset())[0]
+        E._PLANS.clear()
+        E._STRUCTS.clear()
+        assert bitwise_equal(E._eval_array(twin, b, block, reuse), shared)
+
+
+def test_a_promotion_stays_with_its_expression():
+    b = {"t": np.linspace(0.5, 2.0, 101)}
+    neg, pos = E.parse("(-1.5*t)^(2/3) + t"), E.parse("(1.5*t)^(2/3) + t")
+    vals, real = E._array_binding(b)
+    assert E._structure(neg, real, True, frozenset())[0] \
+        == E._structure(pos, real, True, frozenset())[0]
+    power = {E._topo(pos).index(pos.lhs)}
+    assert power == {E._topo(neg).index(neg.lhs)}
+    E._PLANS.clear()
+    E._STRUCTS.clear()
+    alone = E.eval_array(pos, b)
+    E._PLANS.clear()
+    E._STRUCTS.clear()
+    E.eval_array(neg, b)
+    promoted = {k[3] for k in E._PLANS if k[0] is neg}
+    assert promoted == {frozenset(), frozenset(power)}, promoted
+    assert bitwise_equal(E.eval_array(pos, b), alone)
+    assert {k[3] for k in E._PLANS if k[0] is pos} == {frozenset()}
+    # the promoted plan would give other bits
+    plan, consts = E._plan(pos, real, True, frozenset(power))
+    leaked = np.asarray(E._run(plan, vals, consts), dtype=np.complex128)
+    assert not bitwise_equal(leaked, alone)
+
+
+def test_a_promotion_in_a_conjugates_own_plan_maps_to_its_node(
+        monkeypatch):
+    # m = zb*(sqrt(zb)*sqrt(z)) is computed; its conjugate
+    # c = z*(sqrt(z)*sqrt(zb)) falls back to its own plan, as z sits on
+    # the cut, and there its square sqrt(z)*sqrt(zb) must be promoted:
+    # that square's place in c's plan is the place in e of m's square
+    x = E.sqrt(E.var("z"))
+    m = E.mul(E.var("z"), E.mul(x, E.conj_expr(x)))
+    e = E.add(m, E.conj_expr(m))
+    order = E._topo(e)
+    c_square = order.index(E.mul(x, E.conj_expr(x)))
+    m_square = order.index(E.mul(E.conj_expr(x), x))
+    z = np.array([-1.0, 1 + 1j, 2 - 0.5j, -3 + 0j])
+    b = {"z": z, "zb": np.conj(z)}
+    plans, plan = [], E._plan
+    monkeypatch.setattr(E, "_plan", lambda *a: plans.append(a[3]) or (
+        len(plans) < 10 or pytest.fail("promotion does not converge"))
+        and plan(*a))
+    E._PLANS.clear()
+    E._STRUCTS.clear()
+    got = E.eval_array(e, b)
+    assert plans[-1] == {m_square, c_square}
+    monkeypatch.undo()
+    assert bitwise_equal(got, E._eval_array(e, b, UNBLOCKED, False))
+    check_plans(e, b)

@@ -1,10 +1,13 @@
 """Scenario model: validation rejections, built-in registry, runner
 behavior, and report determinism."""
 
+import gc
 import json
 import math
+import re
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -324,6 +327,64 @@ def test_the_looser_levels_are_served_the_tight_report(name, entry, p_evals,
         assert r.meta["served_from"] == tight.meta["tol"] < r.meta["tol"]
         assert r.modulus.hex() == tight.modulus.hex()
         assert r.error_estimate.hex() == tight.error_estimate.hex()
+
+
+@pytest.mark.parametrize("name", ["annulus-vertical", "annulus-horizontal"])
+def test_the_b2_row_reads_the_gates_residual(name, monkeypatch):
+    # the row evaluated max |B2 q| on the grid again after the gate had
+    calls, real = [], modulus._residual_max
+
+    def spy(fol, ex):
+        calls.append(ex)
+        return real(fol, ex)
+    monkeypatch.setattr(modulus, "_residual_max", spy)
+    monkeypatch.setattr(scenarios, "_residual_max", spy)
+    scn = load_scenario(name)
+    run = run_scenario(scn)
+    assert calls.count(scn.q.b2_expr) == 1
+    row = next(r for r in run.checks if r["name"] == "b2")
+    assert row["value"] == run.modulus_report.residual_stats \
+        == real(scn.foliation, scn.q.b2_expr)
+
+
+def dilated(raw, c):
+    """A built-in pushed forward by the conformal dilation with factor
+    c, its constants spelled out: w -> c*w on the plane, (z, t) ->
+    (c*z, c^2*t) on the group, with q' = c^-2 q o (the inverse map)."""
+    out = json.loads(json.dumps(raw))
+    fol = out["foliation"]
+    names = {"w": f"(w/{c!r})"} if raw["space"] == "plane" \
+        else {"z": f"(z/{c!r})", "t": f"(t/{c * c!r})"}
+    q = re.sub(r"\b(" + "|".join(names) + r")\b",
+               lambda m: names[m.group(1)], raw["q"])
+    fol["phi1"] = f"{c!r}*({fol['phi1']})"
+    if raw["space"] == "heisenberg":
+        fol["phi2"] = f"{c * c!r}*({fol['phi2']})"
+    out["q"] = f"{c ** -2.0!r}*({q})"
+    return out
+
+
+def test_built_in_reports_do_not_depend_on_the_process_history():
+    # nodes die and are built again between requests, without the
+    # _conj memos the plans read; no report bit may depend on that
+    def reports():
+        out = {}
+        for name in BUILTINS:
+            doc = run_scenario(load_scenario(name)).to_json_dict()
+            doc.pop("timestamp")
+            out[name] = json.dumps(doc, sort_keys=True)
+        return out
+
+    before = reports()
+    raws = [json.loads(resources.files("heismod").joinpath(
+        "data", f"{name}.json").read_text()) for name in BUILTINS
+        if not name.startswith("annulus")]
+    for k in range(100):
+        raw = dilated(raws[k % len(raws)], 0.5 + 1.5 * ((0.618 * k) % 1.0))
+        rep = run_scenario(scenario_from_dict(raw))
+        assert rep.passed, (raw["name"], rep.checks)
+    gc.collect()
+    assert reports() == before
 
 
 def test_looser_levels_read_the_tight_leaves_not_looser_ones():
