@@ -60,6 +60,9 @@ unless some element of the call is negative; the call then starts over
 with that operand promoted to complex, so the principal branches are
 those of complex evaluation and the choice never depends on the blocks.
 A promotion belongs to the root it was met in, never to its structure.
+A caller that combines several expressions on one grid can drive the
+same row blocks itself (:func:`row_blocks`); each root's promotions then
+carry from block to block, so the blocks keep the whole grid's bits.
 A node whose structural conjugate is already computed is taken as the
 conjugate of that value wherever this is bit for bit what evaluating it
 gives; at branch cuts and signed zeros it is evaluated.
@@ -67,6 +70,7 @@ gives; at branch cuts and signed zeros it is evaluated.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
 import warnings
@@ -837,6 +841,9 @@ _BLOCK = 1 << 15
 _PLAN_CAP = 128
 _PLANS: OrderedDict = OrderedDict()
 _STRUCTS: OrderedDict = OrderedDict()
+#: Inside `row_blocks`, the promotions each root has met on its grid.
+_CARRIED: contextvars.ContextVar = contextvars.ContextVar("_CARRIED",
+                                                         default=None)
 
 _NP_FUNCS = {Sqrt: np.sqrt, Exp: np.exp, Log: np.log, Sin: np.sin,
              Cos: np.cos}
@@ -1202,13 +1209,17 @@ def eval_array(e: Expr, binding: Mapping) -> np.ndarray:
 def _eval_array(e: Expr, binding: Mapping, block: int,
                 reuse: bool) -> np.ndarray:
     vals, real = _array_binding(binding)
-    promoted = frozenset()
-    plan, consts = _plan(e, real, reuse, promoted)
+    plan, consts = _plan(e, real, reuse, frozenset())
     missing = plan.names - vals.keys()
     if missing:
         raise VariableMismatch(f"unbound variable {min(missing)!r}")
     shape = np.broadcast_shapes(*(np.shape(vals[v]) for v in plan.names))
     size = math.prod(shape)
+    carried = _CARRIED.get()
+    key = (e, real, reuse, shape[1:])   # the row blocks of one grid
+    promoted = carried.get(key, frozenset()) if carried else frozenset()
+    if promoted:
+        plan, consts = _plan(e, real, reuse, promoted)
     with np.errstate(all="ignore"):
         while True:
             try:
@@ -1219,6 +1230,8 @@ def _eval_array(e: Expr, binding: Mapping, block: int,
                                     max(1, block // (size // shape[0])))
             except _Promote as exc:
                 promoted = promoted | {exc.pos}
+                if carried is not None:
+                    carried[key] = promoted
                 plan, consts = _plan(e, real, reuse, promoted)
 
 
@@ -1233,6 +1246,33 @@ def _run_blocked(plan: _Plan, vals: dict, consts, shape: tuple,
             part[v] = vals[v][lo:lo + rows]
         out[lo:lo + rows] = _run(plan, part, consts)
     return out
+
+
+def row_blocks(rows: int, width: int, run: Callable[[slice], None]):
+    """Call run(block) on the row blocks of a (rows, width) grid, as
+    `eval_array` blocks one expression's grid: about `_BLOCK` points
+    each, at least one row.  So a caller that evaluates several
+    expressions and combines them never holds a whole-grid temporary.
+
+    Within the call each root's `eval_array` starts from the promotions
+    its earlier blocks met, and when a block after the first promotes a
+    node the blocks run again from the first.  Every root thus runs one
+    plan over the whole grid, and the blocks give the bits of whole-grid
+    calls.  run must write each block's result into that block's rows
+    only, so a block run again overwrites its rows.
+    """
+    step = max(1, _BLOCK // max(width, 1))
+    carried: dict = {}
+    token = _CARRIED.set(carried)
+    try:
+        lo = 0
+        while lo < rows:
+            met = sum(map(len, carried.values()))
+            run(slice(lo, lo + step))
+            grew = sum(map(len, carried.values())) > met
+            lo = 0 if lo and grew else lo + step
+    finally:
+        _CARRIED.reset(token)
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,9 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
     box first asks for the leaf, so a leaf dead only to `_DEAD_AXIS_RTOL`
     keeps its bits) and tiles the answer over the axis's other nodes.
     On a box with no live axis the one leaf moves by an ulp: the full box
-    first asked for it at an edge probe.
+    first asked for it at an edge probe.  The inner stage allocates that
+    tile once pair_fn has returned, so it is not alive through the leaf
+    stage behind pair_fn.
     """
     live = (True,) * len(fol.p_box) if dep is None else dep
     sing = _probe_p_edges(pair_fn, fol, live)
@@ -318,9 +320,9 @@ def _nested_p_integral(fol, pair_fn, n_chan: int, *, rtol: float,
         def inner(x2, cols):
             x2 = np.asarray(x2, dtype=float)
             b = x2 if live[1] else x2[:1]
+            leaves = pair_fn(np.tile(a, b.size), np.repeat(b, a.size))
             out = np.empty((x2.size, 2, n1, n_chan))    # [values, errors]
-            for k, v in enumerate(pair_fn(np.tile(a, b.size),
-                                          np.repeat(b, a.size))):
+            for k, v in enumerate(leaves):
                 out[:, k] = v.reshape(b.size, a.size, n_chan)
             return out.reshape(x2.size, 2 * blk)
 
@@ -419,14 +421,24 @@ def _columns(q, fol, chans):
     (SPEED) times its weight: 1 for w None or an unweighted density, the
     weighted density w's weight^n or weight, or the product of the
     s-only nodes of a moment monomial w (a tuple, `_density_leaves`);
-    n is the chart's exponent.  Per s-node batch q o Phi runs once, and
-    so does each weight and monomial node.  Weighted densities make
-    every leaf distinct, so `_leaf_integrals` cannot collapse their
-    batch's pairs; its chart factors (q o Phi, |J|, |d_s Phi1|) then
-    run on the distinct leaves of their own live p-axes, probed here,
-    and each weight on every pair.  Other channels leave the collapsing
-    to `_leaf_integrals`; such a batch writes the bases straight into the
-    output, and its monomials as (nodes, 1) columns times the bases."""
+    n is the chart's exponent.  Per row block of an s-node batch q o Phi
+    runs once, and so does each weight and monomial node.  Weighted
+    densities make every leaf distinct, so `_leaf_integrals` cannot
+    collapse their batch's pairs; its chart factors (q o Phi, |J|,
+    |d_s Phi1|) then run on the distinct leaves of their own live
+    p-axes, probed here, and each weight on every pair.  Other channels
+    leave the collapsing to `_leaf_integrals`; such a batch writes the
+    bases straight into the output, and its monomials as (nodes, 1)
+    columns times the bases.
+
+    Both builders fill the output one row block of s-nodes at a time,
+    at most `E._BLOCK` points of the pairs each (`E.row_blocks`): every
+    factor is evaluated on a block's rows and its products are written
+    into those rows, so no whole-grid factor exists and the working set
+    is the output plus one block of each factor.  Each expression runs
+    on the rows `eval_array` would block the whole grid into, with the
+    whole grid's promotions, so the columns keep the bits of a one-block
+    build; a grid of one block is that build."""
     qc, n = fol.compose(q.coeff), fol.exponent
     kinds = {kind for kind, _ in chans}
     groups: dict = {}       # id of a weight -> (weight, its channels)
@@ -434,10 +446,11 @@ def _columns(q, fol, chans):
         groups.setdefault(id(w), (w, []))[1].append((j, kind))
 
     def chart(x, *pc, into=lambda kind: None):
-        """base -> (nodes, pairs) factors, each written into into(base)
-        when that gives an array.  The order keeps few arrays alive while
-        an expression is evaluated: |d_s Phi1| before q o Phi, and |J|
-        once q o Phi is folded into the factors."""
+        """base -> (nodes, pairs) factors of one row block, each written
+        into into(base) when that gives an array.  The order keeps few of
+        the block's arrays alive while an expression is evaluated:
+        |d_s Phi1| before q o Phi, and |J| once q o Phi is folded into
+        the factors."""
         shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
         base = {}
         if SPEED in kinds:
@@ -471,37 +484,44 @@ def _columns(q, fol, chans):
             home.setdefault(kind, j)
 
     def unweighted_cols(x, *pc):    # channels of weight 1 are the bases
-        m, out, mono = pc[0].size, [], _monomials(x)
+        m = pc[0].size
+        out = np.empty((x.size, len(chans) * m))
 
-        def into(kind):     # allocated once q o Phi is evaluated
-            if not out:
-                out.append(np.empty((x.size, len(chans) * m)))
-            if kind in home:
-                return out[0][:, home[kind] * m:(home[kind] + 1) * m]
-            return None
-        base = chart(x, *pc, into=into)
-        for j, (kind, w) in enumerate(chans):
-            if j != home.get(kind):
-                np.multiply(base[kind], mono(w),
-                            out=out[0][:, j * m:(j + 1) * m])
-        return out[0]
+        def block(r):
+            def into(kind):
+                if kind in home:
+                    return out[r, home[kind] * m:(home[kind] + 1) * m]
+                return None
+            base, mono = chart(x[r], *pc, into=into), _monomials(x[r])
+            for j, (kind, w) in enumerate(chans):
+                if j != home.get(kind):
+                    np.multiply(base[kind], mono(w),
+                                out=out[r, j * m:(j + 1) * m])
+        E.row_blocks(x.size, m, block)
+        return out
 
     def cols(x, *pc):
-        if (leaves := _distinct_leaves(pc, dep)) is None:
-            base = chart(x, *pc)
-        else:   # one distinct leaf broadcasts as its (nodes, 1) column
-            first, inv, _ = leaves
-            base = chart(x, *(p[first] for p in pc))
-            if first.size > 1:
-                base = {kind: v[:, inv] for kind, v in base.items()}
-        shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
-        out, mono = np.empty((x.size, len(chans) * shape[1])), _monomials(x)
-        for w, chs in groups.values():
-            f = w._factor(b, shape) if _weighted(w) else mono(w)
-            for j, kind in chs:
-                np.multiply(base[kind],
-                            f ** n if kind == MASS and _weighted(w) else f,
-                            out=out[:, j * shape[1]:(j + 1) * shape[1]])
+        leaves, m = _distinct_leaves(pc, dep), pc[0].size
+        out = np.empty((x.size, len(chans) * m))
+
+        def block(r):
+            xr = x[r]
+            if leaves is None:
+                base = chart(xr, *pc)
+            else:   # one distinct leaf broadcasts as its (nodes, 1) column
+                first, inv, _ = leaves
+                base = chart(xr, *(p[first] for p in pc))
+                if first.size > 1:
+                    base = {kind: v[:, inv] for kind, v in base.items()}
+            shape, b = (xr.size, m), column_binding(fol, xr, pc)
+            mono = _monomials(xr)
+            for w, chs in groups.values():
+                f = w._factor(b, shape) if _weighted(w) else mono(w)
+                for j, kind in chs:
+                    np.multiply(base[kind],
+                                f ** n if kind == MASS and _weighted(w)
+                                else f, out=out[r, j * m:(j + 1) * m])
+        E.row_blocks(x.size, m, block)
         return out
     return cols if weighted else unweighted_cols
 

@@ -273,15 +273,14 @@ def trace_leaf_deviation(q: QuadDiff, fol: Foliation, p1: float,
     (s0, s1) = fol.s_range
     span = s1 - s0
     grid = np.linspace(s0 + 0.02 * span, s1 - 0.02 * span, 16385)
-    ones = np.ones_like(grid)
-    binding = {"s": grid, "p1": p1 * ones, "p2": p2 * ones}
+    binding = {"s": grid, "p1": np.float64(p1), "p2": np.float64(p2)}
     speed = leaf_speed_fn(q, fol)
     v = np.ravel(speed(binding))
     sigma = _cumulative_simpson(v, grid)
     z_ref = np.ravel(np.broadcast_to(
         E.eval_array(fol.phi1, binding), grid.shape))
     t_ref = np.ravel(np.broadcast_to(
-        E.eval_array(fol.phi2, binding), grid.shape)).real
+        E.eval_array(fol.phi2, binding), grid.shape)).real.copy()
 
     i_a = int(0.25 * grid.size)
     i_b = int(0.75 * grid.size)

@@ -10,6 +10,7 @@ the shear family, never this package's own quadrature).
 import functools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 from types import SimpleNamespace
@@ -1112,10 +1113,11 @@ def test_batched_energies_are_one_integral_within_each_estimate(
     assert len(p_stages) == 1
     vals, errs = p_stages[0]
     assert vals.shape == (6,) and list(vals[:3]) == energies
-    # per s-node batch q o Phi, |J|, |d_s Phi1| and the two g run once
-    # each, shared by the 5 channels
-    assert batches and all(len(set(b[:-1])) == len(b) - 1 == 5 and
-                           b[-1] == 5 for b in batches)
+    # per row block of an s-node batch q o Phi, |J|, |d_s Phi1| and the
+    # two g run once each, shared by the 5 channels
+    assert batches and all(len(set(b[:5])) == 5 and b[-1] == 5 and
+                           b[:-1] == b[:5] * ((len(b) - 1) // 5)
+                           for b in batches)
     # the arc chart has no live p-axis: q o Phi, |J| and |d_s Phi1| run
     # on one column, each g on every pair of the batch
     gs = {id(r.modifier) for r in rhos[1:]}
@@ -1175,11 +1177,80 @@ def test_weighted_batch_evaluates_the_chart_once_per_distinct_leaf(
     assert energies == density_energies(probes, tol=1e-6)
     monkeypatch.undo()
     for p1, evals in calls:
+        # each row block of the batch evaluates the same five
+        assert evals and evals == evals[:5] * (len(evals) // 5)
         chart = [w for ex, w in evals if ex not in gs]
-        assert len(chart) == 3 and len(evals) == 5
+        assert len(chart) == 3 * len(evals) // 5
         assert all(w == np.unique(p1).size for w in chart)
         assert all(w == p1.size for ex, w in evals if ex in gs)
     assert max(p1.size - np.unique(p1).size for p1, _ in calls) > 0
+
+
+@pytest.mark.parametrize("name, route, g", [
+    ("annulus-vertical", "bases", None),        # n = 4, MASS and SPEED
+    ("plane-annulus-radial", "bases", None),    # n = 2
+    ("annulus-horizontal", "moments", "sin(s)"),
+    ("annulus-vertical", "pairs", "cos(s + p1)"),
+    # negative for s > 1.2 only: the last blocks promote the cube root to
+    # complex, and the blocks before them run again with it promoted
+    ("annulus-vertical", "moments", "(1.2 - s)^(1/3)"),
+    ("annulus-vertical", "pairs", "(1.2 - s)^(1/3)")])
+def test_blocked_columns_match_the_one_block_build(name, route, g,
+                                                   monkeypatch):
+    scn = load_scenario(name)
+    q, fol = scn.q, scn.foliation
+    mass, speed = modulus.MASS, modulus.SPEED
+    if route == "bases":
+        chans = [(mass, None), (speed, None)]
+    elif route == "moments":    # the first mass channel is not weight 1
+        b = E.parse(g)
+        chans = [(speed, (b,)), (mass, (b, b)), (mass, None),
+                 (speed, None), (mass, (b,))]
+    else:   # weight 1 + g, whose rounding keeps g's last bits
+        rho = replace(extremal_density(q, fol), modifier=E.parse(g),
+                      eps=1.0)
+        chans = [(mass, rho), (speed, rho)]
+    (s0, s1) = fol.s_range
+    x = np.linspace(s0, s1, 203)[1:-1]
+    ps = modulus._interior_pairs(fol, 6)
+    assert x.size * ps[0].size <= E._BLOCK
+    whole = modulus._columns(q, fol, chans)(x, *ps)
+    blocks, row_blocks = [], E.row_blocks
+
+    def spy(rows, width, run):
+        def counted(r):
+            blocks.append(r)
+            run(r)
+        row_blocks(rows, width, counted)
+
+    monkeypatch.setattr(E, "_BLOCK", 256)
+    monkeypatch.setattr(E, "row_blocks", spy)
+    cols = modulus._columns(q, fol, chans)
+    blocks.clear()
+    blocked = cols(x, *ps)
+    assert len(blocks) >= 5
+    if "^" in (g or ""):
+        assert blocks.count(blocks[0]) == 2
+    assert blocked.shape == whole.shape == (x.size, len(chans) * ps[0].size)
+    assert np.isfinite(whole).all()
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_annulus_vertical_modulus_stays_within_its_memory_gate():
+    # the leaf stage builds its columns one row block at a time, and the
+    # p-stage allocates its dead-axis tile once the leaves are in: 7.53
+    # MiB when q o Phi and d_s Phi1 were evaluated on the whole 120 x 960
+    # grid and the tile lived through the leaf stage
+    scn = load_scenario("annulus-vertical")
+    tracemalloc.start()
+    try:
+        rep = modulus_m4(scn.q, scn.foliation,
+                         tol=scn.tolerances["quad_tol"])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert rep.meta["s_evals"] == 360
+    assert peak <= 5.0, peak
 
 
 def _beta(a):               # int_0^pi sin^a(s) ds
