@@ -60,9 +60,9 @@ unless some element of the call is negative; the call then starts over
 with that operand promoted to complex, so the principal branches are
 those of complex evaluation and the choice never depends on the blocks.
 A promotion belongs to the root it was met in, never to its structure.
-A caller that combines several expressions on one grid can drive the
-same row blocks itself (:func:`row_blocks`); each root's promotions then
-carry from block to block, so the blocks keep the whole grid's bits.
+A caller that combines several expressions on one grid can drive row
+blocks itself (:func:`row_blocks`); each root's promotions then carry
+from block to block, so the blocks keep the whole grid's bits.
 A node whose structural conjugate is already computed is taken as the
 conjugate of that value wherever this is bit for bit what evaluating it
 gives; at branch cuts and signed zeros it is evaluated.
@@ -841,7 +841,7 @@ _BLOCK = 1 << 15
 _PLAN_CAP = 128
 _PLANS: OrderedDict = OrderedDict()
 _STRUCTS: OrderedDict = OrderedDict()
-#: Inside `row_blocks`, the promotions each root has met on its grid.
+#: Inside `row_blocks`, the promotions each root has met so far.
 _CARRIED: contextvars.ContextVar = contextvars.ContextVar("_CARRIED",
                                                          default=None)
 
@@ -1209,17 +1209,14 @@ def eval_array(e: Expr, binding: Mapping) -> np.ndarray:
 def _eval_array(e: Expr, binding: Mapping, block: int,
                 reuse: bool) -> np.ndarray:
     vals, real = _array_binding(binding)
-    plan, consts = _plan(e, real, reuse, frozenset())
+    carried, key = _CARRIED.get(), (e, real, reuse)
+    promoted = carried.get(key, frozenset()) if carried else frozenset()
+    plan, consts = _plan(e, real, reuse, promoted)
     missing = plan.names - vals.keys()
     if missing:
         raise VariableMismatch(f"unbound variable {min(missing)!r}")
     shape = np.broadcast_shapes(*(np.shape(vals[v]) for v in plan.names))
     size = math.prod(shape)
-    carried = _CARRIED.get()
-    key = (e, real, reuse, shape[1:])   # the row blocks of one grid
-    promoted = carried.get(key, frozenset()) if carried else frozenset()
-    if promoted:
-        plan, consts = _plan(e, real, reuse, promoted)
     with np.errstate(all="ignore"):
         while True:
             try:
@@ -1249,17 +1246,18 @@ def _run_blocked(plan: _Plan, vals: dict, consts, shape: tuple,
 
 
 def row_blocks(rows: int, width: int, run: Callable[[slice], None]):
-    """Call run(block) on the row blocks of a (rows, width) grid, as
-    `eval_array` blocks one expression's grid: about `_BLOCK` points
-    each, at least one row.  So a caller that evaluates several
-    expressions and combines them never holds a whole-grid temporary.
+    """Call run(block) on row slices of a (rows, width) grid, at most
+    `_BLOCK` points each and at least one row, so a caller that
+    evaluates several expressions and combines them never holds a
+    whole-grid temporary.
 
     Within the call each root's `eval_array` starts from the promotions
-    its earlier blocks met, and when a block after the first promotes a
-    node the blocks run again from the first.  Every root thus runs one
-    plan over the whole grid, and the blocks give the bits of whole-grid
-    calls.  run must write each block's result into that block's rows
-    only, so a block run again overwrites its rows.
+    it met on earlier blocks, on whatever grid, and when a block after
+    the first promotes a node the blocks run again from the first.  So
+    every block runs each root's one plan, and as every kernel is
+    elementwise the blocks give the bits of one whole-grid call.  run
+    must write each block's results into that block's rows only, so a
+    block run again overwrites them.
     """
     step = max(1, _BLOCK // max(width, 1))
     carried: dict = {}

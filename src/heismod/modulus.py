@@ -435,10 +435,10 @@ def _columns(q, fol, chans):
     at most `E._BLOCK` points of the pairs each (`E.row_blocks`): every
     factor is evaluated on a block's rows and its products are written
     into those rows, so no whole-grid factor exists and the working set
-    is the output plus one block of each factor.  Each expression runs
-    on the rows `eval_array` would block the whole grid into, with the
-    whole grid's promotions, so the columns keep the bits of a one-block
-    build; a grid of one block is that build."""
+    is the output plus one block of each factor.  Every kernel is
+    elementwise and each root's promotions carry across the blocks, so
+    the columns keep the bits of a one-block build; a grid of one block
+    is that build."""
     qc, n = fol.compose(q.coeff), fol.exponent
     kinds = {kind for kind, _ in chans}
     groups: dict = {}       # id of a weight -> (weight, its channels)

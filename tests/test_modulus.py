@@ -1068,6 +1068,7 @@ def test_batched_energies_are_one_integral_within_each_estimate(
         monkeypatch):
     rhos = arc_batch()
     p_stages, stages, batches, widths, probes = [], [], [], [], []
+    blocks = []     # row blocks per s-node batch
     real_p, real_cols, real_eval, real_dep = (
         modulus._nested_p_integral, modulus._columns, E.eval_array,
         modulus._axis_dependence)
@@ -1084,6 +1085,7 @@ def test_batched_energies_are_one_integral_within_each_estimate(
         def counted(x, *pc):
             batches.append([])
             widths.append((pc[0].size, []))
+            blocks.append(-(-x.size // max(1, E._BLOCK // pc[0].size)))
             out = cols(x, *pc)
             batches[-1].append(out.shape[1] // pc[0].size)
             return out
@@ -1116,8 +1118,9 @@ def test_batched_energies_are_one_integral_within_each_estimate(
     # per row block of an s-node batch q o Phi, |J|, |d_s Phi1| and the
     # two g run once each, shared by the 5 channels
     assert batches and all(len(set(b[:5])) == 5 and b[-1] == 5 and
-                           b[:-1] == b[:5] * ((len(b) - 1) // 5)
-                           for b in batches)
+                           b[:-1] == b[:5] * k
+                           for b, k in zip(batches, blocks))
+    assert max(blocks) > 1
     # the arc chart has no live p-axis: q o Phi, |J| and |d_s Phi1| run
     # on one column, each g on every pair of the batch
     gs = {id(r.modifier) for r in rhos[1:]}
@@ -1157,7 +1160,8 @@ def test_weighted_batch_evaluates_the_chart_once_per_distinct_leaf(
         cols = real_cols(q, fol, chans)
 
         def counted(x, *pc):
-            calls.append((pc[0], []))
+            rows = max(1, E._BLOCK // pc[0].size)
+            calls.append((pc[0], [], -(-x.size // rows)))
             return cols(x, *pc)
         return counted
 
@@ -1176,14 +1180,15 @@ def test_weighted_batch_evaluates_the_chart_once_per_distinct_leaf(
     monkeypatch.setattr(modulus, "_distinct_leaves", lambda ps, dep: None)
     assert energies == density_energies(probes, tol=1e-6)
     monkeypatch.undo()
-    for p1, evals in calls:
-        # each row block of the batch evaluates the same five
-        assert evals and evals == evals[:5] * (len(evals) // 5)
-        chart = [w for ex, w in evals if ex not in gs]
-        assert len(chart) == 3 * len(evals) // 5
+    for p1, evals, k in calls:
+        # each of the batch's k row blocks evaluates the same five once
+        assert len(set(evals[:5])) == 5 and evals == evals[:5] * k
+        chart = [w for ex, w in evals[:5] if ex not in gs]
+        assert len(chart) == 3
         assert all(w == np.unique(p1).size for w in chart)
         assert all(w == p1.size for ex, w in evals if ex in gs)
-    assert max(p1.size - np.unique(p1).size for p1, _ in calls) > 0
+    assert max(p1.size - np.unique(p1).size for p1, _, _ in calls) > 0
+    assert max(k for _, _, k in calls) > 1
 
 
 @pytest.mark.parametrize("name, route, g", [

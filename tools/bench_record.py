@@ -1,14 +1,16 @@
 """Record one benchmark snapshot of this checkout as BENCH_<n>.json.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json [--seeds 1 2 3]
-                                  [--seconds 25] [--trace-seconds 1]
+    python3 tools/bench_record.py --out BENCH_<n>.json
 
-Runs `bench/run.py` on every workload of BENCHMARK.json at each seed
-(end-to-end metrics), then once more per workload with ``--trace 1`` at
-the first seed (per-layer counters and timings).  The file records the
-commit, the machine, the Python and numpy versions, the seeds, every
-run's metrics and, per workload, each end-to-end metric's median over
-the seeds.  bench/ itself is only run, never changed.
+Runs `bench/run.py` on every workload of BENCHMARK.json at each of
+`SEEDS` for BENCHMARK.json's ``run_seconds`` (end-to-end metrics), then
+once more per workload with ``--trace 1`` at the first seed for
+`TRACE_SECONDS` (per-layer counters and timings).  Seeds and run
+lengths are fixed, so two snapshots differ only in the code and the
+machine they ran on.  The file records the commit, the machine, the
+Python and numpy versions, the seeds, every run's metrics and, per
+workload, each end-to-end metric's median over the seeds.  bench/
+itself is only run, never changed.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+TRACE_SECONDS = 1.0
 
 
 def _git(*args: str) -> str:
@@ -64,19 +68,14 @@ def _bench(workload: str, seed: int, seconds: float, trace: bool) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--seconds", type=float,
-                    help="length of each run (default: BENCHMARK.json's "
-                         "run_seconds)")
-    ap.add_argument("--trace-seconds", type=float, default=1.0)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     workloads = {}
     for w in (entry["name"] for entry in spec["workloads"]):
-        runs = [_bench(w, s, seconds, False) for s in args.seeds]
-        traced = _bench(w, args.seeds[0], args.trace_seconds, True)
+        runs = [_bench(w, s, seconds, False) for s in SEEDS]
+        traced = _bench(w, SEEDS[0], TRACE_SECONDS, True)
         workloads[w] = {
             "median": {k: statistics.median(r["metrics"][k] for r in runs)
                        for k in runs[0]["metrics"]},
@@ -96,9 +95,9 @@ def main(argv=None) -> int:
                     "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "seeds": args.seeds,
+        "seeds": list(SEEDS),
         "seconds": seconds,
-        "trace_seconds": args.trace_seconds,
+        "trace_seconds": TRACE_SECONDS,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
