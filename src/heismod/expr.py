@@ -43,29 +43,34 @@ meets the recursion limit.  A node's free variables and structural
 conjugate are memoized on the node, in slots filled on first use.
 
 :func:`evaluate` is the checked evaluator at one point.
-:func:`eval_array` runs each root through a plan: the children-first
-order, one numpy kernel per node, and the release of every intermediate
-after its last read.  A plan is compiled once per DAG structure and
-takes the constants' values as inputs, so expressions that differ only
-in their constants share it; a bounded LRU keyed by the root keeps its
-plan and constants, so a repeated call skips the walk, and both caches
-hold at most ``_PLAN_CAP`` entries.  The plan runs over row blocks of
-about 32k points of the broadcast grid, so its temporaries stay
-cache-sized; a blocked result equals the whole-array result bit for
-bit.  Values that are real by construction run in float64: real-bound
-variables, ``re``, ``im``, ``abs2``, products ``x * conj_expr(x)``
-(evaluated as |x|^2 from x alone) and arithmetic over those.  A square
+:func:`eval_array` runs an expression, or a tuple of roots, through a
+plan: the children-first order of the union of their DAGs, one numpy
+kernel per node, and the release of every intermediate after its last
+read by any root; the roots' values live to the end.  So roots that
+share nodes evaluate each of them once, and each root keeps the bits it
+has alone.  A plan is compiled once per DAG structure and takes the
+constants' values as inputs, so expressions that differ only in their
+constants share it; a bounded LRU keyed by the root, or the tuple of
+roots, keeps its plan and constants, so a repeated call skips the walk,
+and both caches hold at most ``_PLAN_CAP`` entries.  The plan runs over
+row blocks of about 8k points of the broadcast grid, so its
+temporaries stay cache-sized; a blocked result equals the whole-array
+result bit for bit.  Values that are real by construction run in
+float64: real-bound variables, ``re``, ``im``, ``abs2``, products ``x *
+conj_expr(x)`` (evaluated as |x|^2 from x alone) and arithmetic over
+those.  A square
 root, logarithm or fractional power of a real operand runs in float64
 unless some element of the call is negative; the call then starts over
 with that operand promoted to complex, so the principal branches are
 those of complex evaluation and the choice never depends on the blocks.
-A promotion belongs to the root it was met in, never to its structure.
-A caller that combines several expressions on one grid can drive row
-blocks itself (:func:`row_blocks`); each root's promotions then carry
-from block to block, so the blocks keep the whole grid's bits.
-A node whose structural conjugate is already computed is taken as the
-conjugate of that value wherever this is bit for bit what evaluating it
-gives; at branch cuts and signed zeros it is evaluated.
+A promotion belongs to the root, or tuple of roots, it was met in, never
+to its structure.  A caller that combines several expressions on one
+grid can drive row blocks itself (:func:`row_blocks`); each call's
+promotions then carry from block to block, so the blocks keep the whole
+grid's bits.  A node whose structural conjugate is already computed,
+under the same root or another of the tuple, is taken as the conjugate
+of that value wherever this is bit for bit what evaluating it gives; at
+branch cuts and signed zeros it is evaluated.
 """
 
 from __future__ import annotations
@@ -695,9 +700,10 @@ def _effective_prec(e: Expr) -> int:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _topo(e: Expr, deps: Callable[[Expr], tuple] =
+def _topo(e, deps: Callable[[Expr], tuple] =
           operator.methodcaller("_children")) -> list[Expr]:
-    """The nodes of the DAG under ``e``, each once, children first.
+    """The nodes of the DAG under ``e``, each once, children first; for
+    a tuple of roots, the union of their DAGs, walked root by root.
 
     This one linearization drives every evaluator (the checked
     :func:`evaluate`, the array plans of :func:`eval_array` and the code
@@ -710,7 +716,7 @@ def _topo(e: Expr, deps: Callable[[Expr], tuple] =
     """
     order: list[Expr] = []
     seen: set[Expr] = set()
-    stack: list = [e]
+    stack: list = list(reversed(e)) if type(e) is tuple else [e]
     while stack:
         node = stack.pop()
         if node is None:    # every dep of the node beneath is in order
@@ -834,14 +840,18 @@ def evaluate(e: Expr, binding: Mapping[str, complex]) -> complex:
 # -- array plans --------------------------------------------------------------
 
 #: Rows of a large broadcast grid go through a plan in blocks of about
-#: this many points, so every temporary of the plan stays cache-sized.
-_BLOCK = 1 << 15
+#: this many points, so every temporary of the plan stays cache-sized:
+#: 8k complex points are 128 KiB.  Of 2^11 to 2^16, 2^13 ran a cold
+#: annulus-vertical request fastest; as every kernel is elementwise, the
+#: size changes no bit.
+_BLOCK = 1 << 13
 #: Bound of each plan cache: the expressions last evaluated (`_PLANS`)
 #: and the structures last compiled (`_STRUCTS`).
 _PLAN_CAP = 128
 _PLANS: OrderedDict = OrderedDict()
 _STRUCTS: OrderedDict = OrderedDict()
-#: Inside `row_blocks`, the promotions each root has met so far.
+#: Inside `row_blocks`, the promotions each root, or tuple of roots, has
+#: met so far.
 _CARRIED: contextvars.ContextVar = contextvars.ContextVar("_CARRIED",
                                                          default=None)
 
@@ -1038,21 +1048,23 @@ def _conjugate_of(struct: tuple, m: int, c: int, real: list):
 class _Plan(NamedTuple):
     steps: tuple        # (kernel, slot, input slots, slots released)
     slots: int          # slot 0 holds the binding, slot 1 the constants
-    root: int
+    root: int | tuple   # the root's slot, or a tuple of the roots' slots
     names: frozenset    # the variables of the DAG
+    root_names: tuple   # the variables under each root
 
 
-def _structure(e: Expr, real_vars: frozenset, reuse: bool,
-               promoted: frozenset):
-    """The structure of e's plan, and the values of e's constants.
+def _structure(e, real_vars: frozenset, reuse: bool, promoted: frozenset):
+    """The structure of the plan of e, an expression or a tuple of
+    roots, and the values of its constants.
 
-    The structure holds what compiling reads and no node: for each node
-    in `_topo` order its type, the place of its ``_conj`` memo's node
-    when that is another node of the DAG (else -1; a constant's is never
-    read) and its children's places, with whether a constant is real, a
-    variable's name or a power's exponent; then real_vars, reuse and the
-    places of the promoted nodes.  Expressions that differ only in the
-    values of their constants share one structure and one plan."""
+    The structure holds what compiling reads and no node: real_vars,
+    reuse and the places of the promoted nodes; for each node in `_topo`
+    order its type, the place of its ``_conj`` memo's node when that is
+    another node of the DAG (else -1; a constant's is never read) and
+    its children's places, with whether a constant is real, a variable's
+    name or a power's exponent; and the root's place, or a tuple of the
+    roots' places.  Expressions that differ only in the values of their
+    constants share one structure and one plan."""
     order = _topo(e)
     pos = {n: k for k, n in enumerate(order)}
     nodes, consts = [], []
@@ -1068,7 +1080,8 @@ def _structure(e: Expr, real_vars: frozenset, reuse: bool,
         nodes.append((t, -1 if p is n else pos.get(p, -1),
                       tuple(map(pos.__getitem__, n._children())),
                       n.name if t is Var else n.expo if t is PowR else None))
-    return (real_vars, reuse, promoted, tuple(nodes)), consts
+    root = tuple(map(pos.__getitem__, e)) if type(e) is tuple else pos[e]
+    return (real_vars, reuse, promoted, tuple(nodes), root), consts
 
 
 def _sub_plan(struct: tuple, c: int):
@@ -1076,7 +1089,7 @@ def _sub_plan(struct: tuple, c: int):
     for that DAG alone with conjugate reuse: that plan, the indices of
     its constants among struct's and the place in struct of each of its
     nodes."""
-    real_vars, _, promoted, nodes = struct
+    real_vars, _, promoted, nodes, _ = struct
     # the places under c in the order `_topo` visits their nodes
     order = _topo(c, lambda k: nodes[k][2])
     new = {k: i for i, k in enumerate(order)}
@@ -1085,12 +1098,17 @@ def _sub_plan(struct: tuple, c: int):
     sub = tuple((t, new.get(p, -1), tuple(new[j] for j in kids), param)
                 for t, p, kids, param in map(nodes.__getitem__, order))
     plan = _compiled((real_vars, True,
-                      frozenset(new[k] for k in promoted if k in new), sub))
+                      frozenset(new[k] for k in promoted if k in new), sub,
+                      len(sub) - 1))
     return plan, [cidx[k] for k in order if k in cidx], order
 
 
 def _compile_plan(struct: tuple) -> _Plan:
-    real_vars, reuse, promoted, nodes = struct
+    """Steps in children-first order over the nodes that some root
+    needs.  A slot is released after its last read by any step; the
+    roots' slots live to the end."""
+    real_vars, reuse, promoted, nodes, root = struct
+    roots = root if type(root) is tuple else (root,)
     real, squares = _kinds(nodes, real_vars, promoted)
     # (kernel, inputs) per node; _VALS and _CONSTS stand for the binding
     # and the constants' values
@@ -1115,9 +1133,8 @@ def _compile_plan(struct: tuple) -> _Plan:
             got = _conjugate_of(struct, m, c, real)
             if got is not None:
                 spec[c] = got
-    root = len(nodes) - 1
     needed: set[int] = set()
-    stack = [root]
+    stack = list(roots)
     while stack:
         k = stack.pop()
         if k >= 0 and k not in needed:
@@ -1128,14 +1145,19 @@ def _compile_plan(struct: tuple) -> _Plan:
     steps = [(spec[k][0], slot[k], tuple(slot[a] for a in spec[k][1]))
              for k in live]
     last = {a: k for k, (_, _, src) in enumerate(steps) for a in src}
+    keep = {0, 1, *(slot[k] for k in roots)}
     drops: list[list] = [[] for _ in steps]
     for a, k in last.items():
-        if a not in (0, 1, slot[root]):
+        if a not in keep:
             drops[k].append(a)
+    names = [frozenset(nodes[k][3] for k in _topo(r, lambda k: nodes[k][2])
+                       if nodes[k][0] is Var) for r in roots]
     return _Plan(tuple((fn, s, src, tuple(d))
                        for (fn, s, src), d in zip(steps, drops)),
-                 len(slot), slot[root],
-                 frozenset(nd[3] for nd in nodes if nd[0] is Var))
+                 len(slot), tuple(slot[k] for k in roots)
+                 if type(root) is tuple else slot[root],
+                 frozenset(nd[3] for nd in nodes if nd[0] is Var),
+                 tuple(names))
 
 
 def _lru(cache: OrderedDict, key, make):
@@ -1154,10 +1176,10 @@ def _compiled(struct: tuple) -> _Plan:
     return _lru(_STRUCTS, struct, lambda: _compile_plan(struct))
 
 
-def _plan(e: Expr, real_vars: frozenset, reuse: bool,
+def _plan(e, real_vars: frozenset, reuse: bool,
           promoted: frozenset) -> tuple:
-    """(plan, constants' values) of e; promoted holds places of e's
-    nodes in `_topo` order."""
+    """(plan, constants' values) of e, an expression or a tuple of
+    roots; promoted holds places of e's nodes in `_topo` order."""
     def make():
         struct, consts = _structure(e, real_vars, reuse, promoted)
         return _compiled(struct), consts
@@ -1165,12 +1187,15 @@ def _plan(e: Expr, real_vars: frozenset, reuse: bool,
 
 
 def _run(plan: _Plan, vals: dict, consts):
+    """The root's value, or a tuple of the roots' values."""
     env = [vals, consts] + [None] * (plan.slots - 2)
     for fn, dst, src, drop in plan.steps:
         env[dst] = fn(*[env[a] for a in src])
         for a in drop:
             env[a] = None
-    return env[plan.root]
+    root = plan.root
+    return tuple(map(env.__getitem__, root)) if type(root) is tuple \
+        else env[root]
 
 
 def _array_binding(binding: Mapping):
@@ -1192,7 +1217,7 @@ def _array_binding(binding: Mapping):
     return vals, frozenset(real)
 
 
-def eval_array(e: Expr, binding: Mapping) -> np.ndarray:
+def eval_array(e, binding: Mapping):
     """Vectorized evaluation over numpy arrays (unchecked fast path).
 
     Array bindings broadcast against each other.  Division by zero and
@@ -1202,12 +1227,15 @@ def eval_array(e: Expr, binding: Mapping) -> np.ndarray:
     ``x * conj_expr(x)`` read x only, and a conjugate already computed
     is reused.  The result is complex128 with the broadcast shape of
     the variables that ``e`` uses.
+
+    ``e`` may be a tuple of roots: they run as one plan over the union
+    of their DAGs, so a node they share is evaluated once, and the call
+    returns a tuple of results, each the bits its root gives alone.
     """
     return _eval_array(e, binding, _BLOCK, True)
 
 
-def _eval_array(e: Expr, binding: Mapping, block: int,
-                reuse: bool) -> np.ndarray:
+def _eval_array(e, binding: Mapping, block: int, reuse: bool):
     vals, real = _array_binding(binding)
     carried, key = _CARRIED.get(), (e, real, reuse)
     promoted = carried.get(key, frozenset()) if carried else frozenset()
@@ -1220,29 +1248,47 @@ def _eval_array(e: Expr, binding: Mapping, block: int,
     with np.errstate(all="ignore"):
         while True:
             try:
-                if size <= block or shape[0] == 1:
-                    return np.asarray(_run(plan, vals, consts),
-                                      dtype=np.complex128)
-                return _run_blocked(plan, vals, consts, shape,
-                                    max(1, block // (size // shape[0])))
+                got = _run(plan, vals, consts) \
+                    if size <= block or shape[0] == 1 else \
+                    _run_blocked(plan, vals, consts, shape,
+                                 max(1, block // (size // shape[0])))
+                break
             except _Promote as exc:
                 promoted = promoted | {exc.pos}
                 if carried is not None:
                     carried[key] = promoted
                 plan, consts = _plan(e, real, reuse, promoted)
+    if type(e) is tuple:
+        return tuple(np.asarray(v, dtype=np.complex128) for v in got)
+    return np.asarray(got, dtype=np.complex128)
 
 
-def _run_blocked(plan: _Plan, vals: dict, consts, shape: tuple,
-                 rows: int) -> np.ndarray:
-    cut = [v for v in plan.names if np.ndim(vals[v]) == len(shape)
-           and np.shape(vals[v])[0] > 1]
-    out = np.empty(shape, dtype=np.complex128)
-    part = dict(vals)
+def _run_blocked(plan: _Plan, vals: dict, consts, shape: tuple, rows: int):
+    """_run over blocks of rows of the broadcast shape.  A root that
+    varies along the rows is written block by block into an array of
+    its own shape; any other root has one value on every block."""
+    shapes = [np.broadcast_shapes(*(np.shape(vals[v]) for v in names))
+              for names in plan.root_names]
+    rowwise = [len(sh) == len(shape) and sh[0] > 1 for sh in shapes]
+    outs: list = [np.empty(sh, dtype=np.complex128) if r else None
+                  for sh, r in zip(shapes, rowwise)]
     for lo in range(0, shape[0], rows):
-        for v in cut:
-            part[v] = vals[v][lo:lo + rows]
-        out[lo:lo + rows] = _run(plan, part, consts)
-    return out
+        got = _run(plan, binding_rows(vals, shape, slice(lo, lo + rows)),
+                   consts)
+        for j, v in enumerate(got if type(plan.root) is tuple else (got,)):
+            if rowwise[j]:
+                outs[j][lo:lo + rows] = v
+            else:
+                outs[j] = v
+    return tuple(outs) if type(plan.root) is tuple else outs[0]
+
+
+def binding_rows(binding: Mapping, shape: tuple, rows: slice) -> dict:
+    """The binding restricted to some rows of its broadcast shape: each
+    array that spans the rows is sliced, any other value broadcasts as
+    it is."""
+    return {v: a[rows] if np.ndim(a) == len(shape) and np.shape(a)[0] > 1
+            else a for v, a in binding.items()}
 
 
 def row_blocks(rows: int, width: int, run: Callable[[slice], None]):
@@ -1251,13 +1297,13 @@ def row_blocks(rows: int, width: int, run: Callable[[slice], None]):
     evaluates several expressions and combines them never holds a
     whole-grid temporary.
 
-    Within the call each root's `eval_array` starts from the promotions
-    it met on earlier blocks, on whatever grid, and when a block after
-    the first promotes a node the blocks run again from the first.  So
-    every block runs each root's one plan, and as every kernel is
-    elementwise the blocks give the bits of one whole-grid call.  run
-    must write each block's results into that block's rows only, so a
-    block run again overwrites them.
+    Within the call each `eval_array` of a root, or of a tuple of roots,
+    starts from the promotions it met on earlier blocks, on whatever
+    grid, and when a block after the first promotes a node the blocks
+    run again from the first.  So every block runs each call's one plan,
+    and as every kernel is elementwise the blocks give the bits of one
+    whole-grid call.  run must write each block's results into that
+    block's rows only, so a block run again overwrites them.
     """
     step = max(1, _BLOCK // max(width, 1))
     carried: dict = {}
@@ -1301,7 +1347,8 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 def conj_expr(e: Expr) -> Expr:
     """Structural conjugate: swaps conjugate-pair variables, conjugates
-    constants, and maps every operation through itself.
+    constants (a real one is its own conjugate, so a real subtree maps to
+    itself), and maps every operation through itself.
 
     Evaluating the result equals conjugating the evaluation whenever the
     binding is consistent (real variables real, ``zb = conj(z)``) and no
@@ -1315,7 +1362,7 @@ def conj_expr(e: Expr) -> Expr:
                 continue
             t = type(n)
             if t is Const:
-                out = const(n.value.conjugate())
+                out = n if n.value.imag == 0.0 else const(n.value.conjugate())
             elif t is Var:
                 out = var(CONJUGATE_PAIRS.get(n.name, n.name))
             elif t in _REAL_OPS:

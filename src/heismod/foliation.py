@@ -267,14 +267,20 @@ def check_jacobian(fol):
 
 
 def leaf_speed_fn(q, fol):
-    """Vectorized sqrt|q o Phi| * |d_s Phi1|, the q-length element."""
-    qc = fol.compose(q.coeff)
-    ds1 = fol.d_s1
+    """Vectorized sqrt|q o Phi| * |d_s Phi1|, the q-length element, over
+    a binding of one or more axes.  Both factors run as one plan per row
+    block (`E.row_blocks`), so only the real result spans the grid."""
+    roots = (fol.d_s1, fol.compose(q.coeff))
 
     def speed(binding):
-        qa = np.abs(E.eval_array(qc, binding))
-        va = np.abs(E.eval_array(ds1, binding))
-        return _full_shape(np.sqrt(qa) * va, _binding_shape(binding))
+        shape = _binding_shape(binding)
+        out = np.empty(shape)
+
+        def block(r):
+            ds, qv = E.eval_array(roots, E.binding_rows(binding, shape, r))
+            out[r] = np.sqrt(np.abs(qv)) * np.abs(ds)
+        E.row_blocks(shape[0], math.prod(shape[1:]), block)
+        return out
     return speed
 
 
@@ -303,13 +309,13 @@ def lambda_field_array(q, fol, binding: dict) -> np.ndarray:
     exponent.  Constant in s (per leaf) whenever q has vanishing B2
     residual (is holomorphic, in the plane) and the foliation is
     horizontal; that constancy is the tested conclusion."""
-    mu2 = E.eval_array(mu_squared_expr(q, fol), binding)
+    mu2, jac, ds = E.eval_array(
+        (mu_squared_expr(q, fol), fol.jac_a_expr, fol.d_s1), binding)
     if (mu2.real <= 0.0).any() or \
             (np.abs(mu2.imag) > HORIZONTAL_TOL * (np.abs(mu2) + 1.0)).any():
         raise NegativeQ("mu^2 is not real-positive across the grid")
     mu = np.sqrt(mu2.real)
-    jac = E.eval_array(fol.jac_a_expr, binding).real
-    speed2 = np.abs(E.eval_array(fol.d_s1, binding)) ** 2
+    jac, speed2 = jac.real, np.abs(ds) ** 2
     n = fol.exponent
     return _full_shape(mu ** (n - 1) * jac / speed2 ** (n // 2),
                        _binding_shape(binding))

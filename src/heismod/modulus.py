@@ -421,55 +421,50 @@ def _columns(q, fol, chans):
     (SPEED) times its weight: 1 for w None or an unweighted density, the
     weighted density w's weight^n or weight, or the product of the
     s-only nodes of a moment monomial w (a tuple, `_density_leaves`);
-    n is the chart's exponent.  Per row block of an s-node batch q o Phi
-    runs once, and so does each weight and monomial node.  Weighted
-    densities make every leaf distinct, so `_leaf_integrals` cannot
-    collapse their batch's pairs; its chart factors (q o Phi, |J|,
-    |d_s Phi1|) then run on the distinct leaves of their own live
-    p-axes, probed here, and each weight on every pair.  Other channels
-    leave the collapsing to `_leaf_integrals`; such a batch writes the
-    bases straight into the output, and its monomials as (nodes, 1)
-    columns times the bases.
+    n is the chart's exponent.  Per row block of an s-node batch the
+    chart's factors d_s Phi1, q o Phi and J run once, as one plan of the
+    three roots (`E.eval_array` of their tuple), so the nodes they share
+    run once too; so does each weight and monomial node.  The plan runs
+    all three whatever the bases, so a chart compiles one structure.
+    Weighted densities make every leaf distinct, so `_leaf_integrals`
+    cannot collapse their batch's pairs; the chart's plan then runs on
+    the distinct leaves of its own live p-axes, probed here, and each
+    weight on every pair.  Other channels leave the collapsing to
+    `_leaf_integrals`; such a batch writes the bases straight into the
+    output, and its monomials as (nodes, 1) columns times the bases.
 
     Both builders fill the output one row block of s-nodes at a time,
-    at most `E._BLOCK` points of the pairs each (`E.row_blocks`): every
-    factor is evaluated on a block's rows and its products are written
+    at most `E._BLOCK` (8k) points of the pairs each (`E.row_blocks`):
+    the chart's plan runs on a block's rows and the products are written
     into those rows, so no whole-grid factor exists and the working set
-    is the output plus one block of each factor.  Every kernel is
-    elementwise and each root's promotions carry across the blocks, so
-    the columns keep the bits of a one-block build; a grid of one block
-    is that build."""
+    is the output plus one block of the plan's live arrays.  Every
+    kernel is elementwise and the plan's promotions carry across the
+    blocks, so the columns keep the bits of a one-block build, and of
+    evaluating each factor alone; a grid of one block is that build."""
     qc, n = fol.compose(q.coeff), fol.exponent
     kinds = {kind for kind, _ in chans}
     groups: dict = {}       # id of a weight -> (weight, its channels)
     for j, (kind, w) in enumerate(chans):
         groups.setdefault(id(w), (w, []))[1].append((j, kind))
 
+    roots = (fol.d_s1, qc, fol.jac_a_expr)
+
     def chart(x, *pc, into=lambda kind: None):
         """base -> (nodes, pairs) factors of one row block, each written
-        into into(base) when that gives an array.  The order keeps few of
-        the block's arrays alive while an expression is evaluated:
-        |d_s Phi1| before q o Phi, and |J| once q o Phi is folded into
-        the factors."""
+        into into(base) when that gives an array."""
         shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
+        ds, qv, jac = E.eval_array(roots, b)
         base = {}
-        if SPEED in kinds:
-            ds = np.abs(E.eval_array(fol.d_s1, b))
-        qv = E.eval_array(qc, b)
         if MASS in kinds and n == 4:    # rounds as abs2(q o Phi) would
             qm = np.multiply(qv.real, qv.real, out=into(MASS))
             qm += qv.imag * qv.imag
         qv = np.abs(qv) if n == 2 or SPEED in kinds else None
         if SPEED in kinds:
-            base[SPEED] = _full_shape(
-                np.multiply(ds, np.sqrt(qv), out=into(SPEED)), shape)
-            ds = None
+            base[SPEED] = _full_shape(np.multiply(
+                np.abs(ds), np.sqrt(qv), out=into(SPEED)), shape)
         if MASS in kinds:
-            fac = qm if n == 4 else qv
-            qm = qv = None      # only the mass factor waits on |J|
             base[MASS] = _full_shape(np.multiply(
-                fac, np.abs(E.eval_array(fol.jac_a_expr, b)),
-                out=into(MASS)), shape)
+                qm if n == 4 else qv, np.abs(jac), out=into(MASS)), shape)
         return base
 
     weighted = any(_weighted(w) for _, w in chans)

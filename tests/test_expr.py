@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heismod import expr as E
+from heismod import modulus
 from heismod.expr import (
     _DIV_FLOOR, VAR_NAMES, Abs2, Add, Const, Cos, Div, Exp, Expr, Im, Log,
     Mul, Neg, PowR, Re, Sin, Sqrt, Sub, Var)
@@ -25,6 +26,8 @@ from heismod.errors import (
     UnknownIdentifier,
     VariableMismatch,
 )
+from heismod.foliation import column_binding, leaf_speed_fn
+from heismod.scenarios import list_scenarios, load_scenario
 
 Q0_TEXT = ("conj(z)^2 * (t^2 + (z*conj(z))^2)^(2/3)"
            " / ((z*conj(z))^(4/3) * (t + i*z*conj(z))^2)")
@@ -336,6 +339,21 @@ def test_conj_expr_commutes_with_evaluation():
                 continue
         if np.isfinite(v):
             assert vc == pytest.approx(v.conjugate(), rel=1e-12, abs=1e-12)
+
+
+def test_a_real_constant_is_its_own_conjugate():
+    assert E.conj_expr(E.const(2.0)) is E.const(2.0)
+    assert E.conj_expr(E.const(complex(2.0, -0.0))) is E.const(
+        complex(2.0, -0.0))
+    assert E.conj_expr(E.const(2j)) is E.const(complex(0.0, -2.0))
+    # so a real subtree is its own conjugate, and the conjugate of the
+    # chart sqrt(X)*exp(i*theta) reuses X and the phase theta
+    fol = load_scenario("annulus-vertical").foliation
+    x, theta = fol.polar_parts
+    assert E.conj_expr(theta) is theta and E.conj_expr(x) is x
+    root, wave = E.conj_expr(fol.phi1).lhs, E.conj_expr(fol.phi1).rhs
+    assert root is fol.phi1.lhs
+    assert wave is E.exp(E.mul(E.const(complex(0.0, -1.0)), theta))
 
 
 def test_conj_of_derivative_identity():
@@ -1070,3 +1088,86 @@ def test_a_promotion_in_a_conjugates_own_plan_maps_to_its_node(
     monkeypatch.undo()
     assert bitwise_equal(got, E._eval_array(e, b, UNBLOCKED, False))
     check_plans(e, b)
+
+
+# ---------------------------------------------------------------------------
+# one plan for a tuple of roots
+
+# the built-in charts whose q o Phi takes a conjugate of a node of
+# d_s Phi1 from it: exp(-i*theta) of exp(i*theta)
+CROSS_CONJUGATE = {"annulus-horizontal", "annulus-vertical",
+                   "triple-kernel-residuals"}
+
+
+def _conjugate_steps(plan) -> int:
+    return sum(getattr(fn, "__name__", "") == "conjugate"
+               for fn, *_ in plan.steps)
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_a_tuple_of_roots_keeps_each_roots_bits(name, monkeypatch):
+    scn = load_scenario(name)
+    fol = scn.foliation
+    chart = (fol.d_s1, fol.compose(scn.q.coeff), fol.jac_a_expr)
+    # negative for s > 1.2 only: on most charts a block after the first
+    # promotes the cube root to complex
+    cube = E.mul(chart[1], E.parse("(1.2 - s)^(1/3)"))
+    roots = chart + (cube, fol.phi1)
+    ps = modulus._interior_pairs(fol, 8)
+    width = ps[0].size
+    (s0, s1) = fol.s_range
+    x = np.linspace(s0, s1, 3 * E._BLOCK // width + 52)[1:-1]
+    b = column_binding(fol, x, ps)
+    alone = [E.eval_array(r, b) for r in roots]
+
+    # the union's plan takes a conjugate that no root's own plan holds
+    real = E._array_binding(b)[1]
+    union = _conjugate_steps(E._plan(chart, real, True, frozenset())[0])
+    apart = sum(_conjugate_steps(E._plan(r, real, True, frozenset())[0])
+                for r in chart)
+    assert (union > apart) == (name in CROSS_CONJUGATE)
+
+    # one call over several of eval_array's own blocks
+    together = E.eval_array(roots, b)
+    assert type(together) is tuple and len(together) == len(roots)
+    assert all(bitwise_equal(t, a) for t, a in zip(together, alone))
+
+    # row blocks driven as the leaf stage drives them
+    full = (x.size, width)
+    outs = [np.empty(full, dtype=np.complex128) for _ in roots]
+    blocks = []
+
+    def run(r):
+        blocks.append(r)
+        got = E.eval_array(roots, column_binding(fol, x[r], ps))
+        for out, v in zip(outs, got):
+            out[r] = v
+    E.row_blocks(x.size, width, run)
+    step = E._BLOCK // width
+    assert len(set(map(repr, blocks))) >= 3
+    later = x[step - 1] < 1.2 < x[-1]
+    assert blocks.count(blocks[0]) == (2 if later else 1)
+    assert all(bitwise_equal(o, np.broadcast_to(a, full))
+               for o, a in zip(outs, alone))
+    if name == "annulus-vertical":
+        assert later
+    # the q-length element, which reduces each row block of its roots
+    speed = np.sqrt(np.abs(alone[1])) * np.abs(alone[0])
+    assert bitwise_equal(leaf_speed_fn(scn.q, fol)(b),
+                         np.broadcast_to(speed, full))
+
+
+def test_plan_caches_stay_bounded_over_fresh_root_tuples():
+    E._PLANS.clear()
+    E._STRUCTS.clear()
+    for k in range(300):
+        c = 1.0 + k / 4096
+        # a fresh structure as well as fresh constants every round
+        roots = (E.parse(f"{c!r}*z*conj(z) + t^{k + 2}"),
+                 E.parse(f"exp(i*{c!r}*t) + z"), E.parse(f"{c!r}*zb"))
+        got = E.eval_array(roots, CHURN_B)
+        assert len(got) == 3
+        assert len(E._PLANS) <= E._PLAN_CAP
+        assert len(E._STRUCTS) <= E._PLAN_CAP
+    assert len(E._PLANS) == len(E._STRUCTS) == E._PLAN_CAP
+    E._STRUCTS.clear()

@@ -1092,10 +1092,11 @@ def test_batched_energies_are_one_integral_within_each_estimate(
         return counted
 
     def spy_eval(ex, binding):
+        # ex is one root or, for the chart, the tuple of its roots
         if batches:
-            batches[-1].append(id(ex))
+            batches[-1].append(ex)
             widths[-1][1].append(
-                (id(ex), np.broadcast(*binding.values()).shape[-1]))
+                (ex, np.broadcast(*binding.values()).shape[-1]))
         return real_eval(ex, binding)
 
     def spy_dep(cols_fn, fol):
@@ -1115,15 +1116,19 @@ def test_batched_energies_are_one_integral_within_each_estimate(
     assert len(p_stages) == 1
     vals, errs = p_stages[0]
     assert vals.shape == (6,) and list(vals[:3]) == energies
-    # per row block of an s-node batch q o Phi, |J|, |d_s Phi1| and the
-    # two g run once each, shared by the 5 channels
-    assert batches and all(len(set(b[:5])) == 5 and b[-1] == 5 and
-                           b[:-1] == b[:5] * k
+    # per row block of an s-node batch the chart runs once, as one plan
+    # of its three roots d_s Phi1, q o Phi and J, and so does each of the
+    # two g; all five are shared by the 5 channels
+    fol = rhos[0].foliation
+    chart = (fol.d_s1, fol.compose(rhos[0].q.coeff), fol.jac_a_expr)
+    gs = {r.modifier for r in rhos[1:]}
+    assert batches and all(len(set(b[:3])) == 3 and chart in b[:3] and
+                           gs < set(b[:3]) and b[-1] == 5 and
+                           b[:-1] == b[:3] * k
                            for b, k in zip(batches, blocks))
     assert max(blocks) > 1
-    # the arc chart has no live p-axis: q o Phi, |J| and |d_s Phi1| run
-    # on one column, each g on every pair of the batch
-    gs = {id(r.modifier) for r in rhos[1:]}
+    # the arc chart has no live p-axis: its roots run on one column,
+    # each g on every pair of the batch
     assert all(w == (pairs if ex in gs else 1)
                for pairs, evals in widths for ex, w in evals)
     assert max(pairs for pairs, _ in widths) > 1
@@ -1153,7 +1158,9 @@ def test_weighted_batch_evaluates_the_chart_once_per_distinct_leaf(
     rho = extremal_density(scn.q, scn.foliation)
     probes = [perturbed_density(rho, g, 0.1) for g in
               ("0.3*sin(s + 0.2*cos(p2))", "0.1 + 0.2*sin(s*p1)")]
-    gs = {id(r.modifier) for r in probes}
+    gs = {r.modifier for r in probes}
+    fol = scn.foliation
+    chart = (fol.d_s1, fol.compose(scn.q.coeff), fol.jac_a_expr)
     calls, real_cols, real_eval = [], modulus._columns, E.eval_array
 
     def spy_cols(q, fol, chans):
@@ -1166,9 +1173,10 @@ def test_weighted_batch_evaluates_the_chart_once_per_distinct_leaf(
         return counted
 
     def spy_eval(ex, binding):
+        # ex is one root or, for the chart, the tuple of its roots
         if calls:
             calls[-1][1].append(
-                (id(ex), np.broadcast(*binding.values()).shape[-1]))
+                (ex, np.broadcast(*binding.values()).shape[-1]))
         return real_eval(ex, binding)
 
     monkeypatch.setattr(modulus, "_columns", spy_cols)
@@ -1181,11 +1189,12 @@ def test_weighted_batch_evaluates_the_chart_once_per_distinct_leaf(
     assert energies == density_energies(probes, tol=1e-6)
     monkeypatch.undo()
     for p1, evals, k in calls:
-        # each of the batch's k row blocks evaluates the same five once
-        assert len(set(evals[:5])) == 5 and evals == evals[:5] * k
-        chart = [w for ex, w in evals[:5] if ex not in gs]
-        assert len(chart) == 3
-        assert all(w == np.unique(p1).size for w in chart)
+        # each of the batch's k row blocks runs the chart's one plan of
+        # its three roots once, and each g once
+        assert len(set(evals[:3])) == 3 and evals == evals[:3] * k
+        assert [ex for ex, _ in evals[:3] if ex not in gs] == [chart]
+        assert all(w == np.unique(p1).size for ex, w in evals
+                   if ex == chart)
         assert all(w == p1.size for ex, w in evals if ex in gs)
     assert max(p1.size - np.unique(p1).size for p1, _, _ in calls) > 0
     assert max(k for _, _, k in calls) > 1
@@ -1242,10 +1251,12 @@ def test_blocked_columns_match_the_one_block_build(name, route, g,
 
 
 def test_annulus_vertical_modulus_stays_within_its_memory_gate():
-    # the leaf stage builds its columns one row block at a time, and the
-    # p-stage allocates its dead-axis tile once the leaves are in: 7.53
-    # MiB when q o Phi and d_s Phi1 were evaluated on the whole 120 x 960
-    # grid and the tile lived through the leaf stage
+    # the leaf stage builds its columns one 8k-point row block at a time,
+    # its chart factors as one plan, and the p-stage allocates its
+    # dead-axis tile once the leaves are in: 7.53 MiB when q o Phi and
+    # d_s Phi1 were evaluated on the whole 120 x 960 grid and the tile
+    # lived through the leaf stage, 4.75 MiB with 32k-point blocks and one
+    # plan per factor
     scn = load_scenario("annulus-vertical")
     tracemalloc.start()
     try:
@@ -1255,7 +1266,7 @@ def test_annulus_vertical_modulus_stays_within_its_memory_gate():
     finally:
         tracemalloc.stop()
     assert rep.meta["s_evals"] == 360
-    assert peak <= 5.0, peak
+    assert peak <= 3.5, peak
 
 
 def _beta(a):               # int_0^pi sin^a(s) ds
