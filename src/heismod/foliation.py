@@ -309,13 +309,13 @@ def lambda_field_array(q, fol, binding: dict) -> np.ndarray:
     exponent.  Constant in s (per leaf) whenever q has vanishing B2
     residual (is holomorphic, in the plane) and the foliation is
     horizontal; that constancy is the tested conclusion."""
-    mu2, jac, ds = E.eval_array(
-        (mu_squared_expr(q, fol), fol.jac_a_expr, fol.d_s1), binding)
+    mu2 = E.eval_array(mu_squared_expr(q, fol), binding)
     if (mu2.real <= 0.0).any() or \
             (np.abs(mu2.imag) > HORIZONTAL_TOL * (np.abs(mu2) + 1.0)).any():
         raise NegativeQ("mu^2 is not real-positive across the grid")
     mu = np.sqrt(mu2.real)
-    jac, speed2 = jac.real, np.abs(ds) ** 2
+    jac = E.eval_array(fol.jac_a_expr, binding).real
+    speed2 = np.abs(E.eval_array(fol.d_s1, binding)) ** 2
     n = fol.exponent
     return _full_shape(mu ** (n - 1) * jac / speed2 ** (n // 2),
                        _binding_shape(binding))

@@ -422,16 +422,16 @@ def _columns(q, fol, chans):
     weighted density w's weight^n or weight, or the product of the
     s-only nodes of a moment monomial w (a tuple, `_density_leaves`);
     n is the chart's exponent.  Per row block of an s-node batch the
-    chart's factors d_s Phi1, q o Phi and J run once, as one plan of the
-    three roots (`E.eval_array` of their tuple), so the nodes they share
-    run once too; so does each weight and monomial node.  The plan runs
-    all three whatever the bases, so a chart compiles one structure.
-    Weighted densities make every leaf distinct, so `_leaf_integrals`
-    cannot collapse their batch's pairs; the chart's plan then runs on
-    the distinct leaves of its own live p-axes, probed here, and each
-    weight on every pair.  Other channels leave the collapsing to
-    `_leaf_integrals`; such a batch writes the bases straight into the
-    output, and its monomials as (nodes, 1) columns times the bases.
+    chart's factors that the bases read (d_s Phi1 for SPEED, q o Phi, J
+    for MASS) run once, as one plan of their roots (`E.eval_array` of a
+    tuple), so the nodes they share run once too; so does each weight
+    and monomial node.  Weighted densities make every leaf distinct, so
+    `_leaf_integrals` cannot collapse their batch's pairs; the chart's
+    plan then runs on the distinct leaves of its own live p-axes, probed
+    here, and each weight on every pair.  Other channels leave the
+    collapsing to `_leaf_integrals`; such a batch writes the bases
+    straight into the output, and its monomials as (nodes, 1) columns
+    times the bases.
 
     Both builders fill the output one row block of s-nodes at a time,
     at most `E._BLOCK` (8k) points of the pairs each (`E.row_blocks`):
@@ -447,24 +447,29 @@ def _columns(q, fol, chans):
     for j, (kind, w) in enumerate(chans):
         groups.setdefault(id(w), (w, []))[1].append((j, kind))
 
-    roots = (fol.d_s1, qc, fol.jac_a_expr)
+    # the roots the bases read, each named by its base (q o Phi by None)
+    factors = {k: ex for k, ex in ((SPEED, fol.d_s1), (None, qc),
+                                   (MASS, fol.jac_a_expr))
+               if k is None or k in kinds}
+    roots = tuple(factors.values())
 
     def chart(x, *pc, into=lambda kind: None):
         """base -> (nodes, pairs) factors of one row block, each written
         into into(base) when that gives an array."""
         shape, b = (x.size, pc[0].size), column_binding(fol, x, pc)
-        ds, qv, jac = E.eval_array(roots, b)
-        base = {}
+        got = dict(zip(factors, E.eval_array(roots, b)))
+        qv, base = got.pop(None), {}
         if MASS in kinds and n == 4:    # rounds as abs2(q o Phi) would
             qm = np.multiply(qv.real, qv.real, out=into(MASS))
             qm += qv.imag * qv.imag
         qv = np.abs(qv) if n == 2 or SPEED in kinds else None
         if SPEED in kinds:
             base[SPEED] = _full_shape(np.multiply(
-                np.abs(ds), np.sqrt(qv), out=into(SPEED)), shape)
+                np.abs(got.pop(SPEED)), np.sqrt(qv), out=into(SPEED)), shape)
         if MASS in kinds:
             base[MASS] = _full_shape(np.multiply(
-                qm if n == 4 else qv, np.abs(jac), out=into(MASS)), shape)
+                qm if n == 4 else qv, np.abs(got.pop(MASS)), out=into(MASS)),
+                shape)
         return base
 
     weighted = any(_weighted(w) for _, w in chans)
